@@ -101,13 +101,12 @@ class Client {
   void close();
 
  private:
-  enum class Endpoint { kNone, kUnix, kTcp };
-
-  explicit Client(int fd) : fd_(fd) {}
+  /// Dials the unix socket `path` when it is non-empty, else loopback
+  /// TCP `port`.
+  Client(std::string path, int port);
 
   int fd_ = -1;
   std::size_t max_frame_bytes_ = kDefaultMaxFrameBytes;
-  Endpoint endpoint_ = Endpoint::kNone;
   std::string endpoint_path_;
   int endpoint_port_ = -1;
   /// Monotonic per-client call counter folded into the retry rng so every

@@ -266,22 +266,21 @@ enum class FrameReadStatus {
 const char* to_string(FrameReadStatus status);
 
 /// Write one length-prefixed frame (blocking, handles partial writes and
-/// EINTR; SIGPIPE suppressed). Throws pil::Error on a socket error or a
-/// payload above 2^31-1 bytes.
+/// EINTR; SIGPIPE suppressed). Prefix and payload leave in one send, so
+/// Nagle's algorithm never holds the payload for the peer's delayed ACK.
+/// Throws pil::Error on a socket error or a payload above 2^31-1 bytes.
 void write_frame(int fd, std::string_view payload);
 
 /// Read one frame into `payload` (blocking). Never throws; the status
 /// says why a read came back empty. On kOversize the announced length is
-/// left in `payload` as decimal text for diagnostics.
+/// left in `payload` as decimal text for diagnostics. Gives up with
+/// kTimeout when `timeout_seconds` elapses without a complete frame
+/// (poll(2)-based; the budget spans the whole frame, so a slow-loris
+/// client trickling bytes cannot hold the connection open past it);
+/// timeout_seconds <= 0 means no deadline.
 FrameReadStatus read_frame(int fd, std::string& payload,
-                           std::size_t max_bytes = kDefaultMaxFrameBytes);
-
-/// As above, but gives up with kTimeout when `timeout_seconds` elapses
-/// without a complete frame (poll(2)-based; the budget spans the whole
-/// frame, so a slow-loris client trickling bytes cannot hold the
-/// connection open past it). timeout_seconds <= 0 means no timeout.
-FrameReadStatus read_frame(int fd, std::string& payload,
-                           std::size_t max_bytes, double timeout_seconds);
+                           std::size_t max_bytes = kDefaultMaxFrameBytes,
+                           double timeout_seconds = 0.0);
 
 /// Chaos helper: write a frame header announcing the full payload length
 /// but send only the first `bytes` payload bytes (the frame_truncate

@@ -1,8 +1,5 @@
 #include "pil/service/client.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,43 +9,23 @@
 #include <utility>
 
 #include "pil/util/error.hpp"
+#include "socket.hpp"
 
 namespace pil::service {
 
 namespace {
 
-int dial_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  PIL_REQUIRE(fd >= 0, "socket(AF_UNIX) failed");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  PIL_REQUIRE(path.size() < sizeof(addr.sun_path),
-              "unix socket path too long: " + path);
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
+/// Connect to the unix socket `path` when it is non-empty, else to
+/// 127.0.0.1:`port`; a refused or failed connect is a kConnect error.
+int connect_endpoint(const std::string& path, int port) {
+  const int fd = sock::dial(path, port);
+  if (fd < 0)
     throw TransportError(
         TransportError::Kind::kConnect,
-        "cannot connect to unix socket " + path + ": " + why);
-  }
-  return fd;
-}
-
-int dial_tcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  PIL_REQUIRE(fd >= 0, "socket(AF_INET) failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd);
-    throw TransportError(
-        TransportError::Kind::kConnect,
-        "cannot connect to 127.0.0.1:" + std::to_string(port) + ": " + why);
-  }
+        "cannot connect to " +
+            (path.empty() ? "127.0.0.1:" + std::to_string(port)
+                          : "unix socket " + path) +
+            ": " + std::strerror(errno));
   return fd;
 }
 
@@ -78,23 +55,19 @@ bool retry_safe(const Request& request) {
 }  // namespace
 
 Client Client::connect_unix(const std::string& path) {
-  Client client(dial_unix(path));
-  client.endpoint_ = Endpoint::kUnix;
-  client.endpoint_path_ = path;
-  return client;
+  return Client(path, -1);
 }
 
-Client Client::connect_tcp(int port) {
-  Client client(dial_tcp(port));
-  client.endpoint_ = Endpoint::kTcp;
-  client.endpoint_port_ = port;
-  return client;
-}
+Client Client::connect_tcp(int port) { return Client({}, port); }
+
+Client::Client(std::string path, int port)
+    : fd_(connect_endpoint(path, port)),
+      endpoint_path_(std::move(path)),
+      endpoint_port_(port) {}
 
 Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       max_frame_bytes_(other.max_frame_bytes_),
-      endpoint_(other.endpoint_),
       endpoint_path_(std::move(other.endpoint_path_)),
       endpoint_port_(other.endpoint_port_),
       call_seq_(other.call_seq_) {}
@@ -104,7 +77,6 @@ Client& Client::operator=(Client&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     max_frame_bytes_ = other.max_frame_bytes_;
-    endpoint_ = other.endpoint_;
     endpoint_path_ = std::move(other.endpoint_path_);
     endpoint_port_ = other.endpoint_port_;
     call_seq_ = other.call_seq_;
@@ -123,13 +95,7 @@ void Client::close() {
 
 void Client::reconnect() {
   close();
-  switch (endpoint_) {
-    case Endpoint::kUnix: fd_ = dial_unix(endpoint_path_); return;
-    case Endpoint::kTcp: fd_ = dial_tcp(endpoint_port_); return;
-    case Endpoint::kNone: break;
-  }
-  throw TransportError(TransportError::Kind::kConnect,
-                       "client has no endpoint to reconnect to");
+  fd_ = connect_endpoint(endpoint_path_, endpoint_port_);
 }
 
 Response Client::call(const Request& request) {
@@ -232,14 +198,8 @@ std::string Client::call_raw(std::string_view payload) {
 
 void Client::send_bytes(std::string_view bytes) {
   PIL_REQUIRE(fd_ >= 0, "client is closed");
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t w =
-        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    PIL_REQUIRE(w > 0, "send failed: " + std::string(std::strerror(errno)));
-    off += static_cast<std::size_t>(w);
-  }
+  PIL_REQUIRE(sock::write_all(fd_, bytes.data(), bytes.size()),
+              "send failed: " + std::string(std::strerror(errno)));
 }
 
 }  // namespace pil::service

@@ -1,14 +1,11 @@
 #include "pil/service/protocol.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "pil/layout/pld_io.hpp"
@@ -78,9 +75,43 @@ double get_num(const JsonValue& obj, std::string_view key, double def) {
   return v->num_v;
 }
 
-long long get_int(const JsonValue& obj, std::string_view key,
-                  long long def) {
-  return static_cast<long long>(get_num(obj, key, static_cast<double>(def)));
+/// Integers travel as JSON numbers, which the parser reads as doubles, so
+/// one is exact only within +-(2^53 - 1), RFC 8259's interoperable range:
+/// 2^53 + 1 arrives as 2^53, indistinguishable from a real 2^53.
+constexpr std::uint64_t kMaxWireInt = (std::uint64_t{1} << 53) - 1;
+
+/// `v` as an integer of type T. Throws pil::Error naming `field` unless it
+/// is an integral number within both T and +-kMaxWireInt -- anything else
+/// was rounded in transit or would be cast out of range.
+template <typename T>
+T as_int(const JsonValue& v, std::string_view field) {
+  using Limits = std::numeric_limits<T>;
+  const double lo = std::max(-static_cast<double>(kMaxWireInt),
+                             static_cast<double>(Limits::min()));
+  const double hi = std::min(static_cast<double>(kMaxWireInt),
+                             static_cast<double>(Limits::max()));
+  if (!v.is_number() || !(v.num_v >= lo && v.num_v <= hi) ||
+      v.num_v != std::trunc(v.num_v))
+    throw Error(std::string(field) + ": expected an integer in [" +
+                std::to_string(static_cast<long long>(lo)) + ", " +
+                std::to_string(static_cast<long long>(hi)) + "]");
+  return static_cast<T>(v.num_v);
+}
+
+/// The integer member named by the last component of `field`, a dotted
+/// wire path ("gen.seed") that errors quote; `def` when absent.
+template <typename T>
+T get_int(const JsonValue& obj, std::string_view field, T def) {
+  const JsonValue* v = obj.find(field.substr(field.rfind('.') + 1));
+  return v == nullptr ? def : as_int<T>(*v, field);
+}
+
+/// encode_request's guard for a u64 the wire cannot carry exactly.
+void require_wire_int(std::uint64_t v, const char* field) {
+  PIL_REQUIRE(v <= kMaxWireInt,
+              std::string(field) + ": " + std::to_string(v) +
+                  " exceeds 2^53 - 1, the largest integer the wire "
+                  "carries exactly");
 }
 
 bool get_bool(const JsonValue& obj, std::string_view key, bool def) {
@@ -220,12 +251,13 @@ void encode_policy(JsonWriter& w, const pilfill::SolvePolicy& p) {
 void decode_config_into(const JsonValue& obj, pilfill::FlowConfig& cfg) {
   PIL_REQUIRE(obj.is_object(), "config: expected an object");
   for (const auto& [key, val] : obj.members) {
+    const std::string field = "config." + key;
     if (key == "layer") {
-      cfg.layer = static_cast<layout::LayerId>(val.num_v);
+      cfg.layer = as_int<layout::LayerId>(val, field);
     } else if (key == "window_um") {
       cfg.window_um = val.num_v;
     } else if (key == "r") {
-      cfg.r = static_cast<int>(val.num_v);
+      cfg.r = as_int<int>(val, field);
     } else if (key == "feature_um") {
       cfg.rules.feature_um = val.num_v;
     } else if (key == "gap_um") {
@@ -241,13 +273,13 @@ void decode_config_into(const JsonValue& obj, pilfill::FlowConfig& cfg) {
     } else if (key == "upper_bound") {
       cfg.target.upper_bound = val.num_v;
     } else if (key == "target_seed") {
-      cfg.target.seed = static_cast<std::uint64_t>(val.num_v);
+      cfg.target.seed = as_int<std::uint64_t>(val, field);
     } else if (key == "objective") {
       cfg.objective = objective_from_wire(val.str_v);
     } else if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(val.num_v);
+      cfg.seed = as_int<std::uint64_t>(val, field);
     } else if (key == "ilp_max_nodes") {
-      cfg.ilp.max_nodes = static_cast<int>(val.num_v);
+      cfg.ilp.max_nodes = as_int<int>(val, field);
     } else if (key == "style") {
       cfg.style = style_from_wire(val.str_v);
     } else if (key == "switch_factor") {
@@ -256,14 +288,14 @@ void decode_config_into(const JsonValue& obj, pilfill::FlowConfig& cfg) {
       PIL_REQUIRE(val.is_array(), "config.required_per_tile: expected array");
       cfg.required_per_tile.clear();
       for (const auto& item : val.items)
-        cfg.required_per_tile.push_back(static_cast<int>(item.num_v));
+        cfg.required_per_tile.push_back(as_int<int>(item, field));
     } else if (key == "net_criticality") {
       PIL_REQUIRE(val.is_array(), "config.net_criticality: expected array");
       cfg.net_criticality.clear();
       for (const auto& item : val.items)
         cfg.net_criticality.push_back(item.num_v);
     } else if (key == "threads") {
-      cfg.threads = static_cast<int>(val.num_v);
+      cfg.threads = as_int<int>(val, field);
     } else if (key == "tile_deadline_seconds") {
       cfg.tile_deadline_seconds = val.num_v;
     } else if (key == "flow_deadline_seconds") {
@@ -310,14 +342,14 @@ pilfill::WireEdit decode_edit(const JsonValue& obj) {
   PIL_REQUIRE(obj.is_object(), "edit: expected an object");
   pilfill::WireEdit e;
   e.kind = edit_kind_from_wire(get_str(obj, "kind", "add_segment"));
-  e.net = static_cast<layout::NetId>(get_int(obj, "net", layout::kInvalidNet));
+  e.net = get_int<layout::NetId>(obj, "edit.net", layout::kInvalidNet);
   e.a.x = get_num(obj, "ax", 0.0);
   e.a.y = get_num(obj, "ay", 0.0);
   e.b.x = get_num(obj, "bx", 0.0);
   e.b.y = get_num(obj, "by", 0.0);
   e.width_um = get_num(obj, "width_um", 0.0);
-  e.segment = static_cast<layout::SegmentId>(
-      get_int(obj, "segment", layout::kInvalidSegment));
+  e.segment = get_int<layout::SegmentId>(obj, "edit.segment",
+                                         layout::kInvalidSegment);
   e.dx = get_num(obj, "dx", 0.0);
   e.dy = get_num(obj, "dy", 0.0);
   return e;
@@ -364,15 +396,16 @@ MethodSummary decode_method_summary(const JsonValue& obj) {
   MethodSummary s;
   s.requested = method_from_wire(get_str(obj, "requested", "normal"));
   s.served = method_from_wire(get_str(obj, "served", "normal"));
-  s.placed = get_int(obj, "placed", 0);
-  s.shortfall = get_int(obj, "shortfall", 0);
-  s.features = get_int(obj, "features", 0);
+  s.placed = get_int<long long>(obj, "methods[].placed", 0);
+  s.shortfall = get_int<long long>(obj, "methods[].shortfall", 0);
+  s.features = get_int<long long>(obj, "methods[].features", 0);
   s.delay_ps = get_num(obj, "delay_ps", 0.0);
   s.weighted_delay_ps = get_num(obj, "weighted_delay_ps", 0.0);
   s.exact_sink_delay_ps = get_num(obj, "exact_sink_delay_ps", 0.0);
-  s.tiles_node_limit = get_int(obj, "tiles_node_limit", 0);
-  s.tiles_degraded = get_int(obj, "tiles_degraded", 0);
-  s.tiles_failed = get_int(obj, "tiles_failed", 0);
+  s.tiles_node_limit =
+      get_int<long long>(obj, "methods[].tiles_node_limit", 0);
+  s.tiles_degraded = get_int<long long>(obj, "methods[].tiles_degraded", 0);
+  s.tiles_failed = get_int<long long>(obj, "methods[].tiles_failed", 0);
   s.solve_seconds = get_num(obj, "solve_seconds", 0.0);
   s.density_min = get_num(obj, "density_min", 0.0);
   s.density_max = get_num(obj, "density_max", 0.0);
@@ -448,6 +481,12 @@ layout::SyntheticLayoutConfig GenSpec::to_config() const {
 // -------------------------------------------------------------- requests ----
 
 std::string encode_request(const Request& request) {
+  require_wire_int(request.id, "id");
+  if (request.gen.has_value()) require_wire_int(request.gen->seed, "gen.seed");
+  if (request.op == Op::kOpenSession) {
+    require_wire_int(request.config.seed, "config.seed");
+    require_wire_int(request.config.target.seed, "config.target_seed");
+  }
   std::ostringstream os;
   JsonWriter w(os, /*pretty=*/false);
   w.begin_object();
@@ -505,7 +544,7 @@ Request decode_request(std::string_view json) {
               "speaks " + std::string(kRequestSchema) + ")");
   Request r;
   r.op = op_from_name(get_str(doc, "op"));
-  r.id = static_cast<std::uint64_t>(get_num(doc, "id", 0.0));
+  r.id = get_int<std::uint64_t>(doc, "id", 0);
   r.trace_id = parse_hex_u64(get_str(doc, "trace_id", "0"), "trace_id");
   r.request_id =
       parse_hex_u64(get_str(doc, "request_id", "0"), "request_id");
@@ -515,11 +554,9 @@ Request decode_request(std::string_view json) {
     PIL_REQUIRE(gen->is_object(), "gen: expected an object");
     GenSpec spec;
     spec.die_um = get_num(*gen, "die_um", spec.die_um);
-    spec.num_nets = static_cast<int>(get_int(*gen, "num_nets", spec.num_nets));
-    spec.seed = static_cast<std::uint64_t>(
-        get_num(*gen, "seed", static_cast<double>(spec.seed)));
-    spec.num_macros =
-        static_cast<int>(get_int(*gen, "num_macros", spec.num_macros));
+    spec.num_nets = get_int(*gen, "gen.num_nets", spec.num_nets);
+    spec.seed = get_int(*gen, "gen.seed", spec.seed);
+    spec.num_macros = get_int(*gen, "gen.num_macros", spec.num_macros);
     r.gen = spec;
   }
   if (const JsonValue* cfg = doc.find("config"); cfg != nullptr)
@@ -611,12 +648,12 @@ Response decode_response(std::string_view json) {
               "unsupported response schema \"" + schema + "\"");
   Response r;
   r.op = op_from_name(get_str(doc, "op", "stats"));
-  r.id = static_cast<std::uint64_t>(get_num(doc, "id", 0.0));
+  r.id = get_int<std::uint64_t>(doc, "id", 0);
   r.ok = get_bool(doc, "ok", false);
   r.trace_id = parse_hex_u64(get_str(doc, "trace_id", "0"), "trace_id");
   r.shed = get_bool(doc, "shed", false);
   r.degraded = get_bool(doc, "degraded", false);
-  r.edit_seq = get_int(doc, "edit_seq", 0);
+  r.edit_seq = get_int<long long>(doc, "edit_seq", 0);
   r.deduped = get_bool(doc, "deduped", false);
   r.retryable = get_bool(doc, "retryable", false);
   r.error = get_str(doc, "error");
@@ -625,17 +662,15 @@ Response decode_response(std::string_view json) {
   r.reused = get_bool(doc, "reused", false);
   r.layout_hash = parse_hex_u64(get_str(doc, "layout_hash", "0"),
                                 "layout_hash");
-  r.tiles = static_cast<int>(get_int(doc, "tiles", 0));
+  r.tiles = get_int(doc, "tiles", 0);
   r.prep_seconds = get_num(doc, "prep_seconds", 0.0);
   if (const JsonValue* edit = doc.find("edit"); edit != nullptr) {
     PIL_REQUIRE(edit->is_object(), "edit: expected an object");
     EditSummary s;
-    s.segment = get_int(*edit, "segment", -1);
-    s.columns_rescanned =
-        static_cast<int>(get_int(*edit, "columns_rescanned", 0));
-    s.tiles_retargeted =
-        static_cast<int>(get_int(*edit, "tiles_retargeted", 0));
-    s.tiles_dirty = static_cast<int>(get_int(*edit, "tiles_dirty", 0));
+    s.segment = get_int<long long>(*edit, "edit.segment", -1);
+    s.columns_rescanned = get_int(*edit, "edit.columns_rescanned", 0);
+    s.tiles_retargeted = get_int(*edit, "edit.tiles_retargeted", 0);
+    s.tiles_dirty = get_int(*edit, "edit.tiles_dirty", 0);
     s.seconds = get_num(*edit, "seconds", 0.0);
     r.edit = s;
   }
@@ -736,195 +771,6 @@ MethodSummary summarize_method(const pilfill::MethodResult& mr,
   s.placement_hash = placement_fingerprint(mr.placement.features);
   if (include_placement) s.placement = mr.placement.features;
   return s;
-}
-
-// ---------------------------------------------------------------- framing ----
-
-const char* to_string(FrameReadStatus status) {
-  switch (status) {
-    case FrameReadStatus::kOk: return "ok";
-    case FrameReadStatus::kClosed: return "closed";
-    case FrameReadStatus::kTruncated: return "truncated";
-    case FrameReadStatus::kOversize: return "oversize";
-    case FrameReadStatus::kError: return "error";
-    case FrameReadStatus::kTimeout: return "timeout";
-  }
-  return "error";
-}
-
-namespace {
-
-/// send() with SIGPIPE suppressed when `fd` is a socket; plain write()
-/// otherwise (pipes in tests). Retries EINTR.
-ssize_t write_some(int fd, const char* data, std::size_t n) {
-  for (;;) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
-    if (w < 0 && errno == EINTR) continue;
-    return w;
-  }
-}
-
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = write_some(fd, data, n);
-    if (w <= 0) return false;
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-/// Reads exactly n bytes; returns n on success, 0 on immediate EOF,
-/// -1 on error, and the partial count on EOF mid-way.
-ssize_t read_all(int fd, char* data, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (r == 0) break;
-    got += static_cast<std::size_t>(r);
-  }
-  return static_cast<ssize_t>(got);
-}
-
-constexpr ssize_t kReadTimedOut = -2;
-
-/// read_all against an absolute deadline: poll(2) before every read so a
-/// peer trickling one byte at a time still exhausts the same budget as
-/// one that sends nothing. Same returns as read_all plus kReadTimedOut.
-ssize_t read_all_until(int fd, char* data, std::size_t n,
-                       std::chrono::steady_clock::time_point deadline) {
-  std::size_t got = 0;
-  while (got < n) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return kReadTimedOut;
-    const long long left_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count();
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int pr = ::poll(
-        &pfd, 1,
-        static_cast<int>(left_ms >= 3600000 ? 3600000 : left_ms + 1));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (pr == 0) return kReadTimedOut;
-    const ssize_t r = ::read(fd, data + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (r == 0) break;
-    got += static_cast<std::size_t>(r);
-  }
-  return static_cast<ssize_t>(got);
-}
-
-}  // namespace
-
-void write_frame(int fd, std::string_view payload) {
-  PIL_REQUIRE(payload.size() <= 0x7fffffffu, "frame payload too large");
-  const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  char header[4] = {static_cast<char>((n >> 24) & 0xff),
-                    static_cast<char>((n >> 16) & 0xff),
-                    static_cast<char>((n >> 8) & 0xff),
-                    static_cast<char>(n & 0xff)};
-  PIL_REQUIRE(write_all(fd, header, sizeof(header)) &&
-                  write_all(fd, payload.data(), payload.size()),
-              "frame write failed: " + std::string(std::strerror(errno)));
-}
-
-FrameReadStatus read_frame(int fd, std::string& payload,
-                           std::size_t max_bytes) {
-  payload.clear();
-  unsigned char header[4];
-  const ssize_t h = read_all(fd, reinterpret_cast<char*>(header), 4);
-  if (h < 0) return FrameReadStatus::kError;
-  if (h == 0) return FrameReadStatus::kClosed;
-  if (h < 4) return FrameReadStatus::kTruncated;
-  const std::size_t n = (static_cast<std::size_t>(header[0]) << 24) |
-                        (static_cast<std::size_t>(header[1]) << 16) |
-                        (static_cast<std::size_t>(header[2]) << 8) |
-                        static_cast<std::size_t>(header[3]);
-  if (n > max_bytes) {
-    payload = std::to_string(n);
-    return FrameReadStatus::kOversize;
-  }
-  payload.resize(n);
-  if (n == 0) return FrameReadStatus::kOk;
-  const ssize_t got = read_all(fd, payload.data(), n);
-  if (got < 0) {
-    payload.clear();
-    return FrameReadStatus::kError;
-  }
-  if (static_cast<std::size_t>(got) < n) {
-    payload.clear();
-    return FrameReadStatus::kTruncated;
-  }
-  return FrameReadStatus::kOk;
-}
-
-FrameReadStatus read_frame(int fd, std::string& payload,
-                           std::size_t max_bytes, double timeout_seconds) {
-  if (timeout_seconds <= 0) return read_frame(fd, payload, max_bytes);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_seconds));
-  payload.clear();
-  unsigned char header[4];
-  const ssize_t h =
-      read_all_until(fd, reinterpret_cast<char*>(header), 4, deadline);
-  if (h == kReadTimedOut) return FrameReadStatus::kTimeout;
-  if (h < 0) return FrameReadStatus::kError;
-  if (h == 0) return FrameReadStatus::kClosed;
-  if (h < 4) return FrameReadStatus::kTruncated;
-  const std::size_t n = (static_cast<std::size_t>(header[0]) << 24) |
-                        (static_cast<std::size_t>(header[1]) << 16) |
-                        (static_cast<std::size_t>(header[2]) << 8) |
-                        static_cast<std::size_t>(header[3]);
-  if (n > max_bytes) {
-    payload = std::to_string(n);
-    return FrameReadStatus::kOversize;
-  }
-  payload.resize(n);
-  if (n == 0) return FrameReadStatus::kOk;
-  const ssize_t got = read_all_until(fd, payload.data(), n, deadline);
-  if (got == kReadTimedOut) {
-    payload.clear();
-    return FrameReadStatus::kTimeout;
-  }
-  if (got < 0) {
-    payload.clear();
-    return FrameReadStatus::kError;
-  }
-  if (static_cast<std::size_t>(got) < n) {
-    payload.clear();
-    return FrameReadStatus::kTruncated;
-  }
-  return FrameReadStatus::kOk;
-}
-
-void write_frame_truncated(int fd, std::string_view payload,
-                           std::size_t bytes) {
-  PIL_REQUIRE(payload.size() <= 0x7fffffffu, "frame payload too large");
-  const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  char header[4] = {static_cast<char>((n >> 24) & 0xff),
-                    static_cast<char>((n >> 16) & 0xff),
-                    static_cast<char>((n >> 8) & 0xff),
-                    static_cast<char>(n & 0xff)};
-  const std::size_t sent = bytes < payload.size() ? bytes : payload.size();
-  PIL_REQUIRE(write_all(fd, header, sizeof(header)) &&
-                  (sent == 0 || write_all(fd, payload.data(), sent)),
-              "frame write failed: " + std::string(std::strerror(errno)));
 }
 
 }  // namespace pil::service

@@ -1,9 +1,6 @@
 #include "pil/service/server.hpp"
 
-#include <netinet/in.h>
-#include <sys/select.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -13,7 +10,6 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <future>
 #include <map>
@@ -36,6 +32,7 @@
 #include "pil/util/deadline.hpp"
 #include "pil/util/error.hpp"
 #include "pil/util/fault.hpp"
+#include "socket.hpp"
 
 namespace pil::service {
 
@@ -53,13 +50,6 @@ double seconds_since(Clock::time_point t0) {
 bool is_downgradable(pilfill::Method m) {
   return m == pilfill::Method::kIlp1 || m == pilfill::Method::kIlp2 ||
          m == pilfill::Method::kConvex;
-}
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
 }
 
 double ms_since(Clock::time_point t0) { return seconds_since(t0) * 1e3; }
@@ -290,11 +280,9 @@ struct Server::Impl {
 
   // ------------------------------------------------------------- threads --
   std::vector<std::thread> workers;
+  std::unique_ptr<sock::Listener> listener;
   std::thread acceptor;
   std::thread watchdog;
-  int unix_fd = -1;
-  int tcp_fd = -1;
-  int bound_tcp_port = -1;
   bool started = false;
 
   struct Conn {
@@ -896,15 +884,7 @@ struct Server::Impl {
   void accept_loop() {
     obs::journal_set_thread_name("serve-accept");
     while (true) {
-      // Wait on both listeners without poll(): accept one at a time via
-      // blocking accept on whichever exists; with both, use poll(2).
-      int fd = -1;
-      if (unix_fd >= 0 && tcp_fd >= 0) {
-        fd = accept_either();
-      } else {
-        const int lfd = unix_fd >= 0 ? unix_fd : tcp_fd;
-        fd = lfd >= 0 ? ::accept(lfd, nullptr, nullptr) : -1;
-      }
+      const int fd = listener->accept();
       if (fd < 0) {
         const int err = errno;
         {
@@ -943,23 +923,6 @@ struct Server::Impl {
       conn->thread = std::thread([this, raw] { serve_connection(raw->fd); });
       std::lock_guard<std::mutex> lock(conns_mu);
       conns.push_back(std::move(conn));
-    }
-  }
-
-  int accept_either() {
-    for (;;) {
-      fd_set rfds;
-      FD_ZERO(&rfds);
-      FD_SET(unix_fd, &rfds);
-      FD_SET(tcp_fd, &rfds);
-      const int nfds = std::max(unix_fd, tcp_fd) + 1;
-      const int rc = ::select(nfds, &rfds, nullptr, nullptr, nullptr);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return -1;
-      }
-      if (FD_ISSET(unix_fd, &rfds)) return ::accept(unix_fd, nullptr, nullptr);
-      if (FD_ISSET(tcp_fd, &rfds)) return ::accept(tcp_fd, nullptr, nullptr);
     }
   }
 
@@ -1084,48 +1047,6 @@ struct Server::Impl {
         }
     }
   }
-
-  // -------------------------------------------------------------- sockets
-  int bind_unix(const std::string& path) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_UNIX) failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    PIL_REQUIRE(path.size() < sizeof(addr.sun_path),
-                "unix socket path too long: " + path);
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    ::unlink(path.c_str());  // stale socket from a dead server
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot listen on unix socket " + path + ": " + why);
-    }
-    return fd;
-  }
-
-  int bind_tcp(int port, int& actual_port) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_INET) failed");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot listen on 127.0.0.1:" + std::to_string(port) +
-                  ": " + why);
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    actual_port = ntohs(bound.sin_port);
-    return fd;
-  }
 };
 
 Server::Server(const ServerConfig& config) : impl_(new Impl(config)) {
@@ -1144,10 +1065,8 @@ void Server::start() {
   if (!im.config.access_log.empty())
     im.access = std::make_unique<AccessLog>(im.config.access_log,
                                             im.config.access_log_max_bytes);
-  if (!im.config.unix_socket.empty())
-    im.unix_fd = im.bind_unix(im.config.unix_socket);
-  if (im.config.tcp_port >= 0)
-    im.tcp_fd = im.bind_tcp(im.config.tcp_port, im.bound_tcp_port);
+  im.listener = std::make_unique<sock::Listener>(im.config.unix_socket,
+                                                 im.config.tcp_port, 64);
   if (im.config.http_port >= 0 || !im.config.http_socket.empty()) {
     StatsHttpServer::Config http_cfg;
     http_cfg.tcp_port = im.config.http_port;
@@ -1198,11 +1117,9 @@ void Server::stop() {
   // only observe teardown.
   if (im.http != nullptr) im.http->stop();
   // Unblock the acceptor, then the connection readers.
-  if (im.unix_fd >= 0) ::shutdown(im.unix_fd, SHUT_RDWR);
-  if (im.tcp_fd >= 0) ::shutdown(im.tcp_fd, SHUT_RDWR);
-  close_fd(im.unix_fd);
-  close_fd(im.tcp_fd);
+  if (im.listener != nullptr) im.listener->shutdown();
   if (im.acceptor.joinable()) im.acceptor.join();
+  im.listener.reset();
   if (im.watchdog.joinable()) im.watchdog.join();
   {
     std::lock_guard<std::mutex> lock(im.conns_mu);
@@ -1226,11 +1143,11 @@ void Server::stop() {
     if (conn->thread.joinable()) conn->thread.join();
     if (conn->fd >= 0) ::close(conn->fd);
   }
-  if (!im.config.unix_socket.empty())
-    ::unlink(im.config.unix_socket.c_str());
 }
 
-int Server::tcp_port() const { return impl_->bound_tcp_port; }
+int Server::tcp_port() const {
+  return impl_->listener != nullptr ? impl_->listener->tcp_port() : -1;
+}
 
 int Server::http_port() const {
   return impl_->http != nullptr ? impl_->http->tcp_port() : -1;

@@ -1,34 +1,20 @@
 #include "pil/service/stats_http.hpp"
 
-#include <netinet/in.h>
-#include <sys/select.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "pil/util/error.hpp"
+#include "socket.hpp"
 
 namespace pil::service {
 
 namespace {
-
-/// send() with SIGPIPE suppressed; plain write() for non-sockets.
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) w = ::write(fd, data, n);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
 
 void set_io_timeout(int fd, double seconds) {
   timeval tv{};
@@ -67,14 +53,13 @@ std::string read_request_head(int fd) {
 }
 
 void write_response(int fd, const HttpContent& content) {
-  std::string head = "HTTP/1.0 " + std::to_string(content.status) + " " +
-                     status_text(content.status) +
-                     "\r\nContent-Type: " + content.content_type +
-                     "\r\nContent-Length: " +
-                     std::to_string(content.body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
-  if (write_all(fd, head.data(), head.size()))
-    write_all(fd, content.body.data(), content.body.size());
+  const std::string response =
+      "HTTP/1.0 " + std::to_string(content.status) + " " +
+      status_text(content.status) + "\r\nContent-Type: " +
+      content.content_type +
+      "\r\nContent-Length: " + std::to_string(content.body.size()) +
+      "\r\nConnection: close\r\n\r\n" + content.body;
+  sock::write_all(fd, response.data(), response.size());
 }
 
 }  // namespace
@@ -82,11 +67,8 @@ void write_response(int fd, const HttpContent& content) {
 struct StatsHttpServer::Impl {
   Config config;
   HttpHandler handler;
-  int unix_fd = -1;
-  int tcp_fd = -1;
-  int bound_tcp_port = -1;
+  std::unique_ptr<sock::Listener> listener;
   bool started = false;
-  bool stopping = false;
   std::thread acceptor;
 
   void serve_one(int fd) {
@@ -123,30 +105,13 @@ struct StatsHttpServer::Impl {
   /// Sequential accept: one scrape at a time. Scrapers poll at seconds
   /// granularity and handlers only snapshot counters, so a connection
   /// backlog here would mean something much worse is already wrong.
+  /// Returns once stop() shuts the listener down.
   void accept_loop() {
     while (true) {
-      int fd = -1;
-      if (unix_fd >= 0 && tcp_fd >= 0) {
-        fd_set rfds;
-        FD_ZERO(&rfds);
-        FD_SET(unix_fd, &rfds);
-        FD_SET(tcp_fd, &rfds);
-        const int nfds = (unix_fd > tcp_fd ? unix_fd : tcp_fd) + 1;
-        const int rc = ::select(nfds, &rfds, nullptr, nullptr, nullptr);
-        if (rc < 0) {
-          if (errno == EINTR) continue;
-          return;
-        }
-        const int lfd = FD_ISSET(unix_fd, &rfds) ? unix_fd : tcp_fd;
-        fd = ::accept(lfd, nullptr, nullptr);
-      } else {
-        const int lfd = unix_fd >= 0 ? unix_fd : tcp_fd;
-        fd = lfd >= 0 ? ::accept(lfd, nullptr, nullptr) : -1;
-      }
+      const int fd = listener->accept();
       if (fd < 0) {
-        if (stopping) return;
         if (errno == EINTR || errno == ECONNABORTED) continue;
-        return;  // listener closed
+        return;  // listener shut down
       }
       serve_one(fd);
     }
@@ -167,111 +132,40 @@ StatsHttpServer::~StatsHttpServer() { stop(); }
 void StatsHttpServer::start() {
   Impl& im = *impl_;
   PIL_REQUIRE(!im.started, "stats endpoint already started");
-  if (!im.config.unix_socket.empty()) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_UNIX) failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    PIL_REQUIRE(im.config.unix_socket.size() < sizeof(addr.sun_path),
-                "unix socket path too long: " + im.config.unix_socket);
-    std::strncpy(addr.sun_path, im.config.unix_socket.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ::unlink(im.config.unix_socket.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 16) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot listen on unix socket " + im.config.unix_socket +
-                  ": " + why);
-    }
-    im.unix_fd = fd;
-  }
-  if (im.config.tcp_port >= 0) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_INET) failed");
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(im.config.tcp_port));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 16) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot listen on 127.0.0.1:" +
-                  std::to_string(im.config.tcp_port) + ": " + why);
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len);
-    im.bound_tcp_port = ntohs(bound.sin_port);
-    im.tcp_fd = fd;
-  }
+  im.listener = std::make_unique<sock::Listener>(im.config.unix_socket,
+                                                 im.config.tcp_port, 16);
   im.started = true;
   im.acceptor = std::thread([&im] { im.accept_loop(); });
 }
 
 void StatsHttpServer::stop() {
   Impl& im = *impl_;
-  if (!im.started || im.stopping) return;
-  im.stopping = true;
-  if (im.unix_fd >= 0) ::shutdown(im.unix_fd, SHUT_RDWR);
-  if (im.tcp_fd >= 0) ::shutdown(im.tcp_fd, SHUT_RDWR);
-  if (im.unix_fd >= 0) {
-    ::close(im.unix_fd);
-    im.unix_fd = -1;
-  }
-  if (im.tcp_fd >= 0) {
-    ::close(im.tcp_fd);
-    im.tcp_fd = -1;
-  }
+  if (im.listener == nullptr) return;  // never started, or stopped already
+  im.listener->shutdown();
   if (im.acceptor.joinable()) im.acceptor.join();
-  if (!im.config.unix_socket.empty())
-    ::unlink(im.config.unix_socket.c_str());
+  im.listener.reset();
 }
 
-int StatsHttpServer::tcp_port() const { return impl_->bound_tcp_port; }
+int StatsHttpServer::tcp_port() const {
+  return impl_->listener != nullptr ? impl_->listener->tcp_port() : -1;
+}
 
 std::string http_get(const std::string& path, int port,
                      const std::string& unix_socket, int* status,
                      double timeout_seconds) {
   PIL_REQUIRE(port >= 0 || !unix_socket.empty(),
               "http_get: give a port or a unix socket");
-  int fd = -1;
-  if (!unix_socket.empty()) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_UNIX) failed");
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    PIL_REQUIRE(unix_socket.size() < sizeof(addr.sun_path),
-                "unix socket path too long: " + unix_socket);
-    std::strncpy(addr.sun_path, unix_socket.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot connect to " + unix_socket + ": " + why);
-    }
-  } else {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    PIL_REQUIRE(fd >= 0, "socket(AF_INET) failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      throw Error("cannot connect to 127.0.0.1:" + std::to_string(port) +
-                  ": " + why);
-    }
-  }
+  const int fd = sock::dial(unix_socket, port);
+  if (fd < 0)
+    throw Error("cannot connect to " +
+                (unix_socket.empty() ? "127.0.0.1:" + std::to_string(port)
+                                     : unix_socket) +
+                ": " + std::strerror(errno));
   set_io_timeout(fd, timeout_seconds);
 
   const std::string request =
       "GET " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
-  if (!write_all(fd, request.data(), request.size())) {
+  if (!sock::write_all(fd, request.data(), request.size())) {
     ::close(fd);
     throw Error("http_get: request write failed");
   }

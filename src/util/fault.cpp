@@ -181,7 +181,9 @@ bool faults_armed() {
 }
 
 void maybe_fault(FaultSite site, std::uint64_t key) {
-  const FaultPlan* plan = g_active.load(std::memory_order_relaxed);
+  // Acquire pairs with set_fault_plan's release: the plan's contents are
+  // visible before it is read.
+  const FaultPlan* plan = g_active.load(std::memory_order_acquire);
   if (plan == nullptr) return;
   if (!plan->fires(site, key)) return;
   const FaultRule& rule = plan->rule(site);

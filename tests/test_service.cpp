@@ -6,8 +6,10 @@
 /// bit-identical to an in-process FillSession.
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -114,6 +116,27 @@ TEST(ServiceFraming, ReportsTruncationInsideHeaderAndPayload) {
   ::close(fds[1]);
   EXPECT_EQ(read_frame(fds[0], got), FrameReadStatus::kTruncated);
   ::close(fds[0]);
+}
+
+TEST(ServiceFraming, FrameLeavesInOneSend) {
+  // On a SOCK_SEQPACKET pair each send() is one record and one recv()
+  // returns one record, so a recv shows exactly what one send carried. A
+  // frame split over two sends lets Nagle's algorithm hold the second back
+  // until the peer's delayed ACK on TCP.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, fds), 0);
+  char buf[64];
+  write_frame(fds[0], "hello");
+  ASSERT_EQ(::recv(fds[1], buf, sizeof(buf), 0), 9);
+  EXPECT_EQ(std::string(buf, 9), std::string("\0\0\0\5hello", 9));
+  // The frame_truncate chaos site announces the full length, sends half
+  // the payload -- and still only one record.
+  const std::string payload = "0123456789abcdef";
+  write_frame_truncated(fds[0], payload, payload.size() / 2);
+  ASSERT_EQ(::recv(fds[1], buf, sizeof(buf), 0), 4 + 8);
+  EXPECT_EQ(std::string(buf, 12), std::string("\0\0\0\x10" "01234567", 12));
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 // --------------------------------------------------------------- protocol --
@@ -250,6 +273,70 @@ TEST(ServiceProtocol, IgnoresUnknownFieldsButRejectsUnknownConfigKeys) {
       decode_request("{\"schema\":\"pil.request.v1\",\"op\":\"open_session\","
                      "\"config\":{\"windw_um\":32}}"),
       Error);
+}
+
+/// decode_request must reject `json`, with an error naming `field`.
+void expect_rejected(const std::string& json, const std::string& field) {
+  try {
+    decode_request(json);
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(field + ":"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServiceProtocol, IntegerFieldsRejectWhatTheWireCannotCarryExactly) {
+  // Integers travel as JSON numbers, which decode as doubles: exact up to
+  // 2^53 - 1, so that value round-trips while every larger seed is refused
+  // on encode and rejected on decode. Unchecked, 2^53 + 1 would decode as
+  // 2^53 (another layout than the client asked for), and 2^64 - 1 would
+  // round to 2^64, outside u64.
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  Request req;
+  req.op = Op::kOpenSession;
+  req.gen = GenSpec{};
+  req.gen->seed = k53 - 1;
+  req.config.seed = k53 - 1;
+  req.config.target.seed = k53 - 1;
+  const Request back = decode_request(encode_request(req));
+  EXPECT_EQ(back.gen->seed, k53 - 1);
+  EXPECT_EQ(back.config.seed, k53 - 1);
+  EXPECT_EQ(back.config.target.seed, k53 - 1);
+
+  const std::string open =
+      "{\"schema\":\"pil.request.v1\",\"op\":\"open_session\",";
+  for (const std::uint64_t seed : {k53, k53 + 1, ~std::uint64_t{0}}) {
+    Request bad = req;
+    bad.gen->seed = seed;
+    EXPECT_THROW(encode_request(bad), Error) << seed;
+    bad = req;
+    bad.config.seed = seed;
+    EXPECT_THROW(encode_request(bad), Error) << seed;
+    bad = req;
+    bad.config.target.seed = seed;
+    EXPECT_THROW(encode_request(bad), Error) << seed;
+    const std::string digits = std::to_string(seed);
+    expect_rejected(open + "\"gen\":{\"seed\":" + digits + "}}", "gen.seed");
+    expect_rejected(open + "\"config\":{\"seed\":" + digits + "}}",
+                    "config.seed");
+    expect_rejected(open + "\"config\":{\"target_seed\":" + digits + "}}",
+                    "config.target_seed");
+  }
+  // Non-integral or out-of-range numbers in any integer field, where an
+  // unchecked cast would truncate or be undefined.
+  expect_rejected(
+      "{\"schema\":\"pil.request.v1\",\"op\":\"stats\",\"id\":1.5}", "id");
+  expect_rejected(open + "\"gen\":{\"num_nets\":1e300}}", "gen.num_nets");
+  expect_rejected(open + "\"config\":{\"r\":2.5}}", "config.r");
+  expect_rejected(open + "\"config\":{\"threads\":4294967296}}",
+                  "config.threads");
+  expect_rejected(open + "\"config\":{\"required_per_tile\":[1,-3e9]}}",
+                  "config.required_per_tile");
+  expect_rejected(
+      "{\"schema\":\"pil.request.v1\",\"op\":\"apply_edit\","
+      "\"edit\":{\"kind\":\"remove_segment\",\"segment\":-1e19}}",
+      "edit.segment");
 }
 
 TEST(ServiceProtocol, MethodWireNamesRoundTrip) {
@@ -696,6 +783,26 @@ TEST(ServiceServer, StatsAndShutdownRoundTrip) {
   EXPECT_TRUE(down.ok);
   fx.server->wait_for_shutdown();  // must return promptly
   fx.server->stop();
+}
+
+TEST(ServiceServer, LoopbackTcpRoundTripsDoNotWaitForDelayedAcks) {
+  // A stats request does no work, so its round trip is transport alone.
+  // A frame written in two sends would let Nagle's algorithm hold each
+  // direction's payload for the peer's delayed ACK: ~85 ms a round trip.
+  ServerFixture fx;
+  Client client = fx.connect();
+  Request stats;
+  stats.op = Op::kStats;
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.call(stats).ok);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
+  EXPECT_LT(ms[10], 20.0) << "median loopback-TCP stats round trip, ms";
 }
 
 TEST(ServiceServer, UnixSocketTransportWorks) {
