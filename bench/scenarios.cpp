@@ -73,54 +73,6 @@ void register_builtin_scenarios(Registry& r) {
            return [t1, config] { FillSession(*t1, config); };
          }});
 
-  {
-    // Backend twins of prep.t1.w32.r2 and flow.t1.w32.r2.greedy: the same
-    // workloads pinned to each pil::simd backend. `.simd` runs the best
-    // vectorized backend this host supports (AVX2 where available),
-    // `.scalar` the reference kernels; CI asserts the vectorized twin wins
-    // by the documented margin (see docs/SIMD.md). Results are
-    // bit-identical across the pair -- only the wall clock moves.
-    const simd::Backend best = simd::avx2_supported() ? simd::Backend::kAvx2
-                                                      : simd::Backend::kScalar;
-    const FlowConfig config = flow_config(32, 2);
-    r.add({"prep.t1.w32.r2.simd",
-           "shared prep, vectorized pil::simd backend (twin of "
-           "prep.t1.w32.r2.scalar)",
-           [t1, config, best] {
-             return [t1, config, best] {
-               simd::ScopedBackend guard(best);
-               FillSession(*t1, config);
-             };
-           }});
-    r.add({"prep.t1.w32.r2.scalar",
-           "shared prep, scalar reference kernels (twin of "
-           "prep.t1.w32.r2.simd)",
-           [t1, config] {
-             return [t1, config] {
-               simd::ScopedBackend guard(simd::Backend::kScalar);
-               FillSession(*t1, config);
-             };
-           }});
-    r.add({"flow.t1.w32.r2.greedy.simd",
-           "full flow, Greedy, vectorized pil::simd backend (twin of "
-           "flow.t1.w32.r2.greedy.scalar)",
-           [t1, config, best] {
-             return [t1, config, best] {
-               simd::ScopedBackend guard(best);
-               pilfill::run_pil_fill_flow(*t1, config, {Method::kGreedy});
-             };
-           }});
-    r.add({"flow.t1.w32.r2.greedy.scalar",
-           "full flow, Greedy, scalar reference kernels (twin of "
-           "flow.t1.w32.r2.greedy.simd)",
-           [t1, config] {
-             return [t1, config] {
-               simd::ScopedBackend guard(simd::Backend::kScalar);
-               pilfill::run_pil_fill_flow(*t1, config, {Method::kGreedy});
-             };
-           }});
-  }
-
   r.add(flow_scenario("flow.t1.w32.r2.normal",
                       "full flow, Normal fill, T1 W=32 r=2", t1,
                       flow_config(32, 2), Method::kNormal));

@@ -102,7 +102,6 @@ struct EnvCapture {
   std::string cpu_model;       ///< /proc/cpuinfo "model name" (or uname -m)
   std::string hostname;
   std::string os;              ///< "Linux 6.1.0" style
-  std::string simd_backend;    ///< pil::simd::backend_name() at capture
   int core_count = 0;          ///< std::thread::hardware_concurrency
   bool perf_counters = false;  ///< perf_counters_available() at capture
 

@@ -47,8 +47,8 @@ struct TileInstance {
 
 /// Struct-of-arrays staging for one tile's two-sided columns: the slack /
 /// entry-resistance / weighting data gathered into contiguous columns so
-/// the pil::simd kernels can compute every resistance factor blockwise
-/// (see docs/SIMD.md). Reused across tiles as a scratch workspace -- the
+/// the pil/util/kernels.hpp loops compute every resistance factor in one
+/// pass per column set. Reused across tiles as a scratch workspace -- the
 /// prep loop builds one per thread and passes it to build_tile_instance.
 struct PrepColumns {
   std::vector<int> idx;  ///< positions in TileInstance::cols (two-sided only)

@@ -5,7 +5,7 @@
 #include <queue>
 
 #include "pil/lp/simplex.hpp"
-#include "pil/simd/simd.hpp"
+#include "pil/util/kernels.hpp"
 #include "pil/util/log.hpp"
 #include "pil/util/rng.hpp"
 
@@ -61,13 +61,11 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
   const int nwy = dis.windows_y();
   const double win_area = dis.window_um() * dis.window_um();
 
-  const simd::Kernels& K = simd::kernels();
-
   // Current window feature areas (wires + fill added so far), computed
   // blockwise in window_area()'s accumulation order.
   std::vector<double> warea(static_cast<std::size_t>(nwx) * nwy);
-  K.window_sums(wires.tile_areas().data(), dis.tiles_x(), dis.tiles_y(),
-                dis.r(), warea.data());
+  util::window_sums(wires.tile_areas().data(), dis.tiles_x(), dis.tiles_y(),
+                    dis.r(), warea.data());
 
   std::vector<int> remaining = tile_capacity;
   res.features_per_tile.assign(dis.num_tiles(), 0);
@@ -106,7 +104,7 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
         if (ix >= dis.tiles_x() || iy >= dis.tiles_y()) continue;
         const int flat = dis.tile_flat(TileIndex{ix, iy});
         if (remaining[flat] <= 0) continue;
-        const bool ok = !K.block_any_above(
+        const bool ok = !util::block_any_above(
             warea.data(), nwx, std::max(0, ix - dis.r() + 1),
             std::min(nwx - 1, ix), std::max(0, iy - dis.r() + 1),
             std::min(nwy - 1, iy), fa, threshold);
@@ -123,9 +121,10 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
     res.features_per_tile[flat] += 1;
     ++res.total_features;
     const TileIndex t = dis.tile_unflat(flat);
-    K.block_add_scalar(warea.data(), nwx, std::max(0, t.ix - dis.r() + 1),
-                       std::min(nwx - 1, t.ix), std::max(0, t.iy - dis.r() + 1),
-                       std::min(nwy - 1, t.iy), fa);
+    util::block_add_scalar(warea.data(), nwx, std::max(0, t.ix - dis.r() + 1),
+                           std::min(nwx - 1, t.ix),
+                           std::max(0, t.iy - dis.r() + 1),
+                           std::min(nwy - 1, t.iy), fa);
     heap.emplace(warea[w] / win_area, w);
   }
 

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "pil/geom/interval.hpp"
-#include "pil/simd/simd.hpp"
+#include "pil/util/kernels.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::fill {
@@ -336,15 +336,14 @@ struct GlobalSlackScan::Impl {
     // column (the column's x -- and so its tile column -- is fixed, only
     // the row varies); run-length encoding the rows reproduces the
     // per-site tile_at() walk exactly.
-    const simd::Kernels& K = simd::kernels();
     for (std::size_t ci = 0; ci < out.cols.size(); ++ci) {
       const SlackColumn& col = out.cols[ci];
       if (col.capacity <= 0) continue;
       row_scratch.resize(static_cast<std::size_t>(col.capacity));
-      K.site_rows(col.capacity, col.span_lo, rules.pitch(),
-                  rules.feature_um / 2, scan_dis.die().ylo,
-                  scan_dis.tile_um(), scan_dis.tiles_y() - 1,
-                  row_scratch.data());
+      util::site_rows(col.capacity, col.span_lo, rules.pitch(),
+                      rules.feature_um / 2, scan_dis.die().ylo,
+                      scan_dis.tile_um(), scan_dis.tiles_y() - 1,
+                      row_scratch.data());
       const int ix =
           scan_dis
               .tile_at(geom::Point{col.x_center,

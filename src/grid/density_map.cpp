@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "pil/simd/simd.hpp"
+#include "pil/util/kernels.hpp"
 
 namespace pil::grid {
 
@@ -125,15 +125,14 @@ DensityStats DensityMap::stats() const {
   const int ny = dis_->windows_y();
   PIL_REQUIRE(nx > 0 && ny > 0, "dissection has no windows");
   const std::size_t nw = static_cast<std::size_t>(nx) * ny;
-  const simd::Kernels& K = simd::kernels();
 
   // Window sums and densities as columns; the kernels keep each window's
   // accumulation order (and the division) identical to window_density().
   std::vector<double> sums(nw);
   std::vector<double> areas(nw);
   std::vector<double> dens(nw);
-  K.window_sums(tile_area_.data(), dis_->tiles_x(), dis_->tiles_y(),
-                dis_->r(), sums.data());
+  util::window_sums(tile_area_.data(), dis_->tiles_x(), dis_->tiles_y(),
+                    dis_->r(), sums.data());
   for (int wy = 0; wy < ny; ++wy) {
     for (int wx = 0; wx < nx; ++wx) {
       const geom::Rect w = dis_->window_rect(wx, wy);
@@ -141,8 +140,8 @@ DensityStats DensityMap::stats() const {
       areas[static_cast<std::size_t>(wy) * nx + wx] = w.area();
     }
   }
-  K.div2(sums.data(), areas.data(), nw, dens.data());
-  K.min_max(dens.data(), nw, &s.min_density, &s.max_density);
+  util::div2(sums.data(), areas.data(), nw, dens.data());
+  util::min_max(dens.data(), nw, &s.min_density, &s.max_density);
   double sum = 0.0;
   for (const double d : dens) sum += d;
   s.mean_density = sum / (static_cast<double>(nx) * ny);

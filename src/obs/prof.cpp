@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "pil/obs/json.hpp"
-#include "pil/simd/simd.hpp"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -274,7 +273,6 @@ EnvCapture capture_env() {
   env.cpu_model = cpu_model_string();
   env.hostname = hostname_string();
   env.os = os_string();
-  env.simd_backend = simd::backend_name();
   env.core_count = static_cast<int>(std::thread::hardware_concurrency());
   env.perf_counters = perf_counters_available();
   return env;
@@ -289,7 +287,6 @@ void EnvCapture::write_json(JsonWriter& w) const {
   w.kv("cpu_model", cpu_model);
   w.kv("hostname", hostname);
   w.kv("os", os);
-  w.kv("simd_backend", simd_backend);
   w.kv("core_count", core_count);
   w.kv("perf_counters", perf_counters);
   w.end_object();

@@ -1,6 +1,6 @@
 #include "pil/pilfill/instance.hpp"
 
-#include "pil/simd/simd.hpp"
+#include "pil/util/kernels.hpp"
 
 namespace pil::pilfill {
 
@@ -94,18 +94,17 @@ TileInstance build_tile_instance(int tile_flat, int required,
   // the corresponding scalar expression (Eq. 13 / Eq. 21 / exact delay).
   const std::size_t n = p.size();
   if (n > 0) {
-    const simd::Kernels& K = simd::kernels();
     p.resize_outputs();
-    K.entry_res(p.base_b.data(), p.slope_b.data(), p.uxb.data(), p.uyb.data(),
-                p.qxb.data(), p.qyb.data(), n, p.rb.data());
-    K.entry_res(p.base_a.data(), p.slope_a.data(), p.uxa.data(), p.uya.data(),
-                p.qxa.data(), p.qya.data(), n, p.ra.data());
-    K.add2(p.rb.data(), p.ra.data(), n, p.res_nw.data());
-    K.weighted_pair(p.wb.data(), p.rb.data(), p.wa.data(), p.ra.data(), n,
-                    p.res_w.data());
+    util::entry_res(p.base_b.data(), p.slope_b.data(), p.uxb.data(),
+                    p.uyb.data(), p.qxb.data(), p.qyb.data(), n, p.rb.data());
+    util::entry_res(p.base_a.data(), p.slope_a.data(), p.uxa.data(),
+                    p.uya.data(), p.qxa.data(), p.qya.data(), n, p.ra.data());
+    util::add2(p.rb.data(), p.ra.data(), n, p.res_nw.data());
+    util::weighted_pair(p.wb.data(), p.rb.data(), p.wa.data(), p.ra.data(), n,
+                        p.res_w.data());
     // The exact-delay factor is physical: criticality never scales it.
-    K.exact_pair(p.sb.data(), p.rb.data(), p.sa.data(), p.ra.data(),
-                 p.ob.data(), p.oa.data(), n, p.res_ex.data());
+    util::exact_pair(p.sb.data(), p.rb.data(), p.sa.data(), p.ra.data(),
+                     p.ob.data(), p.oa.data(), n, p.res_ex.data());
     for (std::size_t j = 0; j < n; ++j) {
       InstanceColumn& ic = inst.cols[static_cast<std::size_t>(p.idx[j])];
       ic.res_nonweighted = p.res_nw[j];

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "pil/obs/json.hpp"
-#include "pil/simd/simd.hpp"
 #include "pil/util/error.hpp"
 #include "pil/version.hpp"
 
@@ -27,7 +26,6 @@ void write_config(obs::JsonWriter& w, const FlowConfig& c) {
   w.kv("window_um", c.window_um);
   w.kv("r", c.r);
   w.kv("threads", c.threads);
-  w.kv("simd_backend", simd::backend_name());
   w.kv("seed", static_cast<long long>(c.seed));
   w.kv("objective",
        c.objective == Objective::kWeighted ? "weighted" : "non-weighted");

@@ -13,7 +13,6 @@
 #include "pil/obs/journal.hpp"
 #include "pil/obs/metrics.hpp"
 #include "pil/obs/trace.hpp"
-#include "pil/simd/simd.hpp"
 #include "pil/util/log.hpp"
 #include "pil/util/stopwatch.hpp"
 
@@ -312,9 +311,6 @@ struct FillSession::Impl {
       reg.counter("pilfill.prep.tiles").add(dissection->num_tiles());
       reg.counter("pilfill.prep.instances")
           .add(static_cast<long long>(instances.size()));
-      reg.counter(obs::labeled("pil.simd.backend",
-                               {{"backend", simd::backend_name()}}))
-          .add(1);
     }
   }
 

@@ -6,8 +6,8 @@
 #include <queue>
 
 #include "pil/obs/journal.hpp"
-#include "pil/simd/simd.hpp"
 #include "pil/util/fault.hpp"
+#include "pil/util/kernels.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
@@ -140,8 +140,8 @@ TileSolveResult solve_tile_greedy(const TileInstance& inst,
     }
     rf[k] = res_factor(c, ctx.objective);
   }
-  simd::kernels().scaled_scores(dcap.data(), rf.data(), ctx.switch_factor, n,
-                                keys.data());
+  util::scaled_scores(dcap.data(), rf.data(), ctx.switch_factor, n,
+                      keys.data());
   std::vector<std::pair<double, int>> order;
   order.reserve(n);
   for (std::size_t k = 0; k < n; ++k)
@@ -330,8 +330,8 @@ TileSolveResult solve_tile_convex(const TileInstance& inst,
     lo[k] = lut[0];
     rf[k] = res_factor(c, ctx.objective);
   }
-  simd::kernels().delta_scores(hi.data(), lo.data(), rf.data(),
-                               ctx.switch_factor, n, first.data());
+  util::delta_scores(hi.data(), lo.data(), rf.data(), ctx.switch_factor, n,
+                     first.data());
   for (std::size_t k = 0; k < inst.cols.size(); ++k)
     if (inst.cols[k].num_sites > 0)
       heap.emplace(first[k], static_cast<int>(k));

@@ -7,11 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstring>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -317,203 +313,3 @@ TEST(Fuzz, DualDegenerateWarmResolvesTerminate) {
 
 }  // namespace
 }  // namespace pil::lp
-
-// ---------------------------------------------------------------------------
-// pil::simd kernel fuzzing: randomized *and* adversarial inputs -- all-zero
-// columns, int32 values saturating the widened sum, float extremes around
-// 1e+-300 (NaN-free and denormal-free, the flow's actual envelope) --
-// cross-checked bitwise between the scalar reference and the avx2 backend.
-// On hosts without AVX2 the loops still run the scalar kernels to catch
-// UB under the sanitizer jobs.
-
-#include "pil/simd/simd.hpp"
-
-namespace pil::simd {
-namespace {
-
-/// One fuzzed value: mostly ordinary magnitudes, with extreme exponents,
-/// exact zeros (whole columns of them come from one-sided slack columns),
-/// and sign flips mixed in. Never NaN, never denormal.
-double fuzz_double(Rng& rng) {
-  const int shape = static_cast<int>(rng.uniform_int(0, 9));
-  double v;
-  switch (shape) {
-    case 0: v = 0.0; break;
-    case 1: v = rng.uniform_real(1e-6, 1e-3); break;
-    case 2: v = rng.uniform_real(1e290, 1e300); break;   // huge
-    case 3: v = rng.uniform_real(1e-300, 1e-290); break; // tiny, normal
-    default: v = rng.uniform_real(0.0, 1e6); break;
-  }
-  return rng.bernoulli(0.5) ? -v : v;
-}
-
-std::vector<double> fuzz_column(Rng& rng, std::size_t n) {
-  std::vector<double> v(n);
-  if (rng.bernoulli(0.15)) return v;  // all-zero column
-  for (auto& x : v) x = fuzz_double(rng);
-  return v;
-}
-
-TEST(Fuzz, SimdElementwiseKernelsBitIdenticalOnExtremes) {
-  const bool avx2 = avx2_supported();
-  const Kernels& ks = kernels(Backend::kScalar);
-  Rng rng(2026);
-  for (int iter = 0; iter < 300; ++iter) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 70));
-    const auto a = fuzz_column(rng, n);
-    const auto b = fuzz_column(rng, n);
-    const auto c = fuzz_column(rng, n);
-    const auto d = fuzz_column(rng, n);
-    const auto e = fuzz_column(rng, n);
-    const auto f = fuzz_column(rng, n);
-    const double s = fuzz_double(rng);
-    std::vector<double> rs(n), rv(n);
-    const auto check = [&](const char* what) {
-      ASSERT_EQ(std::memcmp(rs.data(), rv.data(), n * sizeof(double)), 0)
-          << what << " diverged at iter " << iter << " n=" << n;
-    };
-    ks.add2(a.data(), b.data(), n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).add2(a.data(), b.data(), n, rv.data());
-      check("add2");
-    }
-    ks.scaled_scores(a.data(), b.data(), s, n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).scaled_scores(a.data(), b.data(), s, n,
-                                            rv.data());
-      check("scaled_scores");
-    }
-    ks.delta_scores(a.data(), b.data(), c.data(), s, n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).delta_scores(a.data(), b.data(), c.data(), s, n,
-                                           rv.data());
-      check("delta_scores");
-    }
-    ks.entry_res(a.data(), b.data(), c.data(), d.data(), e.data(), f.data(),
-                 n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).entry_res(a.data(), b.data(), c.data(),
-                                        d.data(), e.data(), f.data(), n,
-                                        rv.data());
-      check("entry_res");
-    }
-    ks.weighted_pair(a.data(), b.data(), c.data(), d.data(), n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).weighted_pair(a.data(), b.data(), c.data(),
-                                            d.data(), n, rv.data());
-      check("weighted_pair");
-    }
-    ks.exact_pair(a.data(), b.data(), c.data(), d.data(), e.data(), f.data(),
-                  n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).exact_pair(a.data(), b.data(), c.data(),
-                                         d.data(), e.data(), f.data(), n,
-                                         rv.data());
-      check("exact_pair");
-    }
-    // div2 with denominators bounded away from zero (the flow divides by
-    // window areas, which are strictly positive).
-    auto den = b;
-    for (auto& x : den)
-      if (std::fabs(x) < 1e-300) x = 1.0;
-    ks.div2(a.data(), den.data(), n, rs.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).div2(a.data(), den.data(), n, rv.data());
-      check("div2");
-    }
-    if (n > 0) {
-      // min_max on the magnitudes (no -0.0: the carve-out documented in
-      // simd.hpp; the flow only feeds densities >= 0).
-      auto mag = a;
-      for (auto& x : mag) x = std::fabs(x);
-      double mn1, mx1, mn2, mx2;
-      ks.min_max(mag.data(), n, &mn1, &mx1);
-      if (avx2) {
-        kernels(Backend::kAvx2).min_max(mag.data(), n, &mn2, &mx2);
-        ASSERT_EQ(mn1, mn2) << "min_max iter " << iter;
-        ASSERT_EQ(mx1, mx2) << "min_max iter " << iter;
-      }
-    }
-  }
-}
-
-TEST(Fuzz, SimdIntKernelsSurviveSaturation) {
-  const bool avx2 = avx2_supported();
-  const Kernels& ks = kernels(Backend::kScalar);
-  Rng rng(2027);
-  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
-  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
-  for (int iter = 0; iter < 300; ++iter) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(0, 130));
-    std::vector<std::int32_t> v(n);
-    for (auto& x : v) {
-      switch (rng.uniform_int(0, 4)) {
-        case 0: x = kMin; break;
-        case 1: x = kMax; break;
-        case 2: x = 0; break;
-        default:
-          x = static_cast<std::int32_t>(rng.uniform_int(kMin, kMax));
-      }
-    }
-    // Reference: the widened sum no 32-bit accumulator can represent.
-    long long want = 0;
-    for (const std::int32_t x : v) want += x;
-    ASSERT_EQ(ks.sum_i32(v.data(), n), want) << "iter " << iter;
-    if (avx2)
-      ASSERT_EQ(kernels(Backend::kAvx2).sum_i32(v.data(), n), want)
-          << "iter " << iter;
-  }
-}
-
-TEST(Fuzz, SimdWindowAndBlockKernelsBitIdenticalOnExtremes) {
-  const bool avx2 = avx2_supported();
-  const Kernels& ks = kernels(Backend::kScalar);
-  Rng rng(2028);
-  for (int iter = 0; iter < 120; ++iter) {
-    const int tx = static_cast<int>(rng.uniform_int(1, 17));
-    const int ty = static_cast<int>(rng.uniform_int(1, 12));
-    const int r = static_cast<int>(rng.uniform_int(1, std::min(tx, ty)));
-    auto tile = fuzz_column(rng, static_cast<std::size_t>(tx) * ty);
-    for (auto& x : tile) x = std::fabs(x);  // areas are non-negative
-    const std::size_t nw =
-        static_cast<std::size_t>(tx - r + 1) * (ty - r + 1);
-    std::vector<double> ws(nw), wv(nw);
-    ks.window_sums(tile.data(), tx, ty, r, ws.data());
-    if (avx2) {
-      kernels(Backend::kAvx2).window_sums(tile.data(), tx, ty, r, wv.data());
-      ASSERT_EQ(std::memcmp(ws.data(), wv.data(), nw * sizeof(double)), 0)
-          << "window_sums iter " << iter << " " << tx << "x" << ty
-          << " r=" << r;
-    }
-    const int x0 = static_cast<int>(rng.uniform_int(0, tx - 1));
-    const int x1 = static_cast<int>(rng.uniform_int(0, tx - 1));
-    const int y0 = static_cast<int>(rng.uniform_int(0, ty - 1));
-    const int y1 = static_cast<int>(rng.uniform_int(0, ty - 1));
-    const double add = fuzz_double(rng);
-    const double thr = fuzz_double(rng);
-    const bool above =
-        ks.block_any_above(tile.data(), tx, x0, x1, y0, y1, add, thr);
-    if (avx2)
-      ASSERT_EQ(kernels(Backend::kAvx2)
-                    .block_any_above(tile.data(), tx, x0, x1, y0, y1, add,
-                                     thr),
-                above)
-          << "block_any_above iter " << iter;
-    if (x0 <= x1 && y0 <= y1) {
-      auto ga = tile;
-      ks.block_add_scalar(ga.data(), tx, x0, x1, y0, y1, add);
-      if (avx2) {
-        auto gb = tile;
-        kernels(Backend::kAvx2)
-            .block_add_scalar(gb.data(), tx, x0, x1, y0, y1, add);
-        ASSERT_EQ(std::memcmp(ga.data(), gb.data(),
-                              ga.size() * sizeof(double)),
-                  0)
-            << "block_add_scalar iter " << iter;
-      }
-    }
-  }
-}
-
-}  // namespace
-}  // namespace pil::simd

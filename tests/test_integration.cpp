@@ -450,6 +450,39 @@ TEST(Flow, ThreadedSolvesAreDeterministic) {
   }
 }
 
+// T1 W=32 r=2 placements of every method, locked to fixed fingerprints:
+// any change upstream -- prep, the kernels in pil/util/kernels.hpp, a
+// solver -- that moves a single fill feature fails here. If a change moves
+// them on purpose, that is a semantics change: update the constants only
+// then. The SimdFlow suite name is kept from the vector-kernel tests these
+// came from, so the test IDs stay stable.
+void expect_golden_fingerprints(int threads) {
+  const std::vector<std::pair<Method, std::uint64_t>> golden = {
+      {Method::kNormal, 0x9344724b16462801ULL},
+      {Method::kIlp1, 0x6d89bed1552d3dfaULL},
+      {Method::kIlp2, 0xb5a39d1911a26484ULL},
+      {Method::kGreedy, 0x724e17cfdb16bf6dULL},
+      {Method::kConvex, 0x673f09fd8675e23bULL},
+  };
+  FlowConfig config;
+  config.window_um = 32;
+  config.r = 2;
+  config.threads = threads;
+  const FlowResult res =
+      run_pil_fill_flow(layout::make_testcase_t1(), config, kAllMethods);
+  for (const auto& [method, want] : golden)
+    EXPECT_EQ(service::placement_fingerprint(
+                  find(res, method).placement.features),
+              want)
+        << to_string(method) << " threads=" << threads;
+}
+
+TEST(SimdFlow, GoldenSeedFingerprintsLocked) { expect_golden_fingerprints(1); }
+
+TEST(SimdFlow, GoldenFingerprintsThreadInvariant) {
+  expect_golden_fingerprints(4);
+}
+
 TEST(Flow, CriticalityShiftsFillOffCriticalNets) {
   // Mark one heavily-coupled net as ultra-critical: the weighted ILP-II run
   // must charge that net less coupling than the uniform run.

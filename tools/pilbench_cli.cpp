@@ -28,7 +28,6 @@
 
 #include "bench/harness.hpp"
 #include "pil/obs/prof.hpp"
-#include "pil/simd/simd.hpp"
 #include "pil/util/error.hpp"
 #include "pil/util/strings.hpp"
 
@@ -51,8 +50,6 @@ int usage() {
          "  pilbench compare BASELINE.json CANDIDATE.json\n"
          "                   [--threshold-mad K] [--min-ratio R] "
          "[--warn-only]\n"
-         "options:\n"
-         "  --simd scalar|avx2   force the pil::simd backend (default: auto)\n"
          "exit codes: 0 ok, 1 runtime error, 2 usage, 3 regressions\n";
   return kExitUsage;
 }
@@ -202,8 +199,6 @@ int main(int argc, char** argv) {
   try {
     bench::register_builtin_scenarios(bench::Registry::global());
     const Args args = parse_args(argc, argv);
-    if (args.flag("simd"))
-      simd::set_backend(simd::backend_from_string(args.get("simd", "")));
     if (cmd == "list") return cmd_list(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "compare") return cmd_compare(args);

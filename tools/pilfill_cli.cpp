@@ -664,8 +664,6 @@ int usage() {
       "                          fatal signals dump here too; see pilstat)\n"
       "  --no-journal            disarm the always-on event journal\n"
       "  --log-level <level>     debug|info|warn|error|off (any command)\n"
-      "  --simd <backend>        scalar|avx2 kernel backend (any command;\n"
-      "                          default: CPUID, or PIL_SIMD; docs/SIMD.md)\n"
       "robustness (fill/table; see docs/ROBUSTNESS.md):\n"
       "  --tile-deadline <s>     wall-clock budget per tile solve\n"
       "  --flow-deadline <s>     wall-clock budget for the whole solve\n"
@@ -687,8 +685,6 @@ int main(int argc, char** argv) {
   try {
     util::arm_faults_from_env();  // PIL_FAULT / PIL_FAULT_SEED
     const Args args = parse_args(argc, argv);
-    if (args.flag("simd"))
-      simd::set_backend(simd::backend_from_string(args.get("simd", "")));
     if (args.flag("no-journal")) obs::set_journal_armed(false);
     obs::journal_set_thread_name("main");
     obs::set_trace_process_name("pilfill");
