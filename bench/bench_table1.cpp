@@ -6,16 +6,12 @@
 /// are not reproducible; the shape to check is: ILP-II always best, 25-90%
 /// reduction at coarse dissections, the win shrinking as r grows, Greedy
 /// between Normal and ILP-II, and ILP-II the slowest-but-practical solver.
-///
-/// `bench_table1 --json [path]` also emits a pil.bench.v2 JSON document
-/// (default BENCH_table1.json).
 
 #include "table_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   return pil::bench::run_table_main(
-      argc, argv, "=== Table 1: non-weighted PIL-Fill synthesis ===",
-      "table1", pil::pilfill::Objective::kNonWeighted,
-      +[](const pil::pilfill::DelayImpact& i) { return i.delay_ps; },
-      "BENCH_table1.json");
+      "=== Table 1: non-weighted PIL-Fill synthesis ===",
+      pil::pilfill::Objective::kNonWeighted,
+      +[](const pil::pilfill::DelayImpact& i) { return i.delay_ps; });
 }

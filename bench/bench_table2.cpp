@@ -3,16 +3,12 @@
 /// active line's delay increment multiplied by its number of downstream
 /// sinks, Section 4) for the same 12 configurations as Table 1. The solvers
 /// optimize the weighted objective here, exactly as in the paper.
-///
-/// `bench_table2 --json [path]` also emits a pil.bench.v2 JSON document
-/// (default BENCH_table2.json).
 
 #include "table_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   return pil::bench::run_table_main(
-      argc, argv, "=== Table 2: weighted PIL-Fill synthesis ===",
-      "table2", pil::pilfill::Objective::kWeighted,
-      +[](const pil::pilfill::DelayImpact& i) { return i.weighted_delay_ps; },
-      "BENCH_table2.json");
+      "=== Table 2: weighted PIL-Fill synthesis ===",
+      pil::pilfill::Objective::kWeighted,
+      +[](const pil::pilfill::DelayImpact& i) { return i.weighted_delay_ps; });
 }

@@ -3,20 +3,12 @@
 /// Shared harness for the Table 1 / Table 2 reproductions: run the 12 paper
 /// configurations ({T1,T2} x W in {32,20} x r in {2,4,8}) with the four
 /// methods and print a paper-shaped table plus the reduction-vs-normal
-/// percentages. Pass a --json path (see run_table_main) to also emit the
-/// runs as one "pil.bench.v2" document (schema in docs/OBSERVABILITY.md):
-/// per configuration, one single-sample scenario per method keyed on its
-/// solve time, plus a ".flow" scenario carrying the whole-configuration
-/// wall/CPU/HW-counter profile and the per-method results as "extra".
+/// percentages, then the same table as CSV.
 
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench/harness.hpp"
 #include "pil/pil.hpp"
 
 namespace pil::bench {
@@ -38,27 +30,15 @@ inline const std::vector<ConfigRow>& paper_configs() {
 }
 
 /// Run the full table for one objective. `metric` picks which impact number
-/// is reported (non-weighted for Table 1, weighted for Table 2). When
-/// `json_path` is non-empty the same runs are also written as one
-/// "pil.bench.v2" document named `bench_name` ("table1" / "table2").
-inline void run_table(const char* title, const char* bench_name,
-                      pilfill::Objective objective,
-                      double (*metric)(const pilfill::DelayImpact&),
-                      const std::string& json_path = "") {
+/// is reported (non-weighted for Table 1, weighted for Table 2).
+inline void run_table(const char* title, pilfill::Objective objective,
+                      double (*metric)(const pilfill::DelayImpact&)) {
   using pilfill::Method;
   const std::vector<Method> methods = {Method::kNormal, Method::kIlp1,
                                        Method::kIlp2, Method::kGreedy};
 
   const layout::Layout t1 = layout::make_testcase_t1();
   const layout::Layout t2 = layout::make_testcase_t2();
-
-  std::ofstream json_os;
-  std::optional<BenchWriter> json;
-  if (!json_path.empty()) {
-    json_os.open(json_path);
-    PIL_REQUIRE(json_os.good(), "cannot open '" + json_path + "'");
-    json.emplace(json_os, bench_name);
-  }
 
   Table table({"T/W/r", "Normal tau", "ILP-I tau", "ILP-I cpu", "ILP-II tau",
                "ILP-II cpu", "Greedy tau", "Greedy cpu", "ILP-II red%"});
@@ -75,53 +55,8 @@ inline void run_table(const char* title, const char* bench_name,
     flow.r = cfg.r;
     flow.objective = objective;
 
-    obs::ProfScope prof;
     const pilfill::FlowResult res =
         pilfill::run_pil_fill_flow(chip, flow, methods);
-    const obs::ProfSample profile = prof.stop();
-
-    if (json) {
-      const std::string prefix =
-          std::string(bench_name) + "." + cfg.testcase + ".w" +
-          std::to_string(static_cast<int>(cfg.window_um)) + ".r" +
-          std::to_string(cfg.r);
-      // One single-sample scenario per method (solve time only), matching
-      // the names the v1-compat reader synthesizes from old documents.
-      for (const auto& mr : res.methods) {
-        ScenarioResult sr;
-        sr.name = prefix + "." + pilfill::to_string(mr.method);
-        sr.repetitions = 1;
-        sr.wall_seconds = Stats::from_samples({mr.solve_seconds});
-        json->add(sr);
-      }
-      // The whole-configuration profile (prep + all solves + scoring) with
-      // the per-method results riding along as "extra".
-      ScenarioResult flow_sr;
-      flow_sr.name = prefix + ".flow";
-      flow_sr.repetitions = 1;
-      flow_sr.wall_seconds = Stats::from_samples({profile.wall_seconds});
-      flow_sr.cpu_seconds = Stats::from_samples({profile.cpu_seconds});
-      flow_sr.cycles = profile.counters.cycles;
-      flow_sr.instructions = profile.counters.instructions;
-      flow_sr.branch_misses = profile.counters.branch_misses;
-      flow_sr.cache_misses = profile.counters.cache_misses;
-      flow_sr.peak_rss_bytes = profile.peak_rss_bytes;
-      std::ostringstream extra;
-      obs::JsonWriter ew(extra, /*pretty=*/false);
-      ew.begin_object();
-      ew.kv("testcase", cfg.testcase);
-      ew.kv("window_um", cfg.window_um);
-      ew.kv("r", cfg.r);
-      ew.kv("prep_seconds", res.prep_seconds);
-      ew.key("methods");
-      ew.begin_array();
-      for (const auto& mr : res.methods)
-        pilfill::write_method_result_json(ew, mr);
-      ew.end_array();
-      ew.end_object();
-      flow_sr.extra_json = extra.str();
-      json->add(flow_sr);
-    }
 
     auto tau = [&](Method m) {
       for (const auto& mr : res.methods)
@@ -151,28 +86,13 @@ inline void run_table(const char* title, const char* bench_name,
   table.print(std::cout);
   std::cout << "\nCSV:\n";
   table.print_csv(std::cout);
-
-  if (json) {
-    json->finish();
-    json_os << '\n';
-    json_os.flush();
-    PIL_REQUIRE(json_os.good(), "failed writing '" + json_path + "'");
-    std::cout << "\nwrote " << json_path << "\n";
-  }
 }
 
-/// Shared main() body for the table benches; JSON output selection (--json
-/// [path] or a bare positional path) is parse_bench_json_path, so every
-/// historical flag spelling keeps working.
-inline int run_table_main(int argc, char** argv, const char* title,
-                          const char* bench_name,
-                          pilfill::Objective objective,
-                          double (*metric)(const pilfill::DelayImpact&),
-                          const char* default_json_name) {
-  const std::string json_path =
-      parse_bench_json_path(argc, argv, default_json_name);
+/// Shared main() body for the table benches.
+inline int run_table_main(const char* title, pilfill::Objective objective,
+                          double (*metric)(const pilfill::DelayImpact&)) {
   try {
-    run_table(title, bench_name, objective, metric, json_path);
+    run_table(title, objective, metric);
   } catch (const Error& e) {
     std::cerr << "bench: " << e.what() << "\n";
     return 1;

@@ -1,71 +1,10 @@
 #pragma once
 /// \file workloads.hpp
-/// Shared workload construction helpers for the bench scenarios and the
-/// standalone bench binaries: picking an editable net for the incremental
-/// stub-edit workload and locating the trunk segment a stub taps into.
+/// The stub edit the pilperf edit workloads apply to a design.
 
 #include "pil/pil.hpp"
 
 namespace pil::bench {
-
-/// The net whose drawn footprint has the smallest bounding box among nets
-/// with a horizontal trunk (length >= 6 um) on `layer`: edits to it disturb
-/// the fewest slack columns (every column a net bounds is rescanned when
-/// the net's electrical state changes). Throws pil::Error when no net
-/// qualifies.
-inline layout::NetId smallest_editable_net(const layout::Layout& l,
-                                           layout::LayerId layer) {
-  layout::NetId best = layout::kInvalidNet;
-  double best_area = 0;
-  for (std::size_t n = 0; n < l.num_nets(); ++n) {
-    geom::Rect bbox;
-    bool any = false, has_trunk = false;
-    for (const layout::SegmentId sid :
-         l.net(static_cast<layout::NetId>(n)).segments) {
-      const layout::WireSegment& seg = l.segment(sid);
-      if (seg.layer != layer) continue;
-      if (seg.orientation() == layout::Orientation::kHorizontal &&
-          seg.length() >= 6.0)
-        has_trunk = true;
-      const geom::Rect r = seg.rect();
-      bbox = any ? geom::Rect{std::min(bbox.xlo, r.xlo),
-                              std::min(bbox.ylo, r.ylo),
-                              std::max(bbox.xhi, r.xhi),
-                              std::max(bbox.yhi, r.yhi)}
-                 : r;
-      any = true;
-    }
-    if (!any || !has_trunk) continue;
-    const double area = bbox.area();
-    if (best == layout::kInvalidNet || area < best_area) {
-      best = static_cast<layout::NetId>(n);
-      best_area = area;
-    }
-  }
-  PIL_REQUIRE(best != layout::kInvalidNet, "no editable net found");
-  return best;
-}
-
-/// The longest live horizontal segment of `net` on `layer`, by value (the
-/// segment store can grow under edits, so callers must not hold pointers
-/// into it). Throws pil::Error when the net has none.
-inline layout::WireSegment longest_horizontal_segment(
-    const layout::Layout& l, layout::NetId net, layout::LayerId layer) {
-  layout::WireSegment parent;
-  bool found = false;
-  for (const layout::SegmentId sid : l.net(net).segments) {
-    const layout::WireSegment& seg = l.segment(sid);
-    if (seg.removed() || seg.layer != layer ||
-        seg.orientation() != layout::Orientation::kHorizontal)
-      continue;
-    if (!found || seg.length() > parent.length()) {
-      parent = seg;
-      found = true;
-    }
-  }
-  PIL_REQUIRE(found, "edit net has no horizontal segment");
-  return parent;
-}
 
 /// A vertical stub edit tapping `parent` at fraction `frac` of its length,
 /// reaching 2.5 um up (or down when the die boundary is close).

@@ -2,9 +2,9 @@
 /// \file obs.hpp
 /// Umbrella header for the pil::obs observability subsystem: metrics
 /// registry, trace spans, the always-on event journal and its
-/// pil.flight.v1 postmortem dumps, the in-process profiler (HW counters,
-/// peak RSS, environment capture), and the minimal JSON layer they emit
-/// through. See docs/OBSERVABILITY.md for metric names and schemas.
+/// pil.flight.v1 postmortem dumps, the build/host environment capture, and
+/// the minimal JSON layer they emit through. See docs/OBSERVABILITY.md for
+/// metric names and schemas.
 
 #include "pil/obs/flight.hpp"
 #include "pil/obs/journal.hpp"

@@ -1,132 +1,16 @@
 /// \file test_prof.cpp
-/// Profiler (ProfScope / EnvCapture) and bench-harness tests: graceful
-/// no-perf fallback, repetition statistics, the pil.bench.v2 round trip,
-/// the legacy v1 readers, and the compare sentinel's verdicts on
-/// synthetic baselines.
+/// EnvCapture tests: the captured build and host facts are stable within a
+/// process and survive a JSON round trip.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
-#include <string>
-#include <vector>
 
-#include "bench/harness.hpp"
 #include "pil/obs/json.hpp"
 #include "pil/obs/prof.hpp"
-#include "pil/util/error.hpp"
 
 namespace pil {
 namespace {
-
-/// Sets PIL_PROF_DISABLE_PERF for the enclosing scope, restoring the
-/// previous state on exit.
-class DisablePerfGuard {
- public:
-  DisablePerfGuard() {
-    const char* prev = std::getenv("PIL_PROF_DISABLE_PERF");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv("PIL_PROF_DISABLE_PERF", "1", /*overwrite=*/1);
-  }
-  ~DisablePerfGuard() {
-    if (had_prev_)
-      ::setenv("PIL_PROF_DISABLE_PERF", prev_.c_str(), 1);
-    else
-      ::unsetenv("PIL_PROF_DISABLE_PERF");
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-/// Burn a little deterministic CPU so wall/cpu times are positive.
-long long spin_work() {
-  volatile long long acc = 0;
-  for (int i = 0; i < 200000; ++i) acc += i * i % 97;
-  return acc;
-}
-
-// ------------------------------------------------------------ ProfScope ----
-
-TEST(Prof, ScopeMeasuresTimeAndRss) {
-  obs::ProfScope scope;
-  spin_work();
-  const obs::ProfSample s = scope.stop();
-  EXPECT_GT(s.wall_seconds, 0.0);
-  EXPECT_GE(s.cpu_seconds, 0.0);
-#if defined(__linux__)
-  EXPECT_GT(s.peak_rss_bytes, 0);
-#endif
-  // stop() freezes: a later sample() returns the same reading.
-  const obs::ProfSample again = scope.sample();
-  EXPECT_EQ(s.wall_seconds, again.wall_seconds);
-  EXPECT_EQ(s.peak_rss_bytes, again.peak_rss_bytes);
-}
-
-TEST(Prof, ScopesNest) {
-  obs::ProfScope outer;
-  spin_work();
-  double inner_wall = 0.0;
-  {
-    obs::ProfScope inner;
-    spin_work();
-    inner_wall = inner.stop().wall_seconds;
-  }
-  const obs::ProfSample out = outer.stop();
-  EXPECT_GT(inner_wall, 0.0);
-  // The outer scope contains the inner one.
-  EXPECT_GE(out.wall_seconds, inner_wall);
-}
-
-TEST(Prof, CountersMatchAvailability) {
-  obs::ProfScope scope;
-  spin_work();
-  const obs::ProfSample s = scope.stop();
-  if (obs::perf_counters_available()) {
-    // The probe said the syscall works, so at least cycles/instructions
-    // must have been delivered -- and they moved during spin_work().
-    ASSERT_TRUE(s.counters.any());
-    if (s.counters.cycles) EXPECT_GT(*s.counters.cycles, 0);
-    if (s.counters.instructions) EXPECT_GT(*s.counters.instructions, 0);
-    if (s.counters.ipc()) EXPECT_GT(*s.counters.ipc(), 0.0);
-  } else {
-    EXPECT_FALSE(s.counters.any());
-    EXPECT_FALSE(s.counters.ipc().has_value());
-  }
-}
-
-TEST(Prof, EnvVarDisablesCounters) {
-  DisablePerfGuard guard;
-  EXPECT_FALSE(obs::perf_counters_available());
-  obs::ProfScope scope;
-  spin_work();
-  const obs::ProfSample s = scope.stop();
-  // Everything except the counters still works.
-  EXPECT_FALSE(s.counters.any());
-  EXPECT_GT(s.wall_seconds, 0.0);
-#if defined(__linux__)
-  EXPECT_GT(s.peak_rss_bytes, 0);
-#endif
-}
-
-TEST(Prof, SampleJsonEmitsNullForMissingCounters) {
-  DisablePerfGuard guard;
-  obs::ProfScope scope;
-  spin_work();
-  const obs::ProfSample s = scope.stop();
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  s.write_json(w);
-  const obs::JsonValue v = obs::parse_json(os.str());
-  EXPECT_GT(v.at("wall_seconds").num_v, 0.0);
-  EXPECT_EQ(v.at("cycles").type, obs::JsonValue::Type::kNull);
-  EXPECT_EQ(v.at("instructions").type, obs::JsonValue::Type::kNull);
-  EXPECT_EQ(v.at("ipc").type, obs::JsonValue::Type::kNull);
-}
-
-// ----------------------------------------------------------- EnvCapture ----
 
 TEST(Prof, EnvCaptureIsDeterministic) {
   const obs::EnvCapture a = obs::capture_env();
@@ -139,7 +23,6 @@ TEST(Prof, EnvCaptureIsDeterministic) {
   EXPECT_EQ(a.hostname, b.hostname);
   EXPECT_EQ(a.os, b.os);
   EXPECT_EQ(a.core_count, b.core_count);
-  EXPECT_EQ(a.perf_counters, b.perf_counters);
 
   EXPECT_FALSE(a.git_sha.empty());
   EXPECT_FALSE(a.compiler.empty());
@@ -158,285 +41,6 @@ TEST(Prof, EnvCaptureJsonRoundTrips) {
   EXPECT_EQ(v.at("build_type").str_v, env.build_type);
   EXPECT_EQ(v.at("hostname").str_v, env.hostname);
   EXPECT_EQ(static_cast<int>(v.at("core_count").num_v), env.core_count);
-  EXPECT_EQ(v.at("perf_counters").bool_v, env.perf_counters);
-}
-
-// ----------------------------------------------------------------- Stats ----
-
-TEST(BenchStats, FromSamplesOddCount) {
-  const bench::Stats s = bench::Stats::from_samples({5.0, 1.0, 3.0});
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  // |1-3|=2, |3-3|=0, |5-3|=2 -> MAD = median{0,2,2} = 2
-  EXPECT_DOUBLE_EQ(s.mad, 2.0);
-  // Samples keep measurement order.
-  ASSERT_EQ(s.samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.samples[0], 5.0);
-}
-
-TEST(BenchStats, FromSamplesEvenCount) {
-  const bench::Stats s = bench::Stats::from_samples({4.0, 2.0, 8.0, 6.0});
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.median, 5.0);  // (4+6)/2
-  // deviations {3,1,1,3} -> MAD = (1+3)/2 = 2
-  EXPECT_DOUBLE_EQ(s.mad, 2.0);
-}
-
-TEST(BenchStats, FromSamplesSingle) {
-  const bench::Stats s = bench::Stats::from_samples({7.5});
-  EXPECT_DOUBLE_EQ(s.min, 7.5);
-  EXPECT_DOUBLE_EQ(s.median, 7.5);
-  EXPECT_DOUBLE_EQ(s.mad, 0.0);
-}
-
-// ------------------------------------------------------- v2 round trip ----
-
-TEST(BenchHarness, RunScenarioAndV2RoundTrip) {
-  bench::Scenario s;
-  s.name = "test.spin";
-  s.description = "spin a little";
-  s.setup = [] { return [] { spin_work(); }; };
-
-  const bench::ScenarioResult r = bench::run_scenario(s, 3, 1);
-  EXPECT_EQ(r.name, "test.spin");
-  EXPECT_EQ(r.repetitions, 3);
-  EXPECT_EQ(r.warmup, 1);
-  ASSERT_EQ(r.wall_seconds.samples.size(), 3u);
-  EXPECT_GT(r.wall_seconds.median, 0.0);
-  EXPECT_GE(r.wall_seconds.min, 0.0);
-
-  std::ostringstream os;
-  {
-    bench::BenchWriter out(os, "test_bench");
-    out.add(r);
-    out.finish();
-  }
-  const obs::JsonValue doc = obs::parse_json(os.str());
-  EXPECT_EQ(doc.at("schema").str_v, "pil.bench.v2");
-  EXPECT_EQ(doc.at("bench").str_v, "test_bench");
-  EXPECT_FALSE(doc.at("env").at("compiler").str_v.empty());
-  ASSERT_EQ(doc.at("scenarios").items.size(), 1u);
-  const obs::JsonValue& sc = doc.at("scenarios").items[0];
-  EXPECT_EQ(sc.at("name").str_v, "test.spin");
-  EXPECT_EQ(sc.at("wall_seconds").at("samples").items.size(), 3u);
-
-  // The v2 reader recovers the same stats.
-  const std::vector<bench::ScenarioStats> stats =
-      bench::read_bench_document(doc);
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].name, "test.spin");
-  EXPECT_DOUBLE_EQ(stats[0].median, r.wall_seconds.median);
-  EXPECT_DOUBLE_EQ(stats[0].mad, r.wall_seconds.mad);
-  EXPECT_EQ(stats[0].repetitions, 3);
-}
-
-TEST(BenchHarness, V2CountersNullUnderDisabledPerf) {
-  DisablePerfGuard guard;
-  bench::Scenario s;
-  s.name = "test.spin.noperf";
-  s.description = "spin without counters";
-  s.setup = [] { return [] { spin_work(); }; };
-  const bench::ScenarioResult r = bench::run_scenario(s, 2, 0);
-  EXPECT_FALSE(r.cycles.has_value());
-
-  std::ostringstream os;
-  {
-    bench::BenchWriter out(os, "test_bench");
-    out.add(r);
-  }  // destructor finishes
-  const obs::JsonValue doc = obs::parse_json(os.str());
-  const obs::JsonValue& counters =
-      doc.at("scenarios").items[0].at("counters");
-  EXPECT_EQ(counters.at("cycles").type, obs::JsonValue::Type::kNull);
-  EXPECT_EQ(counters.at("ipc").type, obs::JsonValue::Type::kNull);
-  EXPECT_FALSE(doc.at("env").at("perf_counters").bool_v);
-}
-
-// ------------------------------------------------------------- registry ----
-
-TEST(BenchHarness, RegistryAddFindMatch) {
-  bench::Registry reg;
-  reg.add({"b.two", "second", [] { return [] {}; }});
-  reg.add({"a.one", "first", [] { return [] {}; }});
-  EXPECT_EQ(reg.size(), 2u);
-  ASSERT_NE(reg.find("a.one"), nullptr);
-  EXPECT_EQ(reg.find("missing"), nullptr);
-
-  const auto all = reg.match("");
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0]->name, "a.one");  // name-sorted
-  EXPECT_EQ(all[1]->name, "b.two");
-
-  const auto just_b = reg.match("two");
-  ASSERT_EQ(just_b.size(), 1u);
-  EXPECT_EQ(just_b[0]->name, "b.two");
-
-  EXPECT_THROW(reg.add({"a.one", "dup", [] { return [] {}; }}), Error);
-}
-
-// -------------------------------------------------------- v1 compat read ----
-
-TEST(BenchHarness, ReadsLegacyV1TableDocument) {
-  const char* v1 = R"({
-    "schema": "pil.bench.v1",
-    "bench": "table1",
-    "runs": [
-      {"testcase": "T1", "window_um": 32.0, "r": 2,
-       "methods": [
-         {"method": "ILP-II", "solve_seconds": 0.5},
-         {"method": "Greedy", "solve_seconds": 0.1}
-       ]}
-    ]
-  })";
-  const std::vector<bench::ScenarioStats> stats =
-      bench::read_bench_document(obs::parse_json(v1));
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].name, "table1.T1.w32.r2.ILP-II");
-  EXPECT_DOUBLE_EQ(stats[0].median, 0.5);
-  EXPECT_EQ(stats[0].repetitions, 1);
-  EXPECT_EQ(stats[1].name, "table1.T1.w32.r2.Greedy");
-}
-
-TEST(BenchHarness, ReadsLegacyV1IncrementalDocument) {
-  const char* v1 = R"({
-    "schema": "pil.bench.v1",
-    "bench": "incremental_session",
-    "edits": [
-      {"edit": 1, "incremental_seconds": 0.010},
-      {"edit": 2, "incremental_seconds": 0.030},
-      {"edit": 3, "incremental_seconds": 0.020}
-    ]
-  })";
-  const std::vector<bench::ScenarioStats> stats =
-      bench::read_bench_document(obs::parse_json(v1));
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_DOUBLE_EQ(stats[0].median, 0.020);
-  EXPECT_EQ(stats[0].repetitions, 3);
-}
-
-TEST(BenchHarness, RejectsUnknownSchema) {
-  EXPECT_THROW(
-      bench::read_bench_document(obs::parse_json(R"({"schema": "other"})")),
-      Error);
-  EXPECT_THROW(bench::read_bench_document(obs::parse_json("[1, 2]")), Error);
-}
-
-// ------------------------------------------------------ compare sentinel ----
-
-bench::ScenarioStats make_stats(const std::string& name, double median,
-                                double mad) {
-  bench::ScenarioStats s;
-  s.name = name;
-  s.median = median;
-  s.mad = mad;
-  s.repetitions = 5;
-  return s;
-}
-
-TEST(BenchCompare, FlagsTwofoldSlowdownAsRegression) {
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.100, 0.002)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.200, 0.002)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  ASSERT_EQ(rep.rows.size(), 1u);
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kRegression);
-  EXPECT_NEAR(rep.rows[0].ratio, 2.0, 1e-9);
-  EXPECT_TRUE(rep.has_regression());
-  EXPECT_EQ(rep.regressions, 1);
-}
-
-TEST(BenchCompare, FlagsLargeSpeedupAsImprovement) {
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.200, 0.002)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.100, 0.002)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kImprovement);
-  EXPECT_FALSE(rep.has_regression());
-  EXPECT_EQ(rep.improvements, 1);
-}
-
-TEST(BenchCompare, SmallDeltaWithinNoise) {
-  // +8% clears the MAD gate (noise floor is 1% of the median -> 0.004
-  // gate) but not the 1.10x min-ratio gate, so it stays within noise.
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.100, 0.0001)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.108, 0.0001)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kWithinNoise);
-}
-
-TEST(BenchCompare, NoisyBaselineAbsorbsLargeDelta) {
-  // 1.5x slower, but the baseline's MAD is huge: inside 4 MADs -> noise.
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.100, 0.050)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.150, 0.010)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kWithinNoise);
-}
-
-TEST(BenchCompare, ThresholdOptionTightensGate) {
-  bench::CompareOptions opt;
-  opt.threshold_mad = 0.5;
-  opt.min_ratio = 1.01;
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.100, 0.004)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.110, 0.004)};
-  const bench::CompareReport rep =
-      bench::compare_benchmarks(base, cand, opt);
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kRegression);
-}
-
-TEST(BenchCompare, HandlesDisjointScenarioSets) {
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.1, 0.001), make_stats("flow.gone", 0.1, 0.001)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.1, 0.001), make_stats("flow.new", 0.1, 0.001)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  ASSERT_EQ(rep.rows.size(), 3u);  // name-sorted union
-  EXPECT_EQ(rep.rows[0].name, "flow.a");
-  EXPECT_EQ(rep.rows[0].verdict, bench::Verdict::kWithinNoise);
-  EXPECT_EQ(rep.rows[1].name, "flow.gone");
-  EXPECT_EQ(rep.rows[1].verdict, bench::Verdict::kOnlyBaseline);
-  EXPECT_EQ(rep.rows[2].name, "flow.new");
-  EXPECT_EQ(rep.rows[2].verdict, bench::Verdict::kOnlyCandidate);
-  EXPECT_FALSE(rep.has_regression());  // missing scenarios never gate
-}
-
-TEST(BenchCompare, MarkdownReportMentionsEveryScenario) {
-  const std::vector<bench::ScenarioStats> base = {
-      make_stats("flow.a", 0.100, 0.002)};
-  const std::vector<bench::ScenarioStats> cand = {
-      make_stats("flow.a", 0.250, 0.002)};
-  const bench::CompareReport rep = bench::compare_benchmarks(base, cand);
-  std::ostringstream os;
-  bench::print_markdown(os, rep, bench::CompareOptions{});
-  const std::string md = os.str();
-  EXPECT_NE(md.find("flow.a"), std::string::npos);
-  EXPECT_NE(md.find("regression"), std::string::npos);
-  EXPECT_NE(md.find("|"), std::string::npos);  // it is a table
-}
-
-// ------------------------------------------------------------ bench argv ----
-
-TEST(BenchArgv, ParsesHistoricalSpellings) {
-  auto parse = [](std::vector<std::string> argv_s) {
-    std::vector<char*> argv;
-    argv.reserve(argv_s.size());
-    for (auto& a : argv_s) argv.push_back(a.data());
-    return bench::parse_bench_json_path(static_cast<int>(argv.size()),
-                                        argv.data(), "DEFAULT.json");
-  };
-  EXPECT_EQ(parse({"bench"}), "");
-  EXPECT_EQ(parse({"bench", "--json"}), "DEFAULT.json");
-  EXPECT_EQ(parse({"bench", "--json", "out.json"}), "out.json");
-  EXPECT_EQ(parse({"bench", "out.json"}), "out.json");
-  EXPECT_EQ(parse({"bench", "--threads", "2", "--json", "x.json"}),
-            "x.json");
 }
 
 }  // namespace

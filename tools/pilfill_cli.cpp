@@ -41,7 +41,7 @@ namespace {
 
 using namespace pil;
 
-// Exit-code taxonomy, shared with pilbench (documented in README.md):
+// Exit-code taxonomy (documented in README.md):
 // 0 = success, 1 = runtime pil::Error, 2 = usage error, 3 = completed but
 // degraded (tiles served by the degradation ladder under --strict, or
 // check/score violations).

@@ -29,7 +29,7 @@
 ///
 /// Exit codes: 0 request ok, 1 request failed (response ok=false or
 /// transport error), 2 usage error, 3 response flagged degraded/shed under
-/// --strict (same taxonomy as pilfill/pilbench), 4 could not connect,
+/// --strict (same taxonomy as pilfill), 4 could not connect,
 /// 5 connection dropped mid-request, 6 retries exhausted.
 
 #include <cstdio>
