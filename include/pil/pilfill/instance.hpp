@@ -45,40 +45,15 @@ struct TileInstance {
   }
 };
 
-/// Struct-of-arrays staging for one tile's two-sided columns: the slack /
-/// entry-resistance / weighting data gathered into contiguous columns so
-/// the pil/util/kernels.hpp loops compute every resistance factor in one
-/// pass per column set. Reused across tiles as a scratch workspace -- the
-/// prep loop builds one per thread and passes it to build_tile_instance.
-struct PrepColumns {
-  std::vector<int> idx;  ///< positions in TileInstance::cols (two-sided only)
-  // Entry-resistance inputs per facing piece (b = below, a = above):
-  // res_at(q) = base + slope * (|ux - qx| + |uy - qy|).
-  std::vector<double> base_b, slope_b, uxb, uyb, qxb, qyb;
-  std::vector<double> base_a, slope_a, uxa, uya, qxa, qya;
-  std::vector<double> wb, wa;  ///< criticality * downstream_sinks
-  std::vector<double> sb, sa;  ///< downstream_sinks
-  std::vector<double> ob, oa;  ///< offpath_res_sum
-  // Kernel outputs.
-  std::vector<double> rb, ra, res_nw, res_w, res_ex;
-
-  std::size_t size() const { return idx.size(); }
-  void clear();
-  void resize_outputs();
-};
-
 /// Build the instance for `tile_flat` with fill requirement `required`.
 /// `net_criticality` (optional, indexed by NetId) scales each line's
 /// contribution to the *weighted* objective: W_l becomes
 /// criticality(net) * downstream_sinks -- the hook for slack-driven weights
 /// from an STA engine. Nets beyond the vector get weight 1.
-/// `scratch` (optional) supplies a reusable PrepColumns workspace so the
-/// per-tile prep loop does not reallocate the SoA columns for every tile.
 TileInstance build_tile_instance(
     int tile_flat, int required, const fill::SlackColumns& slack,
     const std::vector<rctree::WirePiece>& pieces,
-    const std::vector<double>& net_criticality = {},
-    PrepColumns* scratch = nullptr);
+    const std::vector<double>& net_criticality = {});
 
 /// Resistance factor of a piece (facing line) at x position `x`:
 /// R_l + r_l * distance from the piece's upstream end.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "pil/geom/interval.hpp"
-#include "pil/util/kernels.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::fill {
@@ -246,7 +245,6 @@ struct GlobalSlackScan::Impl {
   std::vector<geom::IntervalSet> blocked_static;
   std::vector<XcolGroup> groups;  // index g = column - c_begin
   std::vector<int> offsets;       // flat column offset per group (+1 total)
-  std::vector<std::int32_t> row_scratch;  // site_rows kernel output buffer
 
   Impl(const layout::Layout& layout, const grid::Dissection& dis,
        layout::LayerId layer_in, const FillRules& rules_in)
@@ -331,40 +329,27 @@ struct GlobalSlackScan::Impl {
       emit_gap(grid, c, s, BoundKind::kDieEdge, -1, die.yhi, blocked, rules,
                SlackMode::kIII, out.cols);
 
-    // Split each column's site stack across the tile rows it crosses. The
-    // per-site dissection rows come from one site_rows kernel call per
-    // column (the column's x -- and so its tile column -- is fixed, only
-    // the row varies); run-length encoding the rows reproduces the
-    // per-site tile_at() walk exactly.
+    // Split each column's site stack across the tile rows it crosses.
     for (std::size_t ci = 0; ci < out.cols.size(); ++ci) {
       const SlackColumn& col = out.cols[ci];
-      if (col.capacity <= 0) continue;
-      row_scratch.resize(static_cast<std::size_t>(col.capacity));
-      util::site_rows(col.capacity, col.span_lo, rules.pitch(),
-                      rules.feature_um / 2, scan_dis.die().ylo,
-                      scan_dis.tile_um(), scan_dis.tiles_y() - 1,
-                      row_scratch.data());
-      const int ix =
-          scan_dis
-              .tile_at(geom::Point{col.x_center,
-                                   col.site_y(0, rules) +
-                                       rules.feature_um / 2})
-              .ix;
       int run_first = 0;
-      int run_row = -1;
+      int run_tile = -1;
       for (int i = 0; i < col.capacity; ++i) {
-        if (row_scratch[static_cast<std::size_t>(i)] != run_row) {
-          if (run_row >= 0)
-            out.parts.push_back(
-                Part{real_flat(scan_dis.tile_flat(grid::TileIndex{ix, run_row})),
-                     static_cast<int>(ci), run_first, i - run_first});
-          run_row = row_scratch[static_cast<std::size_t>(i)];
+        const double cy = col.site_y(i, rules) + rules.feature_um / 2;
+        const grid::TileIndex t =
+            scan_dis.tile_at(geom::Point{col.x_center, cy});
+        const int flat = real_flat(scan_dis.tile_flat(t));
+        if (flat != run_tile) {
+          if (run_tile >= 0)
+            out.parts.push_back(Part{run_tile, static_cast<int>(ci),
+                                     run_first, i - run_first});
+          run_tile = flat;
           run_first = i;
         }
       }
-      out.parts.push_back(
-          Part{real_flat(scan_dis.tile_flat(grid::TileIndex{ix, run_row})),
-               static_cast<int>(ci), run_first, col.capacity - run_first});
+      if (run_tile >= 0)
+        out.parts.push_back(Part{run_tile, static_cast<int>(ci), run_first,
+                                 col.capacity - run_first});
     }
   }
 

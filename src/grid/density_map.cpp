@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pil/util/kernels.hpp"
-
 namespace pil::grid {
 
 void DensityMap::add_layer_wires(const layout::Layout& layout,
@@ -124,26 +122,21 @@ DensityStats DensityMap::stats() const {
   const int nx = dis_->windows_x();
   const int ny = dis_->windows_y();
   PIL_REQUIRE(nx > 0 && ny > 0, "dissection has no windows");
-  const std::size_t nw = static_cast<std::size_t>(nx) * ny;
-
-  // Window sums and densities as columns; the kernels keep each window's
-  // accumulation order (and the division) identical to window_density().
-  std::vector<double> sums(nw);
-  std::vector<double> areas(nw);
-  std::vector<double> dens(nw);
-  util::window_sums(tile_area_.data(), dis_->tiles_x(), dis_->tiles_y(),
-                    dis_->r(), sums.data());
+  bool first = true;
+  double sum = 0.0;
   for (int wy = 0; wy < ny; ++wy) {
     for (int wx = 0; wx < nx; ++wx) {
-      const geom::Rect w = dis_->window_rect(wx, wy);
-      PIL_ASSERT(w.area() > 0, "degenerate window");
-      areas[static_cast<std::size_t>(wy) * nx + wx] = w.area();
+      const double d = window_density(wx, wy);
+      if (first) {
+        s.min_density = s.max_density = d;
+        first = false;
+      } else {
+        s.min_density = std::min(s.min_density, d);
+        s.max_density = std::max(s.max_density, d);
+      }
+      sum += d;
     }
   }
-  util::div2(sums.data(), areas.data(), nw, dens.data());
-  util::min_max(dens.data(), nw, &s.min_density, &s.max_density);
-  double sum = 0.0;
-  for (const double d : dens) sum += d;
   s.mean_density = sum / (static_cast<double>(nx) * ny);
   return s;
 }

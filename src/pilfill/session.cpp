@@ -149,7 +149,6 @@ struct FillSession::Impl {
   std::optional<SlackColumns> alt;     ///< solver columns when mode != kIII
   density::FillTargetResult target;
   std::map<int, TileInstance> instances;  ///< tile_flat -> instance (req > 0)
-  PrepColumns prep_scratch;  ///< SoA workspace for incremental rebuilds
   std::optional<cap::CouplingModel> model;
   std::optional<cap::ColumnCapLut> lut;  ///< shared single-thread LUT cache
   std::unique_ptr<DelayImpactEvaluator> evaluator;
@@ -279,13 +278,12 @@ struct FillSession::Impl {
     {
       obs::TraceSpan span("prep.instances");
       ScopedTimer timer(stages.instances);
-      PrepColumns scratch;
       for (int t = 0; t < dissection->num_tiles(); ++t) {
         const int required = target.features_per_tile[t];
         if (required == 0) continue;
-        instances.emplace(
-            t, build_tile_instance(t, required, solver_slack(), pieces,
-                                   config.net_criticality, &scratch));
+        instances.emplace(t,
+                          build_tile_instance(t, required, solver_slack(),
+                                              pieces, config.net_criticality));
       }
     }
     prep_seconds = stages.total();
@@ -696,8 +694,7 @@ struct FillSession::Impl {
         continue;
       }
       TileInstance fresh = build_tile_instance(
-          t, required, solver_slack(), pieces, config.net_criticality,
-          &prep_scratch);
+          t, required, solver_slack(), pieces, config.net_criticality);
       const bool reusable =
           it != instances.end() && solver_equivalent(it->second, fresh);
       if (it == instances.end())

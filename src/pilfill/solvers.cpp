@@ -7,7 +7,6 @@
 
 #include "pil/obs/journal.hpp"
 #include "pil/util/fault.hpp"
-#include "pil/util/kernels.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
@@ -121,31 +120,26 @@ TileSolveResult solve_tile_greedy(const TileInstance& inst,
 
   // Figure 8, steps 11-13: key each column by the delay it would add if
   // filled to capacity, then fill the cheapest columns completely. The
-  // full-capacity delta-caps and resistance factors are gathered into SoA
-  // columns and keyed in one kernel pass; sidelined columns (one-sided or
-  // empty) carry zeros through the kernel and keep their key of 0.0.
-  const std::size_t n = inst.cols.size();
-  std::vector<double> dcap(n, 0.0);
-  std::vector<double> rf(n, 0.0);
-  std::vector<double> keys(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const InstanceColumn& c = inst.cols[k];
-    if (!c.two_sided || c.num_sites == 0) continue;
-    if (ctx.style == cap::FillStyle::kFloating) {
-      PIL_REQUIRE(ctx.lut != nullptr, "greedy floating fill needs the LUT");
-      dcap[k] = ctx.lut->table(c.d, c.num_sites)[c.num_sites];
-    } else {
-      dcap[k] = ctx.model->grounded_column_delta_line_cap_ff(
-          c.num_sites, ctx.rules.feature_um, ctx.rules.buffer_um, c.d);
-    }
-    rf[k] = res_factor(c, ctx.objective);
-  }
-  util::scaled_scores(dcap.data(), rf.data(), ctx.switch_factor, n,
-                      keys.data());
+  // key is column_cost_table(...).back() times the resistance factor, read
+  // without building the table.
   std::vector<std::pair<double, int>> order;
-  order.reserve(n);
-  for (std::size_t k = 0; k < n; ++k)
-    order.emplace_back(keys[k], static_cast<int>(k));
+  order.reserve(inst.cols.size());
+  for (std::size_t k = 0; k < inst.cols.size(); ++k) {
+    const InstanceColumn& c = inst.cols[k];
+    double key = 0.0;
+    if (c.two_sided && c.num_sites > 0) {
+      double dcap;
+      if (ctx.style == cap::FillStyle::kFloating) {
+        PIL_REQUIRE(ctx.lut != nullptr, "greedy floating fill needs the LUT");
+        dcap = ctx.lut->table(c.d, c.num_sites)[c.num_sites];
+      } else {
+        dcap = ctx.model->grounded_column_delta_line_cap_ff(
+            c.num_sites, ctx.rules.feature_um, ctx.rules.buffer_um, c.d);
+      }
+      key = dcap * ctx.switch_factor * res_factor(c, ctx.objective);
+    }
+    order.emplace_back(key, static_cast<int>(k));
+  }
   std::sort(order.begin(), order.end());
 
   int todo = budget(inst);
@@ -315,26 +309,9 @@ TileSolveResult solve_tile_convex(const TileInstance& inst,
     return (lut[n_next] - lut[n_next - 1]) * ctx.switch_factor *
            res_factor(c, ctx.objective);
   };
-  // Seed the heap with every column's first-feature marginal, computed in
-  // one delta-scores kernel pass over SoA columns (the incremental
-  // re-scoring above stays scalar -- each later marginal is computed once,
-  // on demand, from heap order). One-sided columns carry zeros and get the
-  // same 0.0 marginal the scalar expression yields.
-  const std::size_t n = inst.cols.size();
-  std::vector<double> hi(n, 0.0), lo(n, 0.0), rf(n, 0.0), first(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const InstanceColumn& c = inst.cols[k];
-    if (!c.two_sided || c.num_sites == 0) continue;
-    const auto& lut = ctx.lut->table(c.d, c.num_sites);
-    hi[k] = lut[1];
-    lo[k] = lut[0];
-    rf[k] = res_factor(c, ctx.objective);
-  }
-  util::delta_scores(hi.data(), lo.data(), rf.data(), ctx.switch_factor, n,
-                     first.data());
   for (std::size_t k = 0; k < inst.cols.size(); ++k)
     if (inst.cols[k].num_sites > 0)
-      heap.emplace(first[k], static_cast<int>(k));
+      heap.emplace(marginal(k, 1), static_cast<int>(k));
 
   for (int todo = budget(inst); todo > 0; --todo) {
     PIL_ASSERT(!heap.empty(), "capacity accounting mismatch");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "pil/density/fill_target.hpp"
 #include "pil/fill/slack.hpp"
 #include "pil/grid/density_map.hpp"
@@ -338,6 +341,47 @@ TEST(DensityMapProperty, StatsMatchEnumeration) {
     EXPECT_DOUBLE_EQ(s.min_density, mn);
     EXPECT_DOUBLE_EQ(s.max_density, mx);
   }
+}
+
+TEST(SimdWindowSums, DensityStatsClippedEdgeRegression) {
+  // Clipped-edge windows in DensityMap::stats(): a die whose width is not
+  // a multiple of the window size leaves the rightmost/topmost windows
+  // clipped (smaller area, higher density for the same feature area).
+  // stats() must equal the brute-force window_area()/window_rect().area()
+  // fold, bitwise.
+  const geom::Rect die{0.0, 0.0, 50.0, 38.0};  // 50/16, 38/16 both ragged
+  const grid::Dissection dis(die, 16.0, 2);
+  grid::DensityMap map(dis);
+  Rng rng(14);
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.uniform_real(die.xlo, die.xhi - 1.0);
+    const double y = rng.uniform_real(die.ylo, die.yhi - 1.0);
+    map.add_rect(geom::Rect{x, y, x + rng.uniform_real(0.1, 1.0),
+                            y + rng.uniform_real(0.1, 1.0)});
+  }
+  // Brute force in the exact stats() order: min/max over window
+  // densities, mean as the index-ordered sum over all windows.
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  bool clipped_seen = false;
+  for (int wy = 0; wy < dis.windows_y(); ++wy)
+    for (int wx = 0; wx < dis.windows_x(); ++wx) {
+      const double d = map.window_density(wx, wy);
+      mn = std::min(mn, d);
+      mx = std::max(mx, d);
+      sum += d;
+      if (dis.window_rect(wx, wy).area() <
+          dis.window_rect(0, 0).area() - 1e-9)
+        clipped_seen = true;
+    }
+  ASSERT_TRUE(clipped_seen) << "die size must clip some edge windows";
+  const double mean = sum / (static_cast<double>(dis.windows_x()) *
+                             dis.windows_y());
+  const grid::DensityStats s = map.stats();
+  EXPECT_EQ(s.min_density, mn);
+  EXPECT_EQ(s.max_density, mx);
+  EXPECT_EQ(s.mean_density, mean);
 }
 
 }  // namespace

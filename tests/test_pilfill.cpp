@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "pil/pilfill/driver.hpp"
@@ -349,11 +350,16 @@ TEST(Instance, BuiltFromRealLayout) {
   const auto pieces = fill::flatten_pieces(trees);
   const SlackColumns slack = fill::extract_slack_columns(
       l, dis, pieces, 0, kRules, SlackMode::kIII);
+  // Non-uniform criticality in (0, 1], so 1/3 and 1/4 round in C_l * W_l
+  // and the weighted factor stays below the exact one.
+  std::vector<double> crit(l.num_nets());
+  for (std::size_t n = 0; n < crit.size(); ++n) crit[n] = 1.0 / (1 + n % 4);
 
   int built = 0;
+  int two_sided = 0;
   for (int t = 0; t < dis.num_tiles(); ++t) {
     if (slack.tile_parts(t).empty()) continue;
-    const TileInstance inst = build_tile_instance(t, 3, slack, pieces);
+    const TileInstance inst = build_tile_instance(t, 3, slack, pieces, crit);
     EXPECT_EQ(inst.tile_flat, t);
     EXPECT_EQ(inst.cols.size(), slack.tile_parts(t).size());
     for (const auto& c : inst.cols) {
@@ -363,6 +369,28 @@ TEST(Instance, BuiltFromRealLayout) {
         EXPECT_GE(c.res_weighted, 0.0);          // W_l = 0 on wire tails
         EXPECT_GE(c.res_exact, c.res_weighted);  // off-path terms add
         EXPECT_GT(c.d, 2 * kRules.buffer_um);
+        // Bit for bit: WirePiece::res_at at the column crossing, then
+        // Eq. 13, Eq. 21 and the exact-delay factor, in this operand
+        // order. A reassociated or FMA-contracted build differs in the
+        // last ulp on some column.
+        const fill::SlackColumn& col = slack.columns()[c.column];
+        const rctree::WirePiece& b = pieces[col.below_piece];
+        const rctree::WirePiece& a = pieces[col.above_piece];
+        const geom::Point qb = slack.column_cross_point(col, b);
+        const geom::Point qa = slack.column_cross_point(col, a);
+        const double rb = b.upstream_res +
+                          b.res_per_um * (std::fabs(b.up.x - qb.x) +
+                                          std::fabs(b.up.y - qb.y));
+        const double ra = a.upstream_res +
+                          a.res_per_um * (std::fabs(a.up.x - qa.x) +
+                                          std::fabs(a.up.y - qa.y));
+        EXPECT_EQ(c.res_nonweighted, rb + ra);
+        EXPECT_EQ(c.res_weighted, crit[b.net] * b.downstream_sinks * rb +
+                                      crit[a.net] * a.downstream_sinks * ra);
+        EXPECT_EQ(c.res_exact, b.downstream_sinks * rb +
+                                   a.downstream_sinks * ra +
+                                   b.offpath_res_sum + a.offpath_res_sum);
+        ++two_sided;
       } else {
         EXPECT_DOUBLE_EQ(c.res_nonweighted, 0.0);
       }
@@ -370,6 +398,7 @@ TEST(Instance, BuiltFromRealLayout) {
     if (++built > 50) break;
   }
   EXPECT_GT(built, 10);
+  EXPECT_GT(two_sided, 0);
 }
 
 // ------------------------------------------------------------ evaluator ----
