@@ -46,8 +46,7 @@ int main() {
   table.print(std::cout);
   std::cout << "\nCoarse dissections are already near-optimal per tile. The "
                "reclaimable loss\nappears where tiles are small relative to "
-               "the window (large r) AND the window\nband leaves headroom to "
-               "move fill between tiles (W=32/8 here: ~30%); when the\nband "
-               "is tight (W=20 rows) density feasibility pins the placement.\n";
+               "the window (large r): moving fill\nbetween tiles inside the "
+               "window band recovers it (W=32/8, W=20/4 and W=20/8\nhere).\n";
   return 0;
 }

@@ -71,20 +71,35 @@ TEST(FillTargetMc, AlreadyUniformNeedsNoFill) {
 
 TEST(FillTargetMc, ExplicitTargetsHonored) {
   // Start below the cap everywhere (fill cannot remove existing wire area,
-  // so U only binds what is added).
-  Dissection dis(geom::Rect{0, 0, 16, 16}, 8.0, 2);
-  DensityMap wires(dis);
-  wires.add_rect(geom::Rect{0, 0, 4, 4});  // window (0,0) at 0.25
-  std::vector<int> capacity(dis.num_tiles(), 200);
-  FillTargetConfig cfg;
-  cfg.lower_target = 0.3;
-  cfg.upper_bound = 0.5;
-  const FillTargetResult r =
-      compute_fill_amounts_mc(wires, capacity, kRules, cfg);
-  EXPECT_DOUBLE_EQ(r.lower_target_used, 0.3);
-  EXPECT_DOUBLE_EQ(r.upper_bound_used, 0.5);
-  EXPECT_LE(r.after.max_density, 0.5 + 1e-9);
-  EXPECT_GE(r.after.min_density, 0.3 - kRules.feature_area() / 64 - 1e-9);
+  // so U only binds what is added). On the 18 um die the top and right
+  // windows are clipped to 6 um: U holds on each window's own area, which
+  // is what the density stats and the checker measure.
+  for (const double side : {16.0, 18.0}) {
+    SCOPED_TRACE(side);
+    Dissection dis(geom::Rect{0, 0, side, side}, 8.0, 2);
+    DensityMap wires(dis);
+    wires.add_rect(geom::Rect{0, 0, 4, 4});  // window (0,0) at 0.25
+    std::vector<int> capacity(dis.num_tiles(), 200);
+    FillTargetConfig cfg;
+    cfg.lower_target = 0.3;
+    cfg.upper_bound = 0.5;
+    const FillTargetResult r =
+        compute_fill_amounts_mc(wires, capacity, kRules, cfg);
+    EXPECT_DOUBLE_EQ(r.lower_target_used, 0.3);
+    EXPECT_DOUBLE_EQ(r.upper_bound_used, 0.5);
+    EXPECT_LE(r.after.max_density, 0.5 + 1e-9);
+    EXPECT_GE(r.after.min_density, 0.3 - kRules.feature_area() / 64 - 1e-9);
+    if (side == 18.0) {
+      // Both LP engines on the clipped windows too. (On the 16 um die the
+      // min-fill LP's round-up, which keeps its floor, passes U by 1/128.)
+      EXPECT_LE(compute_fill_amounts_lp(wires, capacity, kRules, cfg)
+                    .after.max_density,
+                0.5 + 1e-9);
+      EXPECT_LE(compute_fill_amounts_min_fill_lp(wires, capacity, kRules, cfg)
+                    .after.max_density,
+                0.5 + 1e-9);
+    }
+  }
 }
 
 TEST(FillTargetMc, RejectsContradictoryTargets) {
