@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "paper_shape.hpp"
 #include "pil/pil.hpp"
 
 namespace pil::pilfill {
@@ -121,6 +122,17 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{7, 24, 3, false, Objective::kNonWeighted},
         Scenario{8, 16, 2, true, Objective::kNonWeighted},
         Scenario{9, 48, 6, false, Objective::kWeighted}));
+
+// The Table 1/2 shape checks of test_integration.cpp's T2 tests, on the
+// larger T1 testcase.
+TEST(FlowT1, PaperOrderingIlp2BestGreedyBetween) {
+  paper_shape::expect_paper_ordering(layout::make_testcase_t1());
+}
+
+TEST(FlowT1, FinerDissectionShrinksTheWin) {
+  paper_shape::expect_finer_dissection_shrinks_the_win(
+      layout::make_testcase_t1());
+}
 
 }  // namespace
 }  // namespace pil::pilfill
