@@ -511,5 +511,68 @@ TEST(Flow, EvaluatorSeesEveryPlacedFeature) {
   }
 }
 
+/// ILP-II's objective (Eqs. 16-23, unscaled): sum over columns of
+/// lut[n_k] * switch_factor * res_factor_k.
+double ilp2_objective(const TileInstance& inst, const std::vector<int>& counts,
+                      cap::ColumnCapLut& lut, const FlowConfig& config) {
+  double sum = 0.0;
+  for (std::size_t k = 0; k < inst.cols.size(); ++k) {
+    const InstanceColumn& c = inst.cols[k];
+    if (!c.two_sided || counts[k] == 0) continue;
+    const double res = config.objective == Objective::kWeighted
+                           ? c.res_weighted
+                           : c.res_nonweighted;
+    sum += lut.table(c.d, c.num_sites)[counts[k]] * config.switch_factor * res;
+  }
+  return sum;
+}
+
+// Per-tile optimality certificate: the column cost is convex in the feature
+// count, so the marginal-cost allocator is exact for ILP-II's objective. On
+// every real T2 tile the two must therefore reach the same objective. Their
+// counts may differ where the optimum is tied; their objectives may not.
+TEST(Certificate, Ilp2MatchesConvexOnEveryT2Tile) {
+  const Layout l = layout::make_testcase_t2();
+  const cap::CouplingModel model(l.layer(0).eps_r, l.layer(0).thickness_um);
+  int tiles = 0;
+  for (const double window : {32.0, 20.0}) {
+    for (const int r : {2, 4, 8}) {
+      for (const Objective obj :
+           {Objective::kNonWeighted, Objective::kWeighted}) {
+        FlowConfig config;
+        config.window_um = window;
+        config.r = r;
+        config.objective = obj;
+        const FillSession session(l, config);
+        cap::ColumnCapLut lut(model, config.rules.feature_um);
+        SolverContext ctx;
+        ctx.model = &model;
+        ctx.lut = &lut;
+        ctx.rules = config.rules;
+        ctx.objective = obj;
+        ctx.ilp = config.ilp;
+        ctx.switch_factor = config.switch_factor;
+        Rng rng(1);
+        for (const TileInstance& inst : session.instances_snapshot()) {
+          const TileSolveResult ilp2 =
+              solve_tile(Method::kIlp2, inst, ctx, rng);
+          const TileSolveResult convex =
+              solve_tile(Method::kConvex, inst, ctx, rng);
+          ASSERT_EQ(ilp2.ilp_status, ilp::IlpStatus::kOptimal)
+              << "tile " << inst.tile_flat;
+          const double a = ilp2_objective(inst, ilp2.counts, lut, config);
+          const double b = ilp2_objective(inst, convex.counts, lut, config);
+          EXPECT_LE(std::fabs(a - b), 1e-12 * std::max(1.0, std::fabs(a)))
+              << "W=" << window << " r=" << r << " obj=" << static_cast<int>(obj)
+              << " tile " << inst.tile_flat << ": ILP-II " << a
+              << ", Convex " << b;
+          ++tiles;
+        }
+      }
+    }
+  }
+  EXPECT_GT(tiles, 0);
+}
+
 }  // namespace
 }  // namespace pil::pilfill
