@@ -8,7 +8,6 @@
 /// the implementation is nonetheless a fully general bounded-variable MILP
 /// solver (best-bound search, most-fractional branching).
 
-#include <memory>
 #include <vector>
 
 #include "pil/lp/problem.hpp"
@@ -26,22 +25,6 @@ struct IlpOptions {
   /// to the per-node LP solves unless `lp.deadline` is already set. Not
   /// owned; must outlive the solve. Null = unlimited.
   const util::Deadline* deadline = nullptr;
-  /// Re-optimize child nodes dually from the parent's basis (and the root
-  /// from `warm_basis` when provided). Warm solves carry exact optimality /
-  /// infeasibility certificates, so the status and objective at every node
-  /// match a cold solve; a warm solve may however stop at an *alternate*
-  /// vertex of a non-unique optimal face, steering branching down a
-  /// different (equally valid) subtree. Search statistics -- node, solve,
-  /// and iteration counts -- are therefore execution-strategy quantities
-  /// under warm starting; the returned solution is a proven optimum either
-  /// way. An *integral* warm optimum would become the node's solution
-  /// outright, so it is consumed only when provably unique (strictly
-  /// positive nonbasic reduced costs) and re-solved cold otherwise (see
-  /// branch_and_bound.cpp for the full argument).
-  bool warm_start = true;
-  /// Optional warm-start hint for the *root* relaxation, e.g. the root
-  /// basis of a previous solve of a perturbed instance (session re-solve).
-  std::shared_ptr<const lp::Basis> warm_basis;
 };
 
 enum class IlpStatus {
@@ -57,18 +40,13 @@ const char* to_string(IlpStatus s);
 
 struct IlpSolution {
   IlpStatus status = IlpStatus::kError;
-  /// Incumbent objective, evaluated at the pre-rounding LP vertex. With
-  /// warm_start on it can in principle differ from a cold run's value by
-  /// pivot-path ulps, and `x` can be a different co-optimal solution when
-  /// the integer optimum is non-unique (see IlpOptions::warm_start).
+  /// Incumbent objective, evaluated at the pre-rounding LP vertex.
   double objective = 0.0;
   std::vector<double> x;   ///< integral on integer vars (within int_tol)
   int nodes_explored = 0;
   // Search statistics (observability; never fed back into the search).
   int lp_solves = 0;            ///< LP relaxations solved (= nodes not pruned early)
   long long lp_iterations = 0;  ///< simplex iterations summed over those solves
-  int warm_starts = 0;          ///< relaxations answered by a consumed warm solve
-  long long dual_iterations = 0;  ///< dual simplex pivots within lp_iterations
   int max_depth = 0;            ///< deepest branch-path length explored
   int incumbent_updates = 0;    ///< times a new best integral solution was found
   /// Best proven lower bound at exit. Equals `objective` when kOptimal; on
@@ -81,11 +59,6 @@ struct IlpSolution {
   /// kDeadline it is kDeadline when the budget expired inside an LP solve
   /// rather than between nodes. kOptimal otherwise.
   lp::SolveStatus lp_status = lp::SolveStatus::kOptimal;
-
-  /// Root relaxation basis, captured whenever the root LP solved to an
-  /// optimum; feed back via IlpOptions::warm_basis to warm-start a re-solve
-  /// of the same (or a lightly perturbed) instance. Null otherwise.
-  std::shared_ptr<const lp::Basis> root_basis;
 
   /// Absolute optimality gap (0 when proven optimal; meaningful with an
   /// incumbent, i.e. kOptimal or kNodeLimit with non-empty x).

@@ -1,27 +1,16 @@
 #pragma once
 /// \file simplex.hpp
-/// Dense bounded-variable simplex: two-phase primal plus a dual phase for
-/// warm-started re-optimization.
+/// Dense bounded-variable simplex: the classic two-phase primal.
 ///
-/// Cold solves run the classic two-phase primal: phase 1 installs slack
-/// variables as the starting basis and adds artificial variables only for
-/// rows whose slack cannot absorb the initial residual; the sum of
-/// artificials is minimized. Phase 2 re-installs the true objective with
-/// artificials pinned to zero.
+/// Phase 1 installs slack variables as the starting basis and adds
+/// artificial variables only for rows whose slack cannot absorb the
+/// initial residual; the sum of artificials is minimized. Phase 2
+/// re-installs the true objective with artificials pinned to zero. Every
+/// solve starts from this slack/artificial basis, so the result is a pure
+/// function of the problem and the options.
 ///
-/// Warm solves start from a caller-supplied Basis (extracted from a
-/// previous LpSolution of the same or a lightly perturbed problem -- e.g.
-/// one variable's bounds tightened by a branch-and-bound step). The basis
-/// is refactorized from scratch; if it is primal feasible the primal phase
-/// finishes directly, otherwise the dual simplex restores primal
-/// feasibility first (the basis stays dual feasible under bound changes,
-/// which is exactly the B&B re-optimization sweet spot). Structurally
-/// unusable bases (dimension mismatch, singular factorization, dual
-/// infeasibility) fall back to a cold solve transparently.
-///
-/// Anti-cycling: Dantzig pricing (primal) / most-infeasible selection
-/// (dual) with an automatic switch to Bland's rule after a run of
-/// degenerate pivots, in both phases.
+/// Anti-cycling: Dantzig pricing with an automatic switch to Bland's rule
+/// after a run of degenerate pivots, in both phases.
 
 #include <vector>
 
@@ -40,25 +29,6 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
-/// Status of one variable in a simplex basis.
-enum class VarStatus : unsigned char {
-  kBasic,
-  kAtLower,
-  kAtUpper,
-  kFree,  ///< nonbasic at value zero (both bounds infinite)
-};
-
-/// An explicit simplex basis: one status per structural variable and one
-/// per row's slack. Extracted from an optimal LpSolution and passed back
-/// via SimplexOptions::warm_basis to warm-start a related solve. A basis
-/// is portable across bound changes (the statuses, not the values, are
-/// stored) but not across changes to the constraint matrix shape.
-struct Basis {
-  std::vector<VarStatus> structural;  ///< per variable, size num_vars()
-  std::vector<VarStatus> slack;       ///< per row, size num_rows()
-  bool empty() const { return structural.empty() && slack.empty(); }
-};
-
 struct SimplexOptions {
   int max_iterations = 200000;
   double tol = 1e-9;            ///< reduced-cost / pivot tolerance
@@ -68,9 +38,6 @@ struct SimplexOptions {
   /// Optional wall-clock budget, polled every 64 pivots; null = unlimited.
   /// Not owned; must outlive the solve.
   const util::Deadline* deadline = nullptr;
-  /// Optional warm-start basis (see Basis). Not owned; must outlive the
-  /// solve. Null or structurally unusable = cold solve.
-  const Basis* warm_basis = nullptr;
 };
 
 struct LpSolution {
@@ -79,27 +46,10 @@ struct LpSolution {
   std::vector<double> x;  ///< structural variable values (empty if infeasible)
   int iterations = 0;          ///< total pivots + bound flips (all phases)
   int phase1_iterations = 0;   ///< iterations spent reaching feasibility
-  int dual_iterations = 0;     ///< dual simplex pivots (warm re-optimization)
   int bound_flips = 0;         ///< iterations resolved by a bound flip
-  /// The warm_basis was structurally usable and produced this result (a
-  /// cold fallback after e.g. a singular factorization reports false).
-  bool warm_started = false;
-  /// No alternate optimum within tol: at the final basis every non-fixed
-  /// nonbasic variable has a strictly nonzero reduced cost. Consumers that
-  /// need reproducible *solutions* (not just objective values) across warm
-  /// and cold pivot paths should only trust warm results carrying this
-  /// flag -- with ties, warm and cold may land on different co-optimal
-  /// vertices. Meaningful only when status == kOptimal.
-  bool unique_optimum = false;
-  /// Final basis (populated when status == kOptimal); feed back through
-  /// SimplexOptions::warm_basis to warm-start a related solve.
-  Basis basis;
 };
 
-/// Solve min c^T x s.t. rows, bounds. Deterministic. With
-/// options.warm_basis set, attempts a warm start and falls back to a cold
-/// solve if the basis is unusable; without it, behaves exactly as the
-/// historical two-phase primal (bit-identical results).
+/// Solve min c^T x s.t. rows, bounds. Deterministic.
 LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options = {});
 
 }  // namespace pil::lp

@@ -54,8 +54,6 @@ enum class JournalEventKind : std::uint16_t {
   kSimplexMilestone,  ///< c = iterations so far in this solve
   kBbMilestone,       ///< c = nodes explored, v = incumbent objective
   kSessionEdit,       ///< c = edited segment id, v = edit seconds
-  kBasisHit,          ///< a = method (cached root basis reused)
-  kBasisMiss,         ///< a = method (no reusable root basis)
   kServiceRequest,    ///< a = pil::service Op, b = low 32 bits of the
                       ///< client request id, c = trace id (dumped as a
                       ///< hex "trace" member; flow = request correlation)

@@ -172,13 +172,14 @@ struct MethodResult {
   long long bb_nodes = 0;
   // Solver internals aggregated over the tiles (observability).
   long long lp_solves = 0;           ///< LP relaxations solved (ILP methods)
-  /// Simplex iterations over those solves. Execution-strategy-dependent:
-  /// warm starting changes this (and only this, plus the two counters
-  /// below) while leaving the fill results bit-identical, so equivalence
-  /// checks (flow_results_equivalent) exclude it.
+  /// Simplex iterations over those solves. Every relaxation is solved from
+  /// the same starting basis, so this, bb_nodes and lp_solves follow from
+  /// the instances, and flow_results_equivalent compares them.
   long long simplex_iterations = 0;
-  long long dual_iterations = 0;  ///< dual pivots within simplex_iterations
-  long long warm_starts = 0;      ///< LP relaxations served by a warm basis
+  /// Always 0; dropped with pilperf's next change (ROADMAP item 6).
+  long long dual_iterations = 0;
+  /// Always 0; dropped with pilperf's next change (ROADMAP item 6).
+  long long warm_starts = 0;
   /// Tiles whose integer program hit the node budget; their (unproven)
   /// incumbents were used. Distinct from shortfall: the requirement was met.
   long long tiles_node_limit = 0;

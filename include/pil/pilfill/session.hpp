@@ -113,11 +113,9 @@ struct SessionStats {
   /// all solve() calls and methods.
   long long tiles_resolved = 0;
   long long tiles_reused = 0;
-  /// Dirty-tile re-solves that started from a cached root basis / from
-  /// cold. Hits are a warm-start *attempt*: a stale basis the LP layer
-  /// rejects still counts here (the miss/hit split tracks cache coverage,
-  /// not acceptance -- pil.lp.warm_starts counts accepted solves).
+  /// Always 0; dropped with pilperf's next change (ROADMAP item 6).
   long long basis_hits = 0;
+  /// Always 0; dropped with pilperf's next change (ROADMAP item 6).
   long long basis_misses = 0;
 };
 
@@ -197,11 +195,11 @@ class FillSession {
 
 /// True when two flow results agree on everything except timing fields
 /// (prep/solve/eval seconds and stage breakdowns): densities, targets,
-/// capacities, per-method impacts, placements, and failure records all
-/// compare bitwise-equal. Search-effort counters (simplex/dual iterations,
-/// warm starts, bb_nodes, lp_solves) are also excluded: like timings they
-/// depend on the execution strategy (basis reuse reshapes the B&B tree),
-/// not on the solution.
+/// capacities, per-method impacts, placements, failure records, and the
+/// search-effort counters (bb_nodes, lp_solves, simplex_iterations) all
+/// compare bitwise-equal. Every LP relaxation is solved from the same
+/// starting basis, so a search that runs to completion walks the same tree
+/// every time: like the placements, the counters follow from the instances.
 bool flow_results_equivalent(const FlowResult& a, const FlowResult& b);
 
 }  // namespace pil::pilfill

@@ -16,7 +16,6 @@
 ///                because the column cost is convex in the feature count.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -74,8 +73,6 @@ struct TileSolveResult {
   // Solver internals (ILP methods; zero for Normal/Greedy/Convex).
   long long lp_solves = 0;           ///< LP relaxations solved
   long long simplex_iterations = 0;  ///< simplex iterations over those solves
-  long long dual_iterations = 0;     ///< dual pivots within simplex_iterations
-  long long warm_starts = 0;         ///< relaxations served by a warm basis
   double ilp_gap = 0.0;              ///< residual gap (kNodeLimit/kDeadline)
   /// Outcome of the tile's integer program. Non-ILP methods report
   /// kOptimal. kNodeLimit/kDeadline mean the incumbent was used unproven;
@@ -90,10 +87,6 @@ struct TileSolveResult {
   /// Set by solve_tile_guarded when the primary method could not serve the
   /// tile directly; describes the reason and which ladder step did.
   std::optional<TileFailure> failure;
-  /// Root relaxation basis of the tile's integer program when it solved to
-  /// a unique optimum (see IlpSolution::root_basis); FillSession caches it
-  /// per tile to warm-start dirty-tile re-solves. Null otherwise.
-  std::shared_ptr<const lp::Basis> root_basis;
 };
 
 struct SolverContext {
@@ -104,8 +97,9 @@ struct SolverContext {
   ilp::IlpOptions ilp;
   /// Fill electrical style. Floating (the paper's assumption) has convex
   /// per-column cost; grounded has a step cost (first feature pays, the
-  /// rest are shielded). ILP-II and Greedy support both; ILP-I and Convex
-  /// are floating-only (their models assume linearity / convexity).
+  /// rest are shielded). Normal and Greedy support both; ILP-I, ILP-II and
+  /// Convex are floating-only (their models assume linearity / convexity,
+  /// and ILP-II's binary-expansion relaxation is weak under a step cost).
   cap::FillStyle style = cap::FillStyle::kFloating;
   /// Miller switch factor applied to coupling increments (Kahng-Muddu-Sarto
   /// style worst-case switching); scales all costs uniformly.

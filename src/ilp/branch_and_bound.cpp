@@ -19,11 +19,6 @@ struct Node {
   // Bound overrides accumulated along the branch path.
   std::vector<std::pair<int, double>> lo_over;
   std::vector<std::pair<int, double>> hi_over;
-  /// Parent's optimal basis: the node's LP differs from the parent's by one
-  /// tightened bound, so this basis stays dual feasible and the dual
-  /// simplex re-optimizes it in a handful of pivots. Shared across both
-  /// children; null = solve cold.
-  std::shared_ptr<const lp::Basis> warm;
 };
 
 struct NodeOrder {
@@ -134,62 +129,8 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
     }
     if (empty_interval) continue;  // branch emptied a variable's interval
 
-    // Warm attempt first when a basis hint is available. Warm verdicts
-    // carry exact certificates (dual + primal feasibility at optimality,
-    // dual unboundedness for infeasibility), so status and objective are
-    // the ones the cold solve would produce. What MAY differ is which
-    // vertex of a non-unique optimal face the solve lands on: a warm path
-    // can stop at an alternate optimum with a different (equally optimal)
-    // x. For a *fractional* vertex that only steers branching -- a
-    // different, equally valid subtree whose leaves are vetted by the same
-    // incumbent test -- so node/solve counts become execution-strategy
-    // statistics under warm starting, exactly like iteration counts. An
-    // *integral* vertex would be adopted as the node's solution outright,
-    // so it is consumed only when provably unique (see the gate below);
-    // otherwise the node is re-solved cold and the cold solution consumed.
-    // On the reference testcases the fill results are bit-identical to
-    // warm_start=false (asserted by the differential tests). A warm
-    // attempt that fails to build (stale/mismatched basis) falls back to a
-    // cold solve, so warm starting never degrades robustness.
-    lp::LpSolution rel;
-    bool have_rel = false;
-    const lp::Basis* hint = nullptr;
-    if (options.warm_start) {
-      if (node->warm != nullptr)
-        hint = node->warm.get();
-      else if (node->depth == 0 && options.warm_basis != nullptr)
-        hint = options.warm_basis.get();
-    }
-    if (hint != nullptr && !hint->empty()) {
-      lp::SimplexOptions wopt = lp_opt;
-      wopt.warm_basis = hint;
-      lp::LpSolution w = lp::solve_lp(sub, wopt);
-      best.lp_iterations += w.iterations;
-      best.dual_iterations += w.dual_iterations;
-      if (w.status == lp::SolveStatus::kDeadline) {
-        rel = std::move(w);  // budget gone: no cold re-solve, exit below
-        have_rel = true;
-      } else if (w.warm_started &&
-                 (w.status == lp::SolveStatus::kInfeasible ||
-                  (w.status == lp::SolveStatus::kOptimal &&
-                   w.unique_optimum))) {
-        // Consumed: infeasibility certificates and *unique* optima
-        // (strictly positive nonbasic reduced costs prove the vertex is
-        // the only optimal solution, hence the very point the cold solve
-        // lands on). A tied optimal face is re-solved cold instead: warm
-        // could have stopped at an alternate co-optimal vertex, and both
-        // adopting it (integral) and branching from it (fractional) have
-        // been observed to steer the search to a different -- equally
-        // optimal, but not bit-identical -- fill solution.
-        rel = std::move(w);
-        have_rel = true;
-        ++best.warm_starts;
-      }
-    }
-    if (!have_rel) {
-      rel = lp::solve_lp(sub, lp_opt);
-      best.lp_iterations += rel.iterations;
-    }
+    const lp::LpSolution rel = lp::solve_lp(sub, lp_opt);
+    best.lp_iterations += rel.iterations;
     ++best.lp_solves;
     if (rel.status == lp::SolveStatus::kDeadline) {
       // Budget ran out mid-relaxation: keep the incumbent found so far and
@@ -212,8 +153,6 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
       best.nodes_explored = explored;
       return best;
     }
-    if (node->depth == 0 && !rel.basis.empty())
-      best.root_basis = std::make_shared<const lp::Basis>(rel.basis);
     if (rel.objective >= incumbent - options.abs_gap) continue;
 
     const int bv = pick_branch_var(rel.x, integer, options.int_tol);
@@ -230,22 +169,14 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
     }
 
     const double xv = rel.x[bv];
-    // Both children differ from this relaxation by one tightened bound:
-    // hand them its basis for dual re-optimization. (The acceptance test
-    // above decides separately whether a child's *result* may be consumed.)
-    std::shared_ptr<const lp::Basis> child_hint;
-    if (options.warm_start)
-      child_hint = std::make_shared<const lp::Basis>(rel.basis);
     auto down = std::make_shared<Node>(*node);
     down->bound = rel.objective;
     down->depth = node->depth + 1;
     down->hi_over.emplace_back(bv, std::floor(xv));
-    down->warm = child_hint;
     auto up = std::make_shared<Node>(*node);
     up->bound = rel.objective;
     up->depth = node->depth + 1;
     up->lo_over.emplace_back(bv, std::ceil(xv));
-    up->warm = child_hint;
     open.push(std::move(down));
     open.push(std::move(up));
   }

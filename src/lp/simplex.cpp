@@ -17,7 +17,7 @@ enum class ColStatus : unsigned char { kBasic, kAtLower, kAtUpper, kFreeZero };
 /// Dense bounded-variable simplex working state. Column layout:
 ///   [0, n)        structural variables
 ///   [n, n+m)      slack variables (one per row; bounds encode the sense)
-///   [n+m, total)  artificial variables (cold phase 1 only)
+///   [n+m, total)  artificial variables (phase 1 only)
 class Simplex {
  public:
   Simplex(const LpProblem& p, const SimplexOptions& opt)
@@ -58,72 +58,16 @@ class Simplex {
     std::vector<double> full = full_solution();
     for (int j = 0; j < n_; ++j) sol.x[j] = full[j];
     sol.objective = p_.objective_value(sol.x);
-    sol.unique_optimum = !ties_;
-    extract_basis(sol.basis);
-    return sol;
-  }
-
-  /// Warm start from `wb`: refactorize the basis and re-optimize, dually
-  /// when the basis is primal infeasible (the bound-tightening case). On a
-  /// structurally unusable basis sets `ok` to false and returns without
-  /// touching the problem -- the caller runs a cold solve instead.
-  LpSolution run_warm(const Basis& wb, bool& ok) {
-    LpSolution sol;
-    ok = build_warm(wb);
-    if (!ok) return sol;
-    sol.warm_started = true;
-    set_phase2_costs();
-
-    bool primal_feasible = true;
-    for (int i = 0; i < m_; ++i) {
-      const int bj = basis_[i];
-      if (xb_[i] < lo_[bj] - opt_.feas_tol ||
-          xb_[i] > hi_[bj] + opt_.feas_tol) {
-        primal_feasible = false;
-        break;
-      }
-    }
-    if (!primal_feasible) {
-      if (!dual_feasible()) {
-        // Neither feasibility holds at this basis: re-optimizing from it
-        // has no advantage over a fresh start; let the caller go cold.
-        ok = false;
-        return sol;
-      }
-      const SolveStatus sd = iterate_dual(sol.iterations);
-      sol.dual_iterations = dual_iterations_;
-      if (sd != SolveStatus::kOptimal) {
-        // kInfeasible here is a sound verdict (dual unbounded from a dual
-        // feasible basis); limits and deadlines pass through unchanged.
-        sol.status = sd;
-        sol.bound_flips = bound_flips_;
-        return sol;
-      }
-    }
-
-    // Primal feasibility reached (or held from the start): the primal
-    // phase certifies optimality, typically in zero pivots.
-    const SolveStatus s2 = iterate(sol.iterations);
-    sol.status = s2;
-    sol.dual_iterations = dual_iterations_;
-    sol.bound_flips = bound_flips_;
-    if (s2 != SolveStatus::kOptimal) return sol;
-
-    sol.x.assign(n_, 0.0);
-    std::vector<double> full = full_solution();
-    for (int j = 0; j < n_; ++j) sol.x[j] = full[j];
-    sol.objective = p_.objective_value(sol.x);
-    sol.unique_optimum = !ties_;
-    extract_basis(sol.basis);
     return sol;
   }
 
  private:
   // ---- setup ---------------------------------------------------------------
 
-  /// Shared by cold and warm setup: sparse constraint columns, rhs, and the
-  /// structural + slack bound arrays (slack bounds encode the row sense).
-  void build_columns() {
+  /// Sparse constraint columns, rhs and the structural + slack bound
+  /// arrays, then the starting basis: slacks where they absorb the initial
+  /// residual, artificials elsewhere.
+  void build() {
     cols_.assign(n_ + m_, {});
     rhs_.assign(m_, 0.0);
     for (int i = 0; i < m_; ++i) {
@@ -148,10 +92,6 @@ class Simplex {
         case Sense::kEq: lo_[j] = 0.0;    hi_[j] = 0.0;  break;
       }
     }
-  }
-
-  void build() {
-    build_columns();
 
     // Nonbasic start: every structural at its nearest finite bound (free
     // variables at zero).
@@ -210,114 +150,6 @@ class Simplex {
     cost_.assign(total_, 0.0);
     xb_.assign(m_, 0.0);
     recompute_xb();
-  }
-
-  /// Warm setup: same columns/bounds as build() but no artificials; the
-  /// statuses come from `wb`. Returns false (leaving the caller to go
-  /// cold) when the basis has the wrong shape, does not select exactly m
-  /// columns, or its matrix is numerically singular.
-  bool build_warm(const Basis& wb) {
-    if (static_cast<int>(wb.structural.size()) != n_ ||
-        static_cast<int>(wb.slack.size()) != m_)
-      return false;
-    build_columns();
-    total_ = n_ + m_;
-    num_artificials_ = 0;
-    status_.assign(total_, ColStatus::kAtLower);
-    val_.assign(total_, 0.0);
-    basis_.clear();
-    basis_.reserve(m_);
-    auto place = [&](int j, VarStatus vs) {
-      switch (vs) {
-        case VarStatus::kBasic:
-          status_[j] = ColStatus::kBasic;
-          basis_.push_back(j);
-          return;
-        case VarStatus::kAtLower:
-          break;
-        case VarStatus::kAtUpper:
-          if (std::isfinite(hi_[j])) {
-            status_[j] = ColStatus::kAtUpper;
-            val_[j] = hi_[j];
-            return;
-          }
-          break;
-        case VarStatus::kFree:
-          if (!std::isfinite(lo_[j]) && !std::isfinite(hi_[j])) {
-            status_[j] = ColStatus::kFreeZero;
-            val_[j] = 0.0;
-            return;
-          }
-          break;
-      }
-      // Default: nearest finite bound (bounds may have changed since the
-      // basis was extracted -- e.g. a lower bound pushed to +inf).
-      if (std::isfinite(lo_[j])) {
-        status_[j] = ColStatus::kAtLower;
-        val_[j] = lo_[j];
-      } else if (std::isfinite(hi_[j])) {
-        status_[j] = ColStatus::kAtUpper;
-        val_[j] = hi_[j];
-      } else {
-        status_[j] = ColStatus::kFreeZero;
-        val_[j] = 0.0;
-      }
-    };
-    for (int j = 0; j < n_; ++j) place(j, wb.structural[j]);
-    for (int i = 0; i < m_; ++i) place(n_ + i, wb.slack[i]);
-    if (static_cast<int>(basis_.size()) != m_) return false;
-    if (!factorize_basis()) return false;
-    cost_.assign(total_, 0.0);
-    xb_.assign(m_, 0.0);
-    recompute_xb();
-    return true;
-  }
-
-  /// Dense Gauss-Jordan inversion of the basis matrix (columns basis_[k] of
-  /// the constraint matrix) with partial pivoting, writing binv_. Returns
-  /// false on a (numerically) singular basis.
-  bool factorize_basis() {
-    const std::size_t mm = static_cast<std::size_t>(m_);
-    std::vector<double> aug(mm * 2 * mm, 0.0);  // [B | I], row-major
-    const std::size_t stride = 2 * mm;
-    for (int k = 0; k < m_; ++k)
-      for (const auto& [i, a] : cols_[basis_[k]])
-        aug[static_cast<std::size_t>(i) * stride + k] += a;
-    for (int i = 0; i < m_; ++i)
-      aug[static_cast<std::size_t>(i) * stride + mm + i] = 1.0;
-
-    for (int c = 0; c < m_; ++c) {
-      int piv_row = c;
-      double piv = std::fabs(aug[static_cast<std::size_t>(c) * stride + c]);
-      for (int i = c + 1; i < m_; ++i) {
-        const double v = std::fabs(aug[static_cast<std::size_t>(i) * stride + c]);
-        if (v > piv) {
-          piv = v;
-          piv_row = i;
-        }
-      }
-      if (piv < 1e-11) return false;
-      if (piv_row != c)
-        std::swap_ranges(aug.begin() + static_cast<std::ptrdiff_t>(piv_row) * stride,
-                         aug.begin() + static_cast<std::ptrdiff_t>(piv_row + 1) * stride,
-                         aug.begin() + static_cast<std::ptrdiff_t>(c) * stride);
-      double* crow = &aug[static_cast<std::size_t>(c) * stride];
-      const double inv = 1.0 / crow[c];
-      for (std::size_t k = 0; k < stride; ++k) crow[k] *= inv;
-      for (int i = 0; i < m_; ++i) {
-        if (i == c) continue;
-        double* irow = &aug[static_cast<std::size_t>(i) * stride];
-        const double f = irow[c];
-        if (f == 0.0) continue;
-        for (std::size_t k = 0; k < stride; ++k) irow[k] -= f * crow[k];
-      }
-    }
-    binv_.assign(mm * mm, 0.0);
-    for (int i = 0; i < m_; ++i)
-      for (int k = 0; k < m_; ++k)
-        binv_[static_cast<std::size_t>(i) * mm + k] =
-            aug[static_cast<std::size_t>(i) * stride + mm + k];
-    return true;
   }
 
   void set_phase1_costs() {
@@ -380,33 +212,6 @@ class Simplex {
     }
   }
 
-  /// Reduced costs consistent (within feas_tol) with every nonbasic
-  /// status under the phase-2 costs -- the precondition for the dual
-  /// simplex to make sense from this basis.
-  bool dual_feasible() {
-    std::vector<double> y;
-    btran(y);
-    for (int j = 0; j < total_; ++j) {
-      if (status_[j] == ColStatus::kBasic) continue;
-      if (lo_[j] == hi_[j]) continue;
-      const double d = reduced_cost(j, y);
-      switch (status_[j]) {
-        case ColStatus::kAtLower:
-          if (d < -opt_.feas_tol) return false;
-          break;
-        case ColStatus::kAtUpper:
-          if (d > opt_.feas_tol) return false;
-          break;
-        case ColStatus::kFreeZero:
-          if (std::fabs(d) > opt_.feas_tol) return false;
-          break;
-        case ColStatus::kBasic:
-          break;
-      }
-    }
-    return true;
-  }
-
   // ---- main loops ----------------------------------------------------------
 
   SolveStatus iterate(int& iter_accum) {
@@ -438,19 +243,13 @@ class Simplex {
       btran(y);
 
       // Pricing: pick an entering column with a favorable reduced cost.
-      // The same pass records whether any movable nonbasic sits at a
-      // near-zero reduced cost -- an alternate optimum within tol. Only the
-      // terminal pass's value (a full scan by construction: it found no
-      // entering column) is kept by the caller.
       int q = -1;
       double best = opt_.tol;
       int dir = 0;  // +1: entering increases, -1: decreases
-      bool tie = false;
       for (int j = 0; j < total_; ++j) {
         if (status_[j] == ColStatus::kBasic) continue;
         if (lo_[j] == hi_[j]) continue;  // fixed: can never move
         const double d = reduced_cost(j, y);
-        if (std::fabs(d) <= opt_.tol) tie = true;
         double merit = 0.0;
         int this_dir = 0;
         if (status_[j] == ColStatus::kAtLower && d < -opt_.tol) {
@@ -472,7 +271,6 @@ class Simplex {
           dir = this_dir;
         }
       }
-      ties_ = tie;
       if (q < 0) {
         result = SolveStatus::kOptimal;
         break;
@@ -567,183 +365,10 @@ class Simplex {
     return result;
   }
 
-  /// Bounded-variable dual simplex: from a dual feasible basis, restore
-  /// primal feasibility one infeasible basic at a time. Returns kOptimal
-  /// when no basic violates its bounds (the caller then runs the primal to
-  /// certify), kInfeasible when the dual is unbounded (no entering column
-  /// can absorb the violation -- the primal is infeasible). Anti-cycling:
-  /// most-infeasible row selection with a Bland switch (lowest basic column
-  /// index / lowest entering index) after a run of zero-length dual steps.
-  SolveStatus iterate_dual(int& iter_accum) {
-    std::vector<double> y(m_), w(m_);
-    int degenerate_run = 0;
-    SolveStatus result = SolveStatus::kIterLimit;
-    util::DeadlinePoller deadline(opt_.deadline);
-    const bool faulty = util::faults_armed();
-    const bool journaling = obs::journal_armed();
-    int iter = 0;
-    for (; iter < opt_.max_iterations; ++iter) {
-      if (deadline.expired()) {
-        result = SolveStatus::kDeadline;
-        break;
-      }
-      if (faulty)
-        util::maybe_fault(util::FaultSite::kLpPivot,
-                          static_cast<std::uint64_t>(iter));
-      if (journaling && iter != 0 && (iter & 1023) == 0)
-        obs::journal_record(obs::JournalEventKind::kSimplexMilestone, 0, 0,
-                            static_cast<std::uint64_t>(iter));
-      const bool bland = degenerate_run >= opt_.degenerate_switch;
-
-      // Leaving row: the most-infeasible basic (Bland: lowest column index
-      // among the violated ones).
-      int r = -1;
-      double worst = opt_.feas_tol;
-      bool below = false;
-      for (int i = 0; i < m_; ++i) {
-        const int bj = basis_[i];
-        double viol;
-        bool b;
-        if (xb_[i] < lo_[bj] - opt_.feas_tol) {
-          viol = lo_[bj] - xb_[i];
-          b = true;
-        } else if (xb_[i] > hi_[bj] + opt_.feas_tol) {
-          viol = xb_[i] - hi_[bj];
-          b = false;
-        } else {
-          continue;
-        }
-        const bool take = bland ? (r < 0 || bj < basis_[r]) : (viol > worst);
-        if (take) {
-          r = i;
-          worst = viol;
-          below = b;
-        }
-      }
-      if (r < 0) {
-        result = SolveStatus::kOptimal;  // primal feasible
-        break;
-      }
-
-      const int out = basis_[r];
-      const double target = below ? lo_[out] : hi_[out];
-      const double* rrow = &binv_[static_cast<std::size_t>(r) * m_];
-      btran(y);
-
-      // Entering column: dual ratio test over the pivot row. A column j is
-      // eligible when moving it in its feasible direction drives xb_r
-      // toward the violated bound; the one whose reduced cost is exhausted
-      // first (min |d_j| / |alpha_j|) keeps the basis dual feasible. Ties:
-      // Bland takes the lowest index, otherwise the largest |alpha| wins
-      // (numerical stability).
-      int q = -1;
-      int qdir = 0;
-      double best_ratio = kInf;
-      double best_alpha = 0.0;
-      for (int j = 0; j < total_; ++j) {
-        if (status_[j] == ColStatus::kBasic) continue;
-        if (lo_[j] == hi_[j]) continue;
-        double alpha = 0.0;
-        for (const auto& [i, a] : cols_[j]) alpha += rrow[i] * a;
-        if (std::fabs(alpha) <= opt_.tol) continue;
-        // xb_r changes by -dq * t * alpha (t > 0): need it to increase
-        // when below the lower bound, decrease when above the upper.
-        int dq;
-        if (status_[j] == ColStatus::kFreeZero) {
-          dq = below ? (alpha > 0 ? -1 : +1) : (alpha > 0 ? +1 : -1);
-        } else {
-          dq = (status_[j] == ColStatus::kAtLower) ? +1 : -1;
-          const double s = dq * alpha;
-          if (below ? (s >= 0) : (s <= 0)) continue;
-        }
-        const double d = reduced_cost(j, y);
-        double slack_d;  // dual slack consumed as j's reduced cost goes to 0
-        if (status_[j] == ColStatus::kAtLower)
-          slack_d = std::max(d, 0.0);
-        else if (status_[j] == ColStatus::kAtUpper)
-          slack_d = std::max(-d, 0.0);
-        else
-          slack_d = std::fabs(d);
-        const double ratio = slack_d / std::fabs(alpha);
-        bool take;
-        if (q < 0)
-          take = true;
-        else if (bland)
-          take = ratio < best_ratio - opt_.tol;  // first minimal index wins
-        else
-          take = (ratio < best_ratio - opt_.tol) ||
-                 (ratio <= best_ratio + opt_.tol &&
-                  std::fabs(alpha) > std::fabs(best_alpha));
-        if (take) {
-          q = j;
-          qdir = dq;
-          best_ratio = ratio;
-          best_alpha = alpha;
-        }
-      }
-      if (q < 0) {
-        // Dual unbounded: no column can absorb the violation, so the
-        // primal has no feasible point.
-        result = SolveStatus::kInfeasible;
-        break;
-      }
-      degenerate_run = (best_ratio <= opt_.tol) ? degenerate_run + 1 : 0;
-
-      ftran(q, w);
-      const double piv = w[r];
-      PIL_ASSERT(std::fabs(piv) > opt_.tol * 1e-3, "vanishing dual pivot");
-      double t = (xb_[r] - target) / (qdir * piv);
-      if (t < 0) t = 0;  // numerical guard
-
-      for (int i = 0; i < m_; ++i)
-        if (i != r) xb_[i] -= qdir * t * w[i];
-      xb_[r] = val_[q] + qdir * t;
-
-      status_[out] = below ? ColStatus::kAtLower : ColStatus::kAtUpper;
-      val_[out] = target;
-      status_[q] = ColStatus::kBasic;
-      val_[q] = 0.0;
-      basis_[r] = q;
-
-      double* prow = &binv_[static_cast<std::size_t>(r) * m_];
-      for (int k = 0; k < m_; ++k) prow[k] /= piv;
-      for (int i = 0; i < m_; ++i) {
-        if (i == r || w[i] == 0.0) continue;
-        double* irow = &binv_[static_cast<std::size_t>(i) * m_];
-        const double f = w[i];
-        for (int k = 0; k < m_; ++k) irow[k] -= f * prow[k];
-      }
-
-      if ((iter + 1) % opt_.refactor_interval == 0) recompute_xb();
-    }
-    iter_accum += iter;
-    dual_iterations_ += iter;
-    return result;
-  }
-
   std::vector<double> full_solution() const {
     std::vector<double> x(val_.begin(), val_.end());
     for (int i = 0; i < m_; ++i) x[basis_[i]] = xb_[i];
     return x;
-  }
-
-  /// Statuses of the structural and slack columns (a basic artificial --
-  /// possible after a degenerate phase 1 -- leaves the basis short; warm
-  /// validation rejects it and falls back to cold).
-  void extract_basis(Basis& b) const {
-    auto vs = [](ColStatus s) {
-      switch (s) {
-        case ColStatus::kBasic: return VarStatus::kBasic;
-        case ColStatus::kAtLower: return VarStatus::kAtLower;
-        case ColStatus::kAtUpper: return VarStatus::kAtUpper;
-        case ColStatus::kFreeZero: return VarStatus::kFree;
-      }
-      return VarStatus::kAtLower;
-    };
-    b.structural.resize(n_);
-    b.slack.resize(m_);
-    for (int j = 0; j < n_; ++j) b.structural[j] = vs(status_[j]);
-    for (int i = 0; i < m_; ++i) b.slack[i] = vs(status_[n_ + i]);
   }
 
   const LpProblem& p_;
@@ -753,8 +378,6 @@ class Simplex {
   int total_ = 0;
   int num_artificials_ = 0;
   int bound_flips_ = 0;
-  int dual_iterations_ = 0;
-  bool ties_ = false;  ///< terminal pricing pass saw a near-zero reduced cost
 
   std::vector<std::vector<std::pair<int, double>>> cols_;
   std::vector<double> rhs_;
@@ -786,8 +409,6 @@ LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options) {
     LpSolution sol;
     sol.status = SolveStatus::kOptimal;
     sol.x.assign(problem.num_vars(), 0.0);
-    sol.unique_optimum = true;
-    sol.basis.structural.assign(problem.num_vars(), VarStatus::kAtLower);
     for (int j = 0; j < problem.num_vars(); ++j) {
       const auto& v = problem.var(j);
       if (v.obj > 0) {
@@ -796,31 +417,15 @@ LpSolution solve_lp(const LpProblem& problem, const SimplexOptions& options) {
       } else if (v.obj < 0) {
         if (!std::isfinite(v.hi)) { sol.status = SolveStatus::kUnbounded; break; }
         sol.x[j] = v.hi;
-        sol.basis.structural[j] = VarStatus::kAtUpper;
       } else {
         sol.x[j] = std::isfinite(v.lo) ? v.lo : (std::isfinite(v.hi) ? v.hi : 0.0);
-        if (!std::isfinite(v.lo))
-          sol.basis.structural[j] =
-              std::isfinite(v.hi) ? VarStatus::kAtUpper : VarStatus::kFree;
-        if (v.lo < v.hi) sol.unique_optimum = false;  // flat objective
       }
     }
-    if (sol.status == SolveStatus::kOptimal) {
+    if (sol.status == SolveStatus::kOptimal)
       sol.objective = problem.objective_value(sol.x);
-    } else {
+    else
       sol.x.clear();
-      sol.basis = Basis{};
-    }
     return sol;
-  }
-
-  if (options.warm_basis != nullptr && !options.warm_basis->empty()) {
-    Simplex warm(problem, options);
-    bool ok = false;
-    LpSolution sol = warm.run_warm(*options.warm_basis, ok);
-    if (ok) return sol;
-    // Structurally unusable basis: fall through to a cold solve (which is
-    // bit-identical to a solve that never saw the basis).
   }
 
   Simplex s(problem, options);

@@ -27,8 +27,6 @@ const char* to_string(JournalEventKind kind) {
     case JournalEventKind::kSimplexMilestone: return "simplex_milestone";
     case JournalEventKind::kBbMilestone: return "bb_milestone";
     case JournalEventKind::kSessionEdit: return "session_edit";
-    case JournalEventKind::kBasisHit: return "basis_hit";
-    case JournalEventKind::kBasisMiss: return "basis_miss";
     case JournalEventKind::kServiceRequest: return "service_request";
     case JournalEventKind::kServiceResponse: return "service_response";
     case JournalEventKind::kStuckWorker: return "stuck_worker";

@@ -95,8 +95,6 @@ inline void accumulate_tile_stats(const TileSolveResult& tile,
   mr.bb_nodes += tile.bb_nodes;
   mr.lp_solves += tile.lp_solves;
   mr.simplex_iterations += tile.simplex_iterations;
-  mr.dual_iterations += tile.dual_iterations;
-  mr.warm_starts += tile.warm_starts;
   if (tile.failure.has_value()) {
     if (tile.placed > 0 || tile.shortfall == 0)
       ++mr.tiles_degraded;
@@ -139,8 +137,6 @@ inline void publish_method_metrics(const MethodResult& mr,
   reg.counter(name("pil.ilp.bb_nodes")).add(mr.bb_nodes);
   reg.counter(name("pil.ilp.lp_solves")).add(mr.lp_solves);
   reg.counter(name("pil.lp.simplex_iterations")).add(mr.simplex_iterations);
-  reg.counter(name("pil.lp.dual_iterations")).add(mr.dual_iterations);
-  reg.counter(name("pil.lp.warm_starts")).add(mr.warm_starts);
   reg.counter(name("pilfill.tiles_node_limit")).add(mr.tiles_node_limit);
   reg.counter(name("pilfill.tiles_degraded")).add(mr.tiles_degraded);
   reg.counter(name("pilfill.tiles_failed")).add(mr.tiles_failed);
@@ -166,18 +162,10 @@ inline void publish_method_metrics(const MethodResult& mr,
 /// work and the pool rethrows it as pil::Error after joining --
 /// deterministically reporting the lowest-indexed failed tile, regardless
 /// of which worker hit a failure first.
-///
-/// `warm_roots`, when non-null, carries one optional root-basis hint per
-/// `todo` entry (FillSession's per-tile cache); entry i is forwarded to
-/// tile i's ILP as IlpOptions::warm_basis. Hints are pure execution
-/// strategy -- a stale or mismatched basis is rejected inside the LP layer
-/// and never changes results.
 inline std::vector<TileSolveResult> solve_instances_parallel(
     Method method, const std::vector<const TileInstance*>& todo,
     const SolverContext& ctx, const cap::CouplingModel& model,
-    const FlowConfig& config,
-    const std::vector<std::shared_ptr<const lp::Basis>>* warm_roots =
-        nullptr) {
+    const FlowConfig& config) {
   // Per-tile RNG streams keep Normal's placement identical no matter how
   // tiles are distributed over threads.
   const std::uint64_t method_salt =
@@ -208,8 +196,6 @@ inline std::vector<TileSolveResult> solve_instances_parallel(
       Rng rng(method_salt ^
               (static_cast<std::uint64_t>(todo[i]->tile_flat) *
                0x9E3779B97F4A7C15ull));
-      local_ctx.ilp.warm_basis =
-          warm_roots != nullptr ? (*warm_roots)[i] : nullptr;
       obs::JournalCorrelation tile_corr = flow_corr;
       tile_corr.tile = todo[i]->tile_flat;
       obs::JournalScope journal_scope(tile_corr);

@@ -100,13 +100,10 @@ bool failures_equal(const std::vector<TileFailure>& a,
 }
 
 bool methods_equal(const MethodResult& a, const MethodResult& b) {
-  // The search-effort counters (simplex/dual iterations, warm starts,
-  // bb_nodes, lp_solves) are deliberately NOT compared: like the timing
-  // fields they describe the execution strategy -- a warm-started re-solve
-  // reaches the same answer in fewer pivots, and may walk a differently
-  // shaped (equally valid) search tree -- not the solution.
   return a.method == b.method && impacts_equal(a.impact, b.impact) &&
          a.placed == b.placed && a.shortfall == b.shortfall &&
+         a.bb_nodes == b.bb_nodes && a.lp_solves == b.lp_solves &&
+         a.simplex_iterations == b.simplex_iterations &&
          a.tiles_node_limit == b.tiles_node_limit &&
          a.tiles_degraded == b.tiles_degraded &&
          a.tiles_failed == b.tiles_failed &&
@@ -155,14 +152,6 @@ struct FillSession::Impl {
   /// Per-method, per-tile solve results; entries dropped when an edit
   /// changes the tile's solver inputs.
   std::map<Method, std::map<int, TileSolveResult>> cache;
-  /// Per-method, per-tile root-relaxation bases from previous solves.
-  /// Deliberately NOT invalidated with `cache`: a dirty tile's re-solve is
-  /// a lightly perturbed instance of the same LP, which is exactly what a
-  /// warm start wants. A basis that no longer fits (instance changed
-  /// shape) is rejected inside the LP layer and the solve runs cold, so a
-  /// stale hint can slow a solve down but never change its result.
-  std::map<Method, std::map<int, std::shared_ptr<const lp::Basis>>>
-      basis_hints;
   SessionStats stats;
   bool edited = false;  ///< gates pilfill.session.* publication in solve()
   std::uint32_t journal_session_id = 0;  ///< correlation id for flight dumps
@@ -394,45 +383,11 @@ struct FillSession::Impl {
       obs::journal_record(obs::JournalEventKind::kMethodBegin,
                           static_cast<std::uint16_t>(method), 0,
                           static_cast<std::uint64_t>(todo.size()));
-      // Warm-start hints for the tiles about to be (re-)solved: the root
-      // basis each tile's previous solve left behind, if any.
-      std::map<int, std::shared_ptr<const lp::Basis>>& mhints =
-          basis_hints[method];
-      std::vector<std::shared_ptr<const lp::Basis>> warm_roots;
-      long long basis_hits = 0;
-      if (cfg.ilp.warm_start && !todo.empty()) {
-        warm_roots.reserve(todo.size());
-        const bool journaling = obs::journal_armed();
-        obs::JournalCorrelation tile_corr = obs::journal_correlation();
-        for (const int tile : todo_tiles) {
-          const auto hit = mhints.find(tile);
-          warm_roots.push_back(hit != mhints.end() ? hit->second : nullptr);
-          if (warm_roots.back() != nullptr) ++basis_hits;
-          if (journaling) {
-            tile_corr.tile = tile;
-            obs::journal_record_at(tile_corr,
-                                   warm_roots.back() != nullptr
-                                       ? obs::JournalEventKind::kBasisHit
-                                       : obs::JournalEventKind::kBasisMiss,
-                                   static_cast<std::uint16_t>(method));
-          }
-        }
-      }
       std::vector<TileSolveResult> solved =
-          flow_detail::solve_instances_parallel(
-              method, todo, ctx, *model, cfg,
-              warm_roots.empty() ? nullptr : &warm_roots);
-      for (std::size_t i = 0; i < todo.size(); ++i) {
-        // Harvest the new root basis for the next re-solve of this tile
-        // (keeping any previous hint when this solve produced none).
-        if (solved[i].root_basis != nullptr)
-          mhints[todo_tiles[i]] = solved[i].root_basis;
+          flow_detail::solve_instances_parallel(method, todo, ctx, *model,
+                                                cfg);
+      for (std::size_t i = 0; i < todo.size(); ++i)
         mcache[todo_tiles[i]] = std::move(solved[i]);
-      }
-      const long long basis_misses =
-          static_cast<long long>(todo.size()) - basis_hits;
-      stats.basis_hits += basis_hits;
-      stats.basis_misses += basis_misses;
       mr.solve_seconds = solve_watch.seconds();
       obs::journal_record(obs::JournalEventKind::kMethodEnd,
                           static_cast<std::uint16_t>(method), 0,
@@ -477,12 +432,6 @@ struct FillSession::Impl {
         reg.counter(
                obs::labeled("pilfill.session.tiles_reused", {{"method", m}}))
             .add(reused);
-        reg.counter(
-               obs::labeled("pilfill.session.basis_hits", {{"method", m}}))
-            .add(basis_hits);
-        reg.counter(
-               obs::labeled("pilfill.session.basis_misses", {{"method", m}}))
-            .add(basis_misses);
       }
       if (mr.tiles_node_limit > 0 || mr.tiles_degraded > 0 ||
           mr.tiles_failed > 0)

@@ -50,9 +50,6 @@ void record_ilp_stats(const ilp::IlpSolution& sol, TileSolveResult& r) {
   r.bb_nodes = sol.nodes_explored;
   r.lp_solves = sol.lp_solves;
   r.simplex_iterations = sol.lp_iterations;
-  r.dual_iterations = sol.dual_iterations;
-  r.warm_starts = sol.warm_starts;
-  r.root_basis = sol.root_basis;
   r.ilp_status = sol.status;
   r.lp_status = sol.lp_status;
   if (has_usable_solution(sol) && sol.status != ilp::IlpStatus::kOptimal)
@@ -390,8 +387,6 @@ const char* journal_field_name(obs::JournalEventKind kind, char field,
       case K::kTileEnd:
       case K::kLadderStep:
       case K::kTileFailure:
-      case K::kBasisHit:
-      case K::kBasisMiss:
         return value <= static_cast<std::uint64_t>(Method::kConvex)
                    ? to_string(static_cast<Method>(value))
                    : nullptr;
@@ -565,8 +560,6 @@ TileSolveResult solve_tile_guarded(Method method, const TileInstance& inst,
       fb.bb_nodes += primary.bb_nodes;
       fb.lp_solves += primary.lp_solves;
       fb.simplex_iterations += primary.simplex_iterations;
-      fb.dual_iterations += primary.dual_iterations;
-      fb.warm_starts += primary.warm_starts;
       fb.ilp_status = primary.ilp_status;
       fb.lp_status = primary.lp_status;
       fail.served_by = step;

@@ -323,12 +323,7 @@ void expect_ordered_cause_chain(const obs::FlightDump& dump,
     last_seq = e.seq;
     EXPECT_EQ(e.tile, chain.tile);
   }
-  // Warm-start sessions record a basis_hit/basis_miss for the tile
-  // before the worker pool opens it, so the chain may start there.
-  const std::string& first = dump.events[chain.events.front()].kind;
-  EXPECT_TRUE(first == "tile_begin" || first == "basis_hit" ||
-              first == "basis_miss")
-      << first;
+  EXPECT_EQ(dump.events[chain.events.front()].kind, "tile_begin");
   EXPECT_EQ(dump.events[chain.events.back()].kind, "tile_end");
   EXPECT_FALSE(chain.cause.empty());
 }

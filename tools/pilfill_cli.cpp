@@ -27,6 +27,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -60,20 +61,36 @@ struct Args {
   }
 };
 
+/// A malformed command line: main() reports it with kExitUsage.
+struct UsageError : Error {
+  using Error::Error;
+};
+
+// Every option a subcommand reads. Flags take no value; the other options
+// consume the next argument.
+const std::set<std::string> kFlags = {"weighted",   "two-layer",
+                                      "strict",     "fail-fast",
+                                      "no-degrade", "no-journal"};
+const std::set<std::string> kValueOptions = {
+    "allowance-ps", "die", "edit-script", "fault", "fill-layer",
+    "flight-dump", "flow-deadline", "gds", "layer", "lef", "log-level",
+    "max-density", "method", "metrics-json", "metrics-openmetrics", "mode",
+    "nets", "out", "r", "seed", "svg", "threads", "tile-deadline",
+    "trace-json", "window"};
+
 Args parse_args(int argc, char** argv) {
   Args args;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) == 0) {
       const std::string name = a.substr(2);
-      // Boolean flags take no value; everything else consumes the next arg.
-      if (name == "weighted" || name == "two-layer" || name == "strict" ||
-          name == "fail-fast" || name == "no-degrade" ||
-          name == "no-warm-start" || name == "no-journal") {
+      if (kFlags.count(name)) {
         args.options[name] = "1";
-      } else {
+      } else if (kValueOptions.count(name)) {
         if (i + 1 >= argc) throw Error("option --" + name + " needs a value");
         args.options[name] = argv[++i];
+      } else {
+        throw UsageError("unknown option --" + name);
       }
     } else {
       args.positional.push_back(a);
@@ -121,7 +138,6 @@ pilfill::FlowConfig flow_from_args(const Args& args) {
       parse_double(args.get("flow-deadline", "0"), "--flow-deadline");
   config.degrade_on_failure = !args.flag("no-degrade");
   config.fail_fast = args.flag("fail-fast");
-  config.ilp.warm_start = !args.flag("no-warm-start");
   config.fault_spec = args.get("fault", "");
   return config;
 }
@@ -671,8 +687,6 @@ int usage() {
       "  --fail-fast             abort the run at the first tile failure\n"
       "  --strict                exit 3 when any tile was served degraded\n"
       "  --fault <spec>          arm fault injection (site:action:prob[:ms])\n"
-      "  --no-warm-start         solve every B&B node's LP from scratch\n"
-      "                          (disables dual-simplex basis reuse)\n"
       "exit codes: 0 ok, 1 runtime error, 2 usage, 3 degraded/violations\n";
   return kExitUsage;
 }
@@ -699,6 +713,9 @@ int main(int argc, char** argv) {
     if (cmd == "check") return cmd_check(args);
     if (cmd == "score") return cmd_score(args);
     return usage();
+  } catch (const UsageError& e) {
+    std::cerr << "pilfill: " << e.what() << "\n";
+    return kExitUsage;
   } catch (const pil::Error& e) {
     std::cerr << "pilfill: " << e.what() << "\n";
     // Unplanned failure: keep the postmortem. Dump to the requested path,
