@@ -9,12 +9,13 @@
 /// layout (wires + fill as zero-sink "FILL" nets) to filled_output.pld so
 /// downstream tools -- or a human with a plotting script -- can inspect it.
 
+#include <cctype>
 #include <iostream>
 #include <string>
 
 #include "pil/pil.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace pil;
   using pilfill::Method;
 
@@ -30,10 +31,9 @@ int main(int argc, char** argv) {
                          ? pilfill::Objective::kWeighted
                          : pilfill::Objective::kNonWeighted;
   if (argc > 5) {
-    const std::string mode = argv[5];
-    config.solver_mode = mode == "I"    ? fill::SlackMode::kI
-                         : mode == "II" ? fill::SlackMode::kII
-                                        : fill::SlackMode::kIII;
+    std::string mode = argv[5];  // I|II|III, any case
+    for (char& c : mode) c = static_cast<char>(std::tolower(c));
+    config.solver_mode = pilfill::slack_mode_from_wire(mode);
   }
 
   std::cout << "layout: " << chip.num_nets() << " nets / "
@@ -118,4 +118,7 @@ int main(int argc, char** argv) {
               << " fill features) to filled_output.pld + filled_output.svg\n";
   }
   return 0;
+} catch (const pil::Error& e) {  // bad path or mode: say so, exit 1
+  std::cerr << "timing_aware_fill_flow: " << e.what() << "\n";
+  return 1;
 }

@@ -6,10 +6,16 @@
 /// emitted files). No external dependencies; doubles are written with
 /// enough digits to round-trip, and non-finite values become null.
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "pil/util/error.hpp"
 
 namespace pil::obs {
 
@@ -24,7 +30,7 @@ std::string json_number(double v);
 ///
 ///   JsonWriter w(os);
 ///   w.begin_object();
-///   w.kv("schema", "pil.run_report.v1");
+///   w.kv("schema", "pil.run_report.v2");
 ///   w.key("methods");
 ///   w.begin_array();
 ///   ...
@@ -103,5 +109,39 @@ class JsonValue {
 /// Parse a complete JSON document; throws pil::Error on malformed input or
 /// trailing garbage.
 JsonValue parse_json(std::string_view text);
+
+// Checked accessors for decoders: each returns `v` as the named type or
+// throws pil::Error "<field>: expected ...", `field` being the document
+// path an error should quote ("config.seed").
+
+/// Integers travel as JSON numbers, which the parser reads as doubles, so
+/// one is exact only within +-(2^53 - 1), RFC 8259's interoperable range:
+/// 2^53 + 1 arrives as 2^53, indistinguishable from a real 2^53.
+inline constexpr std::uint64_t kMaxJsonInt = (std::uint64_t{1} << 53) - 1;
+
+double json_num(const JsonValue& v, std::string_view field);
+bool json_bool(const JsonValue& v, std::string_view field);
+const std::string& json_str(const JsonValue& v, std::string_view field);
+/// An array's items.
+const std::vector<JsonValue>& json_array(const JsonValue& v,
+                                         std::string_view field);
+
+/// `v` as an integer of type T: an integral number within both T and
+/// +-kMaxJsonInt -- anything else was rounded in transit or would be cast
+/// out of range.
+template <typename T>
+T json_int(const JsonValue& v, std::string_view field) {
+  using Limits = std::numeric_limits<T>;
+  const double lo = std::max(-static_cast<double>(kMaxJsonInt),
+                             static_cast<double>(Limits::min()));
+  const double hi = std::min(static_cast<double>(kMaxJsonInt),
+                             static_cast<double>(Limits::max()));
+  if (!v.is_number() || !(v.num_v >= lo && v.num_v <= hi) ||
+      v.num_v != std::trunc(v.num_v))
+    throw Error(std::string(field) + ": expected an integer in [" +
+                std::to_string(static_cast<long long>(lo)) + ", " +
+                std::to_string(static_cast<long long>(hi)) + "]");
+  return static_cast<T>(v.num_v);
+}
 
 }  // namespace pil::obs

@@ -29,6 +29,7 @@ enum class TargetEngine {
   kMinFillLp,   ///< exact minimum-total-fill LP at the same density floor
 };
 
+/// "mc", "minvar_lp" or "minfill_lp": the config codec's spelling.
 const char* to_string(TargetEngine e);
 
 /// What problem to solve: everything that determines the *fill result* --

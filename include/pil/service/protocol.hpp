@@ -55,12 +55,6 @@ const char* to_string(Op op);
 /// Inverse of to_string; throws pil::Error on an unknown op name.
 Op op_from_name(std::string_view name);
 
-/// Lowercase wire spelling of a fill method ("normal", "ilp1", "ilp2",
-/// "greedy", "convex") -- distinct from pilfill::to_string's display names.
-const char* method_wire_name(pilfill::Method m);
-/// Inverse of method_wire_name; throws pil::Error on an unknown name.
-pilfill::Method method_from_wire(std::string_view name);
-
 // -------------------------------------------------------------- requests ----
 
 /// Synthetic-layout recipe a client can send instead of shipping geometry
@@ -101,7 +95,8 @@ struct Request {
   std::string layout_path;  ///< server-side path (may be disabled)
   std::optional<GenSpec> gen;
   /// Model half plus the session's *base* policy (threads, default
-  /// ladder). Per-request policy rides on the solve request instead.
+  /// ladder), spelled by pilfill's config codec. Per-request policy rides
+  /// on the solve request instead.
   pilfill::FlowConfig config;
   /// Optional explicit pool key; default is the (layout, model) fingerprint
   /// so identical editors land on the same session.
@@ -240,10 +235,8 @@ Response decode_response(std::string_view json);
 
 /// FNV-1a over the canonical .pld serialization -- the session-pool key
 /// component that makes "same geometry" well-defined across transports.
+/// The other component is pilfill::model_fingerprint (config_codec.hpp).
 std::uint64_t layout_fingerprint(const layout::Layout& layout);
-/// FNV-1a over the canonical wire encoding of the model half (policy
-/// excluded: it never changes results, so it must not split the pool).
-std::uint64_t model_fingerprint(const pilfill::ModelConfig& model);
 /// FNV-1a over the rects' raw double bits, in placement order.
 std::uint64_t placement_fingerprint(const std::vector<geom::Rect>& rects);
 

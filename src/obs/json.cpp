@@ -360,4 +360,26 @@ JsonValue parse_json(std::string_view text) {
   return p.parse_document();
 }
 
+double json_num(const JsonValue& v, std::string_view field) {
+  if (!v.is_number()) throw Error(std::string(field) + ": expected a number");
+  return v.num_v;
+}
+
+bool json_bool(const JsonValue& v, std::string_view field) {
+  if (v.type != JsonValue::Type::kBool)
+    throw Error(std::string(field) + ": expected a bool");
+  return v.bool_v;
+}
+
+const std::string& json_str(const JsonValue& v, std::string_view field) {
+  if (!v.is_string()) throw Error(std::string(field) + ": expected a string");
+  return v.str_v;
+}
+
+const std::vector<JsonValue>& json_array(const JsonValue& v,
+                                         std::string_view field) {
+  if (!v.is_array()) throw Error(std::string(field) + ": expected an array");
+  return v.items;
+}
+
 }  // namespace pil::obs

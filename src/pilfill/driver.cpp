@@ -12,11 +12,11 @@ namespace pil::pilfill {
 
 const char* to_string(TargetEngine e) {
   switch (e) {
-    case TargetEngine::kMonteCarlo: return "monte-carlo";
-    case TargetEngine::kMinVarLp: return "min-var-lp";
-    case TargetEngine::kMinFillLp: return "min-fill-lp";
+    case TargetEngine::kMonteCarlo: return "mc";
+    case TargetEngine::kMinVarLp: return "minvar_lp";
+    case TargetEngine::kMinFillLp: return "minfill_lp";
   }
-  return "?";
+  return "mc";
 }
 
 namespace {

@@ -4,7 +4,9 @@
 #include <ostream>
 
 #include "pil/obs/json.hpp"
+#include "pil/pilfill/config_codec.hpp"
 #include "pil/util/error.hpp"
+#include "pil/util/strings.hpp"
 #include "pil/version.hpp"
 
 namespace pil::pilfill {
@@ -17,34 +19,6 @@ void write_density_stats(obs::JsonWriter& w, const grid::DensityStats& s) {
   w.kv("max", s.max_density);
   w.kv("mean", s.mean_density);
   w.kv("variation", s.variation());
-  w.end_object();
-}
-
-void write_config(obs::JsonWriter& w, const FlowConfig& c) {
-  w.begin_object();
-  w.kv("layer", static_cast<long long>(c.layer));
-  w.kv("window_um", c.window_um);
-  w.kv("r", c.r);
-  w.kv("threads", c.threads);
-  w.kv("seed", static_cast<long long>(c.seed));
-  w.kv("objective",
-       c.objective == Objective::kWeighted ? "weighted" : "non-weighted");
-  w.kv("target_engine", to_string(c.target_engine));
-  w.kv("solver_slack_mode", fill::to_string(c.solver_mode));
-  w.kv("fill_style",
-       c.style == cap::FillStyle::kFloating ? "floating" : "grounded");
-  w.kv("switch_factor", c.switch_factor);
-  w.kv("tile_deadline_seconds", c.tile_deadline_seconds);
-  w.kv("flow_deadline_seconds", c.flow_deadline_seconds);
-  w.kv("degrade_on_failure", c.degrade_on_failure);
-  w.kv("fail_fast", c.fail_fast);
-  if (!c.fault_spec.empty()) w.kv("fault_spec", c.fault_spec);
-  w.key("rules");
-  w.begin_object();
-  w.kv("feature_um", c.rules.feature_um);
-  w.kv("gap_um", c.rules.gap_um);
-  w.kv("buffer_um", c.rules.buffer_um);
-  w.end_object();
   w.end_object();
 }
 
@@ -95,13 +69,19 @@ void write_run_report(std::ostream& os, const FlowConfig& config,
                       const RunReportOptions& options) {
   obs::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "pil.run_report.v1");
+  w.kv("schema", "pil.run_report.v2");
   w.kv("tool", options.tool);
   w.kv("version", kVersionString);
   if (!options.input.empty()) w.kv("input", options.input);
 
+  // The wire's config object: read_config_json turns it back into the
+  // FlowConfig that produced this report.
   w.key("config");
-  write_config(w, config);
+  w.begin_object();
+  write_model_json(w, config.model());
+  write_policy_json(w, config.policy());
+  w.end_object();
+  w.kv("model_fingerprint", hex_u64(model_fingerprint(config.model())));
 
   w.key("prep");
   w.begin_object();

@@ -1,16 +1,14 @@
 #include "pil/service/protocol.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <sstream>
 
 #include "pil/layout/pld_io.hpp"
 #include "pil/obs/json.hpp"
+#include "pil/pilfill/config_codec.hpp"
 #include "pil/util/error.hpp"
+#include "pil/util/strings.hpp"
 
 namespace pil::service {
 
@@ -19,83 +17,11 @@ namespace {
 using obs::JsonValue;
 using obs::JsonWriter;
 
-// --------------------------------------------------------------- hashing ----
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a64(std::string_view bytes,
-                      std::uint64_t h = kFnvOffset) noexcept {
-  for (unsigned char ch : bytes) {
-    h ^= ch;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv1a64_double(double v, std::uint64_t h) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    h ^= (bits >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_hex_u64(std::string_view s, const char* what) {
-  PIL_REQUIRE(!s.empty() && s.size() <= 16, std::string(what) +
-                                                ": expected a hex u64");
-  std::uint64_t v = 0;
-  for (char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-    else throw Error(std::string(what) + ": expected a hex u64");
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  return v;
-}
-
 // ----------------------------------------------------------- JSON lookup ----
 
 double get_num(const JsonValue& obj, std::string_view key, double def) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) return def;
-  PIL_REQUIRE(v->is_number(), std::string(key) + ": expected a number");
-  return v->num_v;
-}
-
-/// Integers travel as JSON numbers, which the parser reads as doubles, so
-/// one is exact only within +-(2^53 - 1), RFC 8259's interoperable range:
-/// 2^53 + 1 arrives as 2^53, indistinguishable from a real 2^53.
-constexpr std::uint64_t kMaxWireInt = (std::uint64_t{1} << 53) - 1;
-
-/// `v` as an integer of type T. Throws pil::Error naming `field` unless it
-/// is an integral number within both T and +-kMaxWireInt -- anything else
-/// was rounded in transit or would be cast out of range.
-template <typename T>
-T as_int(const JsonValue& v, std::string_view field) {
-  using Limits = std::numeric_limits<T>;
-  const double lo = std::max(-static_cast<double>(kMaxWireInt),
-                             static_cast<double>(Limits::min()));
-  const double hi = std::min(static_cast<double>(kMaxWireInt),
-                             static_cast<double>(Limits::max()));
-  if (!v.is_number() || !(v.num_v >= lo && v.num_v <= hi) ||
-      v.num_v != std::trunc(v.num_v))
-    throw Error(std::string(field) + ": expected an integer in [" +
-                std::to_string(static_cast<long long>(lo)) + ", " +
-                std::to_string(static_cast<long long>(hi)) + "]");
-  return static_cast<T>(v.num_v);
+  return v == nullptr ? def : obs::json_num(*v, key);
 }
 
 /// The integer member named by the last component of `field`, a dotted
@@ -103,12 +29,12 @@ T as_int(const JsonValue& v, std::string_view field) {
 template <typename T>
 T get_int(const JsonValue& obj, std::string_view field, T def) {
   const JsonValue* v = obj.find(field.substr(field.rfind('.') + 1));
-  return v == nullptr ? def : as_int<T>(*v, field);
+  return v == nullptr ? def : obs::json_int<T>(*v, field);
 }
 
 /// encode_request's guard for a u64 the wire cannot carry exactly.
 void require_wire_int(std::uint64_t v, const char* field) {
-  PIL_REQUIRE(v <= kMaxWireInt,
+  PIL_REQUIRE(v <= obs::kMaxJsonInt,
               std::string(field) + ": " + std::to_string(v) +
                   " exceeds 2^53 - 1, the largest integer the wire "
                   "carries exactly");
@@ -116,73 +42,16 @@ void require_wire_int(std::uint64_t v, const char* field) {
 
 bool get_bool(const JsonValue& obj, std::string_view key, bool def) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) return def;
-  PIL_REQUIRE(v->type == JsonValue::Type::kBool,
-              std::string(key) + ": expected a bool");
-  return v->bool_v;
+  return v == nullptr ? def : obs::json_bool(*v, key);
 }
 
 std::string get_str(const JsonValue& obj, std::string_view key,
                     std::string def = {}) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) return def;
-  PIL_REQUIRE(v->is_string(), std::string(key) + ": expected a string");
-  return v->str_v;
+  return v == nullptr ? def : obs::json_str(*v, key);
 }
 
 // ------------------------------------------------------------ enum wires ----
-
-const char* target_engine_wire(pilfill::TargetEngine e) {
-  switch (e) {
-    case pilfill::TargetEngine::kMonteCarlo: return "mc";
-    case pilfill::TargetEngine::kMinVarLp: return "minvar_lp";
-    case pilfill::TargetEngine::kMinFillLp: return "minfill_lp";
-  }
-  return "mc";
-}
-
-pilfill::TargetEngine target_engine_from_wire(std::string_view s) {
-  if (s == "mc") return pilfill::TargetEngine::kMonteCarlo;
-  if (s == "minvar_lp") return pilfill::TargetEngine::kMinVarLp;
-  if (s == "minfill_lp") return pilfill::TargetEngine::kMinFillLp;
-  throw Error("unknown target_engine \"" + std::string(s) + "\"");
-}
-
-const char* slack_mode_wire(fill::SlackMode m) {
-  switch (m) {
-    case fill::SlackMode::kI: return "i";
-    case fill::SlackMode::kII: return "ii";
-    case fill::SlackMode::kIII: return "iii";
-  }
-  return "iii";
-}
-
-fill::SlackMode slack_mode_from_wire(std::string_view s) {
-  if (s == "i") return fill::SlackMode::kI;
-  if (s == "ii") return fill::SlackMode::kII;
-  if (s == "iii") return fill::SlackMode::kIII;
-  throw Error("unknown solver_mode \"" + std::string(s) + "\"");
-}
-
-const char* objective_wire(pilfill::Objective o) {
-  return o == pilfill::Objective::kWeighted ? "weighted" : "non_weighted";
-}
-
-pilfill::Objective objective_from_wire(std::string_view s) {
-  if (s == "non_weighted") return pilfill::Objective::kNonWeighted;
-  if (s == "weighted") return pilfill::Objective::kWeighted;
-  throw Error("unknown objective \"" + std::string(s) + "\"");
-}
-
-const char* style_wire(cap::FillStyle s) {
-  return s == cap::FillStyle::kGrounded ? "grounded" : "floating";
-}
-
-cap::FillStyle style_from_wire(std::string_view s) {
-  if (s == "floating") return cap::FillStyle::kFloating;
-  if (s == "grounded") return cap::FillStyle::kGrounded;
-  throw Error("unknown style \"" + std::string(s) + "\"");
-}
 
 const char* edit_kind_wire(pilfill::WireEdit::Kind k) {
   switch (k) {
@@ -198,118 +67,6 @@ pilfill::WireEdit::Kind edit_kind_from_wire(std::string_view s) {
   if (s == "remove_segment") return pilfill::WireEdit::Kind::kRemoveSegment;
   if (s == "move_segment") return pilfill::WireEdit::Kind::kMoveSegment;
   throw Error("unknown edit kind \"" + std::string(s) + "\"");
-}
-
-// --------------------------------------------------------- config encode ----
-
-/// The model half, in a fixed key order -- this exact byte sequence (as
-/// produced by encode, compact mode) is what model_fingerprint hashes, so
-/// key order is part of the fingerprint's definition.
-void encode_model(JsonWriter& w, const pilfill::ModelConfig& m) {
-  w.kv("layer", static_cast<long long>(m.layer));
-  w.kv("window_um", m.window_um);
-  w.kv("r", m.r);
-  w.kv("feature_um", m.rules.feature_um);
-  w.kv("gap_um", m.rules.gap_um);
-  w.kv("buffer_um", m.rules.buffer_um);
-  w.kv("target_engine", target_engine_wire(m.target_engine));
-  w.kv("solver_mode", slack_mode_wire(m.solver_mode));
-  w.kv("lower_target", m.target.lower_target);
-  w.kv("upper_bound", m.target.upper_bound);
-  w.kv("target_seed", static_cast<unsigned long long>(m.target.seed));
-  w.kv("objective", objective_wire(m.objective));
-  w.kv("seed", static_cast<unsigned long long>(m.seed));
-  w.kv("ilp_max_nodes", m.ilp.max_nodes);
-  w.kv("style", style_wire(m.style));
-  w.kv("switch_factor", m.switch_factor);
-  if (!m.required_per_tile.empty()) {
-    w.key("required_per_tile");
-    w.begin_array();
-    for (int n : m.required_per_tile) w.value(n);
-    w.end_array();
-  }
-  if (!m.net_criticality.empty()) {
-    w.key("net_criticality");
-    w.begin_array();
-    for (double c : m.net_criticality) w.value(c);
-    w.end_array();
-  }
-}
-
-void encode_policy(JsonWriter& w, const pilfill::SolvePolicy& p) {
-  w.kv("threads", p.threads);
-  w.kv("tile_deadline_seconds", p.tile_deadline_seconds);
-  w.kv("flow_deadline_seconds", p.flow_deadline_seconds);
-  w.kv("degrade_on_failure", p.degrade_on_failure);
-  w.kv("fail_fast", p.fail_fast);
-  if (!p.fault_spec.empty()) w.kv("fault_spec", p.fault_spec);
-}
-
-/// Config decoding rejects unknown keys: a config field the server does not
-/// understand would silently change what problem gets solved, which is the
-/// one place "ignore unknown fields" is the wrong default.
-void decode_config_into(const JsonValue& obj, pilfill::FlowConfig& cfg) {
-  PIL_REQUIRE(obj.is_object(), "config: expected an object");
-  for (const auto& [key, val] : obj.members) {
-    const std::string field = "config." + key;
-    if (key == "layer") {
-      cfg.layer = as_int<layout::LayerId>(val, field);
-    } else if (key == "window_um") {
-      cfg.window_um = val.num_v;
-    } else if (key == "r") {
-      cfg.r = as_int<int>(val, field);
-    } else if (key == "feature_um") {
-      cfg.rules.feature_um = val.num_v;
-    } else if (key == "gap_um") {
-      cfg.rules.gap_um = val.num_v;
-    } else if (key == "buffer_um") {
-      cfg.rules.buffer_um = val.num_v;
-    } else if (key == "target_engine") {
-      cfg.target_engine = target_engine_from_wire(val.str_v);
-    } else if (key == "solver_mode") {
-      cfg.solver_mode = slack_mode_from_wire(val.str_v);
-    } else if (key == "lower_target") {
-      cfg.target.lower_target = val.num_v;
-    } else if (key == "upper_bound") {
-      cfg.target.upper_bound = val.num_v;
-    } else if (key == "target_seed") {
-      cfg.target.seed = as_int<std::uint64_t>(val, field);
-    } else if (key == "objective") {
-      cfg.objective = objective_from_wire(val.str_v);
-    } else if (key == "seed") {
-      cfg.seed = as_int<std::uint64_t>(val, field);
-    } else if (key == "ilp_max_nodes") {
-      cfg.ilp.max_nodes = as_int<int>(val, field);
-    } else if (key == "style") {
-      cfg.style = style_from_wire(val.str_v);
-    } else if (key == "switch_factor") {
-      cfg.switch_factor = val.num_v;
-    } else if (key == "required_per_tile") {
-      PIL_REQUIRE(val.is_array(), "config.required_per_tile: expected array");
-      cfg.required_per_tile.clear();
-      for (const auto& item : val.items)
-        cfg.required_per_tile.push_back(as_int<int>(item, field));
-    } else if (key == "net_criticality") {
-      PIL_REQUIRE(val.is_array(), "config.net_criticality: expected array");
-      cfg.net_criticality.clear();
-      for (const auto& item : val.items)
-        cfg.net_criticality.push_back(item.num_v);
-    } else if (key == "threads") {
-      cfg.threads = as_int<int>(val, field);
-    } else if (key == "tile_deadline_seconds") {
-      cfg.tile_deadline_seconds = val.num_v;
-    } else if (key == "flow_deadline_seconds") {
-      cfg.flow_deadline_seconds = val.num_v;
-    } else if (key == "degrade_on_failure") {
-      cfg.degrade_on_failure = val.bool_v;
-    } else if (key == "fail_fast") {
-      cfg.fail_fast = val.bool_v;
-    } else if (key == "fault_spec") {
-      cfg.fault_spec = val.str_v;
-    } else {
-      throw Error("unknown config key \"" + key + "\"");
-    }
-  }
 }
 
 // ------------------------------------------------------------ edit codec ----
@@ -359,8 +116,8 @@ pilfill::WireEdit decode_edit(const JsonValue& obj) {
 
 void encode_method_summary(JsonWriter& w, const MethodSummary& s) {
   w.begin_object();
-  w.kv("requested", method_wire_name(s.requested));
-  w.kv("served", method_wire_name(s.served));
+  w.kv("requested", pilfill::method_wire_name(s.requested));
+  w.kv("served", pilfill::method_wire_name(s.served));
   w.kv("placed", s.placed);
   w.kv("shortfall", s.shortfall);
   w.kv("features", s.features);
@@ -394,8 +151,8 @@ void encode_method_summary(JsonWriter& w, const MethodSummary& s) {
 MethodSummary decode_method_summary(const JsonValue& obj) {
   PIL_REQUIRE(obj.is_object(), "methods[]: expected an object");
   MethodSummary s;
-  s.requested = method_from_wire(get_str(obj, "requested", "normal"));
-  s.served = method_from_wire(get_str(obj, "served", "normal"));
+  s.requested = pilfill::method_from_wire(get_str(obj, "requested", "normal"));
+  s.served = pilfill::method_from_wire(get_str(obj, "served", "normal"));
   s.placed = get_int<long long>(obj, "methods[].placed", 0);
   s.shortfall = get_int<long long>(obj, "methods[].shortfall", 0);
   s.features = get_int<long long>(obj, "methods[].features", 0);
@@ -413,9 +170,9 @@ MethodSummary decode_method_summary(const JsonValue& obj) {
   s.placement_hash =
       parse_hex_u64(get_str(obj, "placement_hash", "0"), "placement_hash");
   if (const JsonValue* arr = obj.find("placement"); arr != nullptr) {
-    PIL_REQUIRE(arr->is_array(), "placement: expected an array");
-    s.placement.reserve(arr->items.size());
-    for (const JsonValue& item : arr->items) {
+    const std::vector<JsonValue>& items = obs::json_array(*arr, "placement");
+    s.placement.reserve(items.size());
+    for (const JsonValue& item : items) {
       PIL_REQUIRE(item.is_array() && item.items.size() == 4,
                   "placement[]: expected [xlo,ylo,xhi,yhi]");
       s.placement.emplace_back(item.items[0].num_v, item.items[1].num_v,
@@ -447,26 +204,6 @@ Op op_from_name(std::string_view name) {
   if (name == "stats") return Op::kStats;
   if (name == "shutdown") return Op::kShutdown;
   throw Error("unknown op \"" + std::string(name) + "\"");
-}
-
-const char* method_wire_name(pilfill::Method m) {
-  switch (m) {
-    case pilfill::Method::kNormal: return "normal";
-    case pilfill::Method::kIlp1: return "ilp1";
-    case pilfill::Method::kIlp2: return "ilp2";
-    case pilfill::Method::kGreedy: return "greedy";
-    case pilfill::Method::kConvex: return "convex";
-  }
-  return "normal";
-}
-
-pilfill::Method method_from_wire(std::string_view name) {
-  if (name == "normal") return pilfill::Method::kNormal;
-  if (name == "ilp1") return pilfill::Method::kIlp1;
-  if (name == "ilp2") return pilfill::Method::kIlp2;
-  if (name == "greedy") return pilfill::Method::kGreedy;
-  if (name == "convex") return pilfill::Method::kConvex;
-  throw Error("unknown method \"" + std::string(name) + "\"");
 }
 
 layout::SyntheticLayoutConfig GenSpec::to_config() const {
@@ -510,8 +247,8 @@ std::string encode_request(const Request& request) {
   if (request.op == Op::kOpenSession) {
     w.key("config");
     w.begin_object();
-    encode_model(w, request.config.model());
-    encode_policy(w, request.config.policy());
+    pilfill::write_model_json(w, request.config.model());
+    pilfill::write_policy_json(w, request.config.policy());
     w.end_object();
   }
   if (!request.session_key.empty()) w.kv("session_key", request.session_key);
@@ -523,7 +260,8 @@ std::string encode_request(const Request& request) {
   if (!request.methods.empty()) {
     w.key("methods");
     w.begin_array();
-    for (pilfill::Method m : request.methods) w.value(method_wire_name(m));
+    for (pilfill::Method m : request.methods)
+      w.value(pilfill::method_wire_name(m));
     w.end_array();
   }
   if (request.deadline_ms > 0) w.kv("deadline_ms", request.deadline_ms);
@@ -560,18 +298,15 @@ Request decode_request(std::string_view json) {
     r.gen = spec;
   }
   if (const JsonValue* cfg = doc.find("config"); cfg != nullptr)
-    decode_config_into(*cfg, r.config);
+    r.config = pilfill::read_config_json(*cfg);
   r.session_key = get_str(doc, "session_key");
   r.session = get_str(doc, "session");
   if (const JsonValue* edit = doc.find("edit"); edit != nullptr)
     r.edit = decode_edit(*edit);
-  if (const JsonValue* methods = doc.find("methods"); methods != nullptr) {
-    PIL_REQUIRE(methods->is_array(), "methods: expected an array");
-    for (const JsonValue& item : methods->items) {
-      PIL_REQUIRE(item.is_string(), "methods[]: expected a string");
-      r.methods.push_back(method_from_wire(item.str_v));
-    }
-  }
+  if (const JsonValue* methods = doc.find("methods"); methods != nullptr)
+    for (const JsonValue& item : obs::json_array(*methods, "methods"))
+      r.methods.push_back(
+          pilfill::method_from_wire(obs::json_str(item, "methods[]")));
   r.deadline_ms = get_num(doc, "deadline_ms", 0.0);
   r.tile_deadline_ms = get_num(doc, "tile_deadline_ms", 0.0);
   r.no_degrade = get_bool(doc, "no_degrade", false);
@@ -674,11 +409,9 @@ Response decode_response(std::string_view json) {
     s.seconds = get_num(*edit, "seconds", 0.0);
     r.edit = s;
   }
-  if (const JsonValue* methods = doc.find("methods"); methods != nullptr) {
-    PIL_REQUIRE(methods->is_array(), "methods: expected an array");
-    for (const JsonValue& item : methods->items)
+  if (const JsonValue* methods = doc.find("methods"); methods != nullptr)
+    for (const JsonValue& item : obs::json_array(*methods, "methods"))
       r.methods.push_back(decode_method_summary(item));
-  }
   if (const JsonValue* stages = doc.find("stages"); stages != nullptr) {
     PIL_REQUIRE(stages->is_object(), "stages: expected an object");
     StageBreakdown b;
@@ -729,22 +462,17 @@ std::uint64_t layout_fingerprint(const layout::Layout& layout) {
   return fnv1a64(os.str());
 }
 
-std::uint64_t model_fingerprint(const pilfill::ModelConfig& model) {
-  std::ostringstream os;
-  JsonWriter w(os, /*pretty=*/false);
-  w.begin_object();
-  encode_model(w, model);
-  w.end_object();
-  return fnv1a64(os.str());
-}
-
 std::uint64_t placement_fingerprint(const std::vector<geom::Rect>& rects) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1a64Offset;
   for (const geom::Rect& r : rects) {
-    h = fnv1a64_double(r.xlo, h);
-    h = fnv1a64_double(r.ylo, h);
-    h = fnv1a64_double(r.xhi, h);
-    h = fnv1a64_double(r.yhi, h);
+    for (const double v : {r.xlo, r.ylo, r.xhi, r.yhi}) {
+      std::uint64_t bits = 0;
+      static_assert(sizeof(bits) == sizeof(v));
+      std::memcpy(&bits, &v, sizeof(bits));
+      char le[8];  // little-endian, so the hash is host-independent
+      for (int i = 0; i < 8; ++i) le[i] = static_cast<char>(bits >> (8 * i));
+      h = fnv1a64(std::string_view(le, sizeof(le)), h);
+    }
   }
   return h;
 }

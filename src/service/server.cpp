@@ -3,8 +3,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -25,6 +23,7 @@
 #include "pil/obs/metrics.hpp"
 #include "pil/obs/slo.hpp"
 #include "pil/obs/trace.hpp"
+#include "pil/pilfill/config_codec.hpp"
 #include "pil/pilfill/session.hpp"
 #include "pil/service/access_log.hpp"
 #include "pil/service/protocol.hpp"
@@ -32,6 +31,7 @@
 #include "pil/util/deadline.hpp"
 #include "pil/util/error.hpp"
 #include "pil/util/fault.hpp"
+#include "pil/util/strings.hpp"
 #include "socket.hpp"
 
 namespace pil::service {
@@ -61,13 +61,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -333,7 +326,7 @@ struct Server::Impl {
              std::chrono::duration_cast<std::chrono::milliseconds>(
                  std::chrono::system_clock::now().time_since_epoch())
                  .count()));
-    w.kv("trace_id", hex16(resp.trace_id));
+    w.kv("trace_id", hex_u64(resp.trace_id));
     w.kv("op", decoded ? to_string(resp.op) : "invalid");
     w.kv("id", static_cast<unsigned long long>(resp.id));
     if (!resp.session.empty()) w.kv("session", resp.session);
@@ -344,7 +337,8 @@ struct Server::Impl {
     if (!methods.empty()) {
       w.key("methods");
       w.begin_array();
-      for (pilfill::Method m : methods) w.value(method_wire_name(m));
+      for (pilfill::Method m : methods)
+        w.value(pilfill::method_wire_name(m));
       w.end_array();
     }
     if (resp.stages.has_value()) {
@@ -537,7 +531,7 @@ struct Server::Impl {
     // and flight dumps. Args are only built when a session is attached.
     obs::TraceSpan span(to_string(req.op),
                         obs::trace_session() != nullptr
-                            ? "{\"trace\":\"" + hex16(req.trace_id) + "\"}"
+                            ? "{\"trace\":\"" + hex_u64(req.trace_id) + "\"}"
                             : std::string());
     obs::journal_record(obs::JournalEventKind::kServiceRequest,
                         static_cast<std::uint16_t>(req.op),
@@ -611,32 +605,18 @@ struct Server::Impl {
     }
 
     const std::uint64_t layout_hash = layout_fingerprint(layout);
-    const std::uint64_t model_hash = model_fingerprint(req.config.model());
-    std::string key = req.session_key;
-    if (key.empty()) {
-      char buf[34];
-      std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                    static_cast<unsigned long long>(layout_hash),
-                    static_cast<unsigned long long>(model_hash));
-      key = buf;
-    }
+    const std::string key =
+        !req.session_key.empty()
+            ? req.session_key
+            : hex_u64(layout_hash) +
+                  hex_u64(pilfill::model_fingerprint(req.config.model()));
 
     // Fast path: an existing session under this key is reused untouched --
     // its layout may have drifted via apply_edit, which is the point of
     // sharing (collaborating editors see each other's edits).
     {
       std::lock_guard<std::mutex> lock(mu);
-      auto ki = key_index.find(key);
-      if (ki != key_index.end()) {
-        auto entry = sessions.at(ki->second);
-        entry->last_used = Clock::now();
-        resp.ok = true;
-        resp.session = entry->id;
-        resp.reused = true;
-        resp.layout_hash = entry->layout_hash;
-        resp.tiles = entry->session->tiles_total();
-        resp.prep_seconds = entry->session->prep_seconds();
-        counters.sessions_reused += 1;
+      if (answer_reused_locked(key, resp)) {
         job.stages.session_ms = ms_since(t0);
         return;
       }
@@ -655,19 +635,8 @@ struct Server::Impl {
 
     {
       std::lock_guard<std::mutex> lock(mu);
-      auto ki = key_index.find(key);
-      if (ki != key_index.end()) {
-        auto existing = sessions.at(ki->second);
-        existing->last_used = Clock::now();
-        resp.ok = true;
-        resp.session = existing->id;
-        resp.reused = true;
-        resp.layout_hash = existing->layout_hash;
-        resp.tiles = existing->session->tiles_total();
-        resp.prep_seconds = existing->session->prep_seconds();
-        counters.sessions_reused += 1;
+      if (answer_reused_locked(key, resp))
         return;  // entry (and its prep work) is discarded
-      }
       entry->id = "s" + std::to_string(++next_session);
       sessions.emplace(entry->id, entry);
       key_index.emplace(key, entry->id);
@@ -682,6 +651,23 @@ struct Server::Impl {
       resp.tiles = entry->session->tiles_total();
       resp.prep_seconds = entry->session->prep_seconds();
     }
+  }
+
+  /// Answers `resp` from the pooled session under `key`, if there is one.
+  /// The caller holds `mu`.
+  bool answer_reused_locked(const std::string& key, Response& resp) {
+    const auto ki = key_index.find(key);
+    if (ki == key_index.end()) return false;
+    SessionEntry& entry = *sessions.at(ki->second);
+    entry.last_used = Clock::now();
+    resp.ok = true;
+    resp.session = entry.id;
+    resp.reused = true;
+    resp.layout_hash = entry.layout_hash;
+    resp.tiles = entry.session->tiles_total();
+    resp.prep_seconds = entry.session->prep_seconds();
+    counters.sessions_reused += 1;
+    return true;
   }
 
   /// LRU eviction beyond max_sessions. try_lock: a session mid-solve is

@@ -92,4 +92,20 @@ std::string format_double_exact(double v) {
   return buf;
 }
 
+std::string hex_u64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t parse_hex_u64(std::string_view s, std::string_view context) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (s.empty() || s.size() > 16 || ec != std::errc{} ||
+      ptr != s.data() + s.size())
+    throw Error(std::string(context) + ": expected up to 16 hex digits");
+  return v;
+}
+
 }  // namespace pil

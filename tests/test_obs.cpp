@@ -16,11 +16,14 @@
 #include "pil/obs/json.hpp"
 #include "pil/obs/metrics.hpp"
 #include "pil/obs/trace.hpp"
+#include "pil/pilfill/config_codec.hpp"
 #include "pil/pilfill/driver.hpp"
 #include "pil/pilfill/report.hpp"
+#include "pil/pilfill/session.hpp"
 #include "pil/util/error.hpp"
 #include "pil/util/log.hpp"
 #include "pil/util/stopwatch.hpp"
+#include "pil/util/strings.hpp"
 
 namespace pil {
 namespace {
@@ -596,7 +599,7 @@ TEST(RunReport, RoundTripsThroughParser) {
   write_run_report(os, small_config(), res, options);
   const JsonValue v = parse_json(os.str());
 
-  EXPECT_EQ(v.at("schema").str_v, "pil.run_report.v1");
+  EXPECT_EQ(v.at("schema").str_v, "pil.run_report.v2");
   EXPECT_EQ(v.at("input").str_v, "synthetic:small");
   EXPECT_EQ(v.at("config").at("threads").num_v, 1);
   // Stage breakdown sums to the reported prep time.
@@ -619,6 +622,47 @@ TEST(RunReport, RoundTripsThroughParser) {
   const JsonValue& counters = v.at("metrics").at("counters");
   EXPECT_NE(counters.find("pilfill.tiles_solved{method=ILP-II}"), nullptr);
   obs::metrics().clear();
+}
+
+// A report names the model it solved: its `config` decodes, through the
+// service wire's codec, into a FlowConfig that reproduces the run -- one
+// answer reached by two paths, then compared.
+TEST(RunReport, ConfigReplaysTheRun) {
+  const layout::Layout l = small_layout();
+  pilfill::FlowConfig config = small_config(2);
+  config.objective = pilfill::Objective::kWeighted;
+  config.target.lower_target = 0.2;
+  config.target.upper_bound = 0.35;
+  config.target.seed = 99;
+  config.ilp.max_nodes = 3;  // degrades ILP-II tiles: the replay must too
+  config.seed = 1234;
+  for (std::size_t n = 0; n < l.num_nets(); ++n)
+    config.net_criticality.push_back(0.5 + 0.25 * static_cast<double>(n % 5));
+  const std::vector<pilfill::Method> methods = {pilfill::Method::kGreedy,
+                                                pilfill::Method::kIlp2};
+  const pilfill::FlowResult first =
+      pilfill::run_pil_fill_flow(l, config, methods);
+  ASSERT_GT(first.methods[1].tiles_degraded, 0);
+
+  std::ostringstream os;
+  pilfill::RunReportOptions options;
+  options.include_metrics = false;
+  write_run_report(os, config, first, options);
+  const JsonValue v = parse_json(os.str());
+  const pilfill::FlowConfig decoded = pilfill::read_config_json(v.at("config"));
+
+  const std::string& hex = v.at("model_fingerprint").str_v;
+  EXPECT_EQ(hex.size(), 16u);
+  EXPECT_EQ(parse_hex_u64(hex, "model_fingerprint"),
+            pilfill::model_fingerprint(config.model()));
+  EXPECT_EQ(pilfill::model_fingerprint(decoded.model()),
+            pilfill::model_fingerprint(config.model()));
+  EXPECT_EQ(decoded.threads, 2);
+
+  EXPECT_TRUE(pilfill::flow_results_equivalent(
+      pilfill::run_pil_fill_flow(l, decoded, methods), first));
+  EXPECT_FALSE(pilfill::flow_results_equivalent(
+      pilfill::run_pil_fill_flow(l, pilfill::FlowConfig{}, methods), first));
 }
 
 TEST(RunReport, SolverCountersMatchAggregates) {

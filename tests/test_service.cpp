@@ -27,6 +27,7 @@
 #include "pil/obs/journal.hpp"
 #include "pil/obs/json.hpp"
 #include "pil/obs/metrics.hpp"
+#include "pil/pilfill/config_codec.hpp"
 #include "pil/pilfill/driver.hpp"
 #include "pil/pilfill/session.hpp"
 #include "pil/service/access_log.hpp"
@@ -339,14 +340,44 @@ TEST(ServiceProtocol, IntegerFieldsRejectWhatTheWireCannotCarryExactly) {
       "edit.segment");
 }
 
+TEST(ServiceProtocol, ConfigFieldsRejectWrongJsonTypes) {
+  // Each config value is read through a checked accessor: a value of the
+  // wrong JSON type is an error naming the field, never a silent 0, false
+  // or "" that the validator then accepts.
+  const std::string open =
+      "{\"schema\":\"pil.request.v1\",\"op\":\"open_session\","
+      "\"config\":{";
+  for (const auto& [member, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"lower_target\":\"0.3\"", "config.lower_target"},
+           {"\"fail_fast\":1", "config.fail_fast"},
+           {"\"degrade_on_failure\":0", "config.degrade_on_failure"},
+           {"\"net_criticality\":[\"x\",2]", "config.net_criticality"},
+           {"\"net_criticality\":3", "config.net_criticality"},
+           {"\"required_per_tile\":{}", "config.required_per_tile"},
+           {"\"fault_spec\":5", "config.fault_spec"},
+           {"\"tile_deadline_seconds\":\"1\"",
+            "config.tile_deadline_seconds"},
+           {"\"switch_factor\":null", "config.switch_factor"},
+           {"\"window_um\":true", "config.window_um"},
+           {"\"target_engine\":3", "config.target_engine"},
+           {"\"target_engine\":\"monte-carlo\"", "config.target_engine"},
+           {"\"solver_mode\":\"III\"", "config.solver_mode"},
+           {"\"objective\":\"non-weighted\"", "config.objective"},
+           {"\"style\":\"Grounded\"", "config.style"},
+       })
+    expect_rejected(open + member + "}}", field);
+}
+
 TEST(ServiceProtocol, MethodWireNamesRoundTrip) {
   for (pilfill::Method m :
        {pilfill::Method::kNormal, pilfill::Method::kIlp1,
         pilfill::Method::kIlp2, pilfill::Method::kGreedy,
         pilfill::Method::kConvex})
-    EXPECT_EQ(method_from_wire(method_wire_name(m)), m);
-  EXPECT_THROW(method_from_wire("ILP-II"), Error);  // display names are not
-                                                    // wire names
+    EXPECT_EQ(pilfill::method_from_wire(pilfill::method_wire_name(m)), m);
+  EXPECT_THROW(pilfill::method_from_wire("ILP-II"), Error);  // display names
+                                                             // are not wire
+                                                             // names
 }
 
 TEST(ServiceProtocol, FingerprintsSeparateModelFromPolicy) {
@@ -355,9 +386,29 @@ TEST(ServiceProtocol, FingerprintsSeparateModelFromPolicy) {
   b.threads = 8;
   b.flow_deadline_seconds = 2.0;
   // Policy differences must not split the session pool.
-  EXPECT_EQ(model_fingerprint(a.model()), model_fingerprint(b.model()));
+  EXPECT_EQ(pilfill::model_fingerprint(a.model()),
+            pilfill::model_fingerprint(b.model()));
   b.window_um = 16.0;
-  EXPECT_NE(model_fingerprint(a.model()), model_fingerprint(b.model()));
+  EXPECT_NE(pilfill::model_fingerprint(a.model()),
+            pilfill::model_fingerprint(b.model()));
+
+  // The wire's bytes are the fingerprint's definition: these values were
+  // produced by the codec before it moved from pil::service to pilfill, and
+  // they key the session pool, so they must never drift.
+  EXPECT_EQ(pilfill::model_fingerprint(pilfill::ModelConfig{}),
+            0x314c45b4b09fe509ull);
+  pilfill::ModelConfig m;
+  m.target_engine = pilfill::TargetEngine::kMinVarLp;
+  m.solver_mode = fill::SlackMode::kII;
+  m.objective = pilfill::Objective::kWeighted;
+  m.style = cap::FillStyle::kGrounded;
+  m.target.lower_target = 0.2;
+  m.target.upper_bound = 0.3;
+  m.target.seed = 99;
+  m.ilp.max_nodes = 500;
+  m.net_criticality = {1.0, 0.5};
+  m.required_per_tile = {1, 2, 3};
+  EXPECT_EQ(pilfill::model_fingerprint(m), 0x11c4880871fc7c34ull);
 
   const layout::Layout l1 = small_layout(4);
   const layout::Layout l2 = small_layout(5);

@@ -12,7 +12,7 @@
 ///   pilfill table layout.{pld,def} [--weighted]   # all 4 methods, one row
 ///
 /// Observability (fill/table): --metrics-json <path> writes a structured
-/// run report (schema pil.run_report.v1), --trace-json <path> writes a
+/// run report (schema pil.run_report.v2), --trace-json <path> writes a
 /// Chrome/Perfetto trace of the pipeline stages and per-tile solves,
 /// --metrics-openmetrics <path> writes the registry in OpenMetrics text
 /// format, and --log-level debug|info|warn|error|off sets the library log
@@ -20,12 +20,12 @@
 /// pil.flight.v1 postmortem on failure/deadline/fatal signal, or on
 /// request via --flight-dump <path>; --no-journal disarms it.
 
+#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -51,20 +51,7 @@ constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitDegraded = 3;
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  bool flag(const std::string& name) const { return options.count(name) > 0; }
-  std::string get(const std::string& name, const std::string& dflt) const {
-    const auto it = options.find(name);
-    return it == options.end() ? dflt : it->second;
-  }
-};
-
-/// A malformed command line: main() reports it with kExitUsage.
-struct UsageError : Error {
-  using Error::Error;
-};
+using util::Args;
 
 // Every option a subcommand reads. Flags take no value; the other options
 // consume the next argument.
@@ -77,27 +64,6 @@ const std::set<std::string> kValueOptions = {
     "max-density", "method", "metrics-json", "metrics-openmetrics", "mode",
     "nets", "out", "r", "seed", "svg", "threads", "tile-deadline",
     "trace-json", "window"};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string name = a.substr(2);
-      if (kFlags.count(name)) {
-        args.options[name] = "1";
-      } else if (kValueOptions.count(name)) {
-        if (i + 1 >= argc) throw Error("option --" + name + " needs a value");
-        args.options[name] = argv[++i];
-      } else {
-        throw UsageError("unknown option --" + name);
-      }
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
 
 layout::Layout load_layout(const std::string& path, const Args& args) {
   if (path.size() > 4 && path.substr(path.size() - 4) == ".def") {
@@ -120,22 +86,17 @@ layout::Layout load_layout(const std::string& path, const Args& args) {
 
 pilfill::FlowConfig flow_from_args(const Args& args) {
   pilfill::FlowConfig config;
-  config.window_um = parse_double(args.get("window", "32"), "--window");
-  config.r = static_cast<int>(parse_int(args.get("r", "2"), "--r"));
-  config.layer =
-      static_cast<layout::LayerId>(parse_int(args.get("layer", "0"), "--layer"));
-  config.threads =
-      static_cast<int>(parse_int(args.get("threads", "1"), "--threads"));
+  config.window_um = args.num("window", 32.0);
+  config.r = args.num("r", 2);
+  config.layer = args.num<layout::LayerId>("layer", 0);
+  config.threads = args.num("threads", 1);
   if (args.flag("weighted"))
     config.objective = pilfill::Objective::kWeighted;
-  const std::string mode = args.get("mode", "III");
-  config.solver_mode = mode == "I"    ? fill::SlackMode::kI
-                       : mode == "II" ? fill::SlackMode::kII
-                                      : fill::SlackMode::kIII;
-  config.tile_deadline_seconds =
-      parse_double(args.get("tile-deadline", "0"), "--tile-deadline");
-  config.flow_deadline_seconds =
-      parse_double(args.get("flow-deadline", "0"), "--flow-deadline");
+  std::string mode = args.get("mode", "iii");
+  for (char& c : mode) c = static_cast<char>(std::tolower(c));
+  config.solver_mode = pilfill::slack_mode_from_wire(mode);
+  config.tile_deadline_seconds = args.num("tile-deadline", 0.0);
+  config.flow_deadline_seconds = args.num("flow-deadline", 0.0);
   config.degrade_on_failure = !args.flag("no-degrade");
   config.fail_fast = args.flag("fail-fast");
   config.fault_spec = args.get("fault", "");
@@ -285,16 +246,6 @@ class ObsScope {
   std::optional<obs::TraceSession> session_;
 };
 
-pilfill::Method method_from_name(const std::string& name) {
-  if (name == "normal") return pilfill::Method::kNormal;
-  if (name == "ilp1") return pilfill::Method::kIlp1;
-  if (name == "ilp2") return pilfill::Method::kIlp2;
-  if (name == "greedy") return pilfill::Method::kGreedy;
-  if (name == "convex") return pilfill::Method::kConvex;
-  throw Error("unknown method '" + name + "'");
-}
-
-
 /// Replay a wire-edit script against a FillSession, re-solving after each
 /// `solve` line and once more at the end. Line grammar (\# = comment):
 ///   add <net> <x1> <y1> <x2> <y2> <width>
@@ -380,9 +331,9 @@ grid::DensityStats density_with_fill(const layout::Layout& l,
 int cmd_gen(const Args& args) {
   if (args.positional.empty()) throw Error("gen: output path required");
   layout::SyntheticLayoutConfig cfg;
-  cfg.die_um = parse_double(args.get("die", "128"), "--die");
-  cfg.num_nets = static_cast<int>(parse_int(args.get("nets", "150"), "--nets"));
-  cfg.seed = static_cast<std::uint64_t>(parse_int(args.get("seed", "1"), "--seed"));
+  cfg.die_um = args.num("die", 128.0);
+  cfg.num_nets = args.num("nets", 150);
+  cfg.seed = args.num<std::uint64_t>("seed", 1);
   cfg.separate_branch_layer = args.flag("two-layer");
   layout::GeneratorStats stats;
   const layout::Layout l = layout::generate_synthetic_layout(cfg, &stats);
@@ -471,8 +422,7 @@ int cmd_fill(const Args& args) {
     const auto pieces = fill::flatten_pieces(rctree::build_all_trees(l));
     pilfill::BudgetedConfig budgets;
     budgets.net_cap_budget_ff = pilfill::budgets_from_delay_ps(
-        pieces, static_cast<int>(l.num_nets()),
-        parse_double(args.get("allowance-ps", ""), "--allowance-ps"));
+        pieces, static_cast<int>(l.num_nets()), args.num("allowance-ps", 0.0));
     const pilfill::BudgetedFlowResult b =
         pilfill::run_budgeted_pil_fill_flow(l, config, budgets);
     pilfill::MethodResult mr;
@@ -490,11 +440,11 @@ int cmd_fill(const Args& args) {
               << format_double(b.allocation.max_budget_utilization, 3)
               << "\n";
   } else if (args.flag("edit-script")) {
-    res = run_edit_script(l, config, method_from_name(method_name),
+    res = run_edit_script(l, config, pilfill::method_from_wire(method_name),
                           args.get("edit-script", ""));
   } else {
-    res = pilfill::run_pil_fill_flow(l, config,
-                                     {method_from_name(method_name)});
+    res = pilfill::run_pil_fill_flow(
+        l, config, {pilfill::method_from_wire(method_name)});
   }
   const auto& mr = res.methods[0];
   std::cout << method_name << ": placed " << mr.placed
@@ -571,9 +521,8 @@ int cmd_check(const Args& args) {
 
   fill::CheckOptions options;
   options.layer = config.layer;
-  if (args.flag("max-density"))
-    options.max_window_density =
-        parse_double(args.get("max-density", ""), "--max-density");
+  options.max_window_density =
+      args.num("max-density", options.max_window_density);
   const grid::Dissection dis(filled.die(), config.window_um, config.r);
   const fill::CheckReport report =
       fill::check_fill(wires_only, features, options, &dis);
@@ -594,8 +543,7 @@ int cmd_score(const Args& args) {
     throw Error("score: usage: score <layout> <fill.gds> [--fill-layer N]");
   const layout::Layout l = load_layout(args.positional[0], args);
   const pilfill::FlowConfig config = flow_from_args(args);
-  const int fill_layer =
-      static_cast<int>(parse_int(args.get("fill-layer", "100"), "--fill-layer"));
+  const int fill_layer = args.num("fill-layer", 100);
 
   const layout::GdsContents gds = layout::read_gds_file(args.positional[1]);
   std::vector<geom::Rect> features;
@@ -624,9 +572,8 @@ int cmd_score(const Args& args) {
   fill::CheckOptions check;
   check.rules = config.rules;
   check.layer = config.layer;
-  if (args.flag("max-density"))
-    check.max_window_density =
-        parse_double(args.get("max-density", ""), "--max-density");
+  check.max_window_density =
+      args.num("max-density", check.max_window_density);
   const fill::CheckReport report = fill::check_fill(l, features, check, &dis);
   std::cout << "legality     : "
             << (report.clean() ? "CLEAN" : "VIOLATIONS FOUND") << "\n";
@@ -672,7 +619,7 @@ int usage() {
       "  check <filled.pld> [--max-density D] [--window W] [--r R]\n"
       "  score <layout> <fill.gds> [--fill-layer N] [--max-density D]\n"
       "observability (fill/table):\n"
-      "  --metrics-json <path>   write a pil.run_report.v1 JSON report\n"
+      "  --metrics-json <path>   write a pil.run_report.v2 JSON report\n"
       "  --metrics-openmetrics <path>  write metrics in OpenMetrics text format\n"
       "  --trace-json <path>     write a Chrome/Perfetto trace of the run\n"
       "  --flight-dump <path>    always write a pil.flight.v1 postmortem dump\n"
@@ -698,7 +645,7 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   try {
     util::arm_faults_from_env();  // PIL_FAULT / PIL_FAULT_SEED
-    const Args args = parse_args(argc, argv);
+    const Args args = util::parse_cli(argc, argv, 2, kFlags, kValueOptions);
     if (args.flag("no-journal")) obs::set_journal_armed(false);
     obs::journal_set_thread_name("main");
     obs::set_trace_process_name("pilfill");
@@ -713,7 +660,7 @@ int main(int argc, char** argv) {
     if (cmd == "check") return cmd_check(args);
     if (cmd == "score") return cmd_score(args);
     return usage();
-  } catch (const UsageError& e) {
+  } catch (const util::UsageError& e) {
     std::cerr << "pilfill: " << e.what() << "\n";
     return kExitUsage;
   } catch (const pil::Error& e) {

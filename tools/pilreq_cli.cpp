@@ -32,10 +32,8 @@
 /// --strict (same taxonomy as pilfill), 4 could not connect,
 /// 5 connection dropped mid-request, 6 retries exhausted.
 
-#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,21 +79,6 @@ int usage() {
   return kExitUsage;
 }
 
-std::uint64_t parse_hex_arg(const std::string& hex, const char* what) {
-  std::uint64_t v = 0;
-  PIL_REQUIRE(!hex.empty() && hex.size() <= 16,
-              std::string(what) + ": expected up to 16 hex chars");
-  for (char c : hex) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
-    else throw Error(std::string(what) + ": expected up to 16 hex chars");
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  return v;
-}
-
 std::vector<double> parse_csv_doubles(const std::string& s,
                                       std::size_t expect, const char* what) {
   std::vector<double> out;
@@ -113,99 +96,73 @@ std::vector<double> parse_csv_doubles(const std::string& s,
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string op_name = argv[1];
-  std::map<std::string, std::string> opts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      std::cerr << "pilreq: unexpected argument: " << a << "\n";
-      return usage();
-    }
-    const std::string name = a.substr(2);
-    if (name == "gen" || name == "no-degrade" || name == "placement" ||
-        name == "strict" || name == "help") {
-      opts[name] = "1";
-    } else {
-      if (i + 1 >= argc) {
-        std::cerr << "pilreq: option --" << name << " needs a value\n";
-        return usage();
-      }
-      opts[name] = argv[++i];
-    }
-  }
-  if (op_name == "help" || opts.count("help")) return usage();
-
   try {
+    const util::Args args = util::parse_cli(
+        argc, argv, 2, {"gen", "no-degrade", "placement", "strict", "help"},
+        {"add", "deadline-ms", "die", "gen-seed", "id", "key", "layer",
+         "macros", "methods", "move", "nets", "path", "pld", "port", "r",
+         "remove", "request-id", "retries", "retry-backoff-ms", "seed",
+         "session", "socket", "threads", "tile-deadline-ms", "trace-id",
+         "window"});
+    if (!args.positional.empty())
+      throw util::UsageError("unexpected argument: " + args.positional[0]);
+    if (op_name == "help" || args.flag("help")) return usage();
+
     service::Request req;
     // CLI verbs are short; the wire uses the full op names.
     req.op = op_name == "open"   ? service::Op::kOpenSession
              : op_name == "edit" ? service::Op::kApplyEdit
                                  : service::op_from_name(op_name);
-    if (opts.count("id"))
-      req.id = static_cast<std::uint64_t>(parse_int(opts.at("id"), "--id"));
-    // Accept exactly what the wire accepts: up to 16 hex chars.
-    if (opts.count("trace-id"))
-      req.trace_id = parse_hex_arg(opts.at("trace-id"), "--trace-id");
-    if (opts.count("request-id"))
-      req.request_id = parse_hex_arg(opts.at("request-id"), "--request-id");
+    req.id = args.num("id", req.id);
+    // The wire's own hex parser, so both accept the same ids.
+    if (args.flag("trace-id"))
+      req.trace_id = parse_hex_u64(args.get("trace-id", ""), "--trace-id");
+    if (args.flag("request-id"))
+      req.request_id =
+          parse_hex_u64(args.get("request-id", ""), "--request-id");
 
     switch (req.op) {
       case service::Op::kOpenSession: {
-        if (opts.count("pld")) {
-          std::ifstream in(opts.at("pld"));
-          PIL_REQUIRE(in.good(), "cannot open " + opts.at("pld"));
+        if (args.flag("pld")) {
+          std::ifstream in(args.get("pld", ""));
+          PIL_REQUIRE(in.good(), "cannot open " + args.get("pld", ""));
           std::ostringstream text;
           text << in.rdbuf();
           req.layout_pld = text.str();
-        } else if (opts.count("path")) {
-          req.layout_path = opts.at("path");
-        } else if (opts.count("gen")) {
+        } else if (args.flag("path")) {
+          req.layout_path = args.get("path", "");
+        } else if (args.flag("gen")) {
           service::GenSpec gen;
-          if (opts.count("die"))
-            gen.die_um = parse_double(opts.at("die"), "--die");
-          if (opts.count("nets"))
-            gen.num_nets =
-                static_cast<int>(parse_int(opts.at("nets"), "--nets"));
-          if (opts.count("gen-seed"))
-            gen.seed = static_cast<std::uint64_t>(
-                parse_int(opts.at("gen-seed"), "--gen-seed"));
-          if (opts.count("macros"))
-            gen.num_macros =
-                static_cast<int>(parse_int(opts.at("macros"), "--macros"));
+          gen.die_um = args.num("die", gen.die_um);
+          gen.num_nets = args.num("nets", gen.num_nets);
+          gen.seed = args.num("gen-seed", gen.seed);
+          gen.num_macros = args.num("macros", gen.num_macros);
           req.gen = gen;
         } else {
           std::cerr << "pilreq open: need --pld, --gen, or --path\n";
           return usage();
         }
-        if (opts.count("window"))
-          req.config.window_um = parse_double(opts.at("window"), "--window");
-        if (opts.count("r"))
-          req.config.r = static_cast<int>(parse_int(opts.at("r"), "--r"));
-        if (opts.count("layer"))
-          req.config.layer = static_cast<layout::LayerId>(
-              parse_int(opts.at("layer"), "--layer"));
-        if (opts.count("seed"))
-          req.config.seed = static_cast<std::uint64_t>(
-              parse_int(opts.at("seed"), "--seed"));
-        if (opts.count("threads"))
-          req.config.threads =
-              static_cast<int>(parse_int(opts.at("threads"), "--threads"));
-        req.session_key = opts.count("key") ? opts.at("key") : "";
+        req.config.window_um = args.num("window", req.config.window_um);
+        req.config.r = args.num("r", req.config.r);
+        req.config.layer = args.num("layer", req.config.layer);
+        req.config.seed = args.num("seed", req.config.seed);
+        req.config.threads = args.num("threads", req.config.threads);
+        req.session_key = args.get("key", "");
         break;
       }
       case service::Op::kApplyEdit: {
-        PIL_REQUIRE(opts.count("session") > 0, "edit needs --session");
-        req.session = opts.at("session");
-        if (opts.count("add")) {
-          const auto v = parse_csv_doubles(opts.at("add"), 6, "--add");
+        PIL_REQUIRE(args.flag("session"), "edit needs --session");
+        req.session = args.get("session", "");
+        if (args.flag("add")) {
+          const auto v = parse_csv_doubles(args.get("add", ""), 6, "--add");
           req.edit = pilfill::WireEdit::add_segment(
               static_cast<layout::NetId>(v[0]), {v[1], v[2]}, {v[3], v[4]},
               v[5]);
-        } else if (opts.count("remove")) {
+        } else if (args.flag("remove")) {
           req.edit = pilfill::WireEdit::remove_segment(
-              static_cast<layout::SegmentId>(
-                  parse_int(opts.at("remove"), "--remove")));
-        } else if (opts.count("move")) {
-          const auto v = parse_csv_doubles(opts.at("move"), 3, "--move");
+              args.num<layout::SegmentId>("remove", 0));
+        } else if (args.flag("move")) {
+          const auto v = parse_csv_doubles(args.get("move", ""), 3, "--move");
           req.edit = pilfill::WireEdit::move_segment(
               static_cast<layout::SegmentId>(v[0]), v[1], v[2]);
         } else {
@@ -215,21 +172,16 @@ int main(int argc, char** argv) {
         break;
       }
       case service::Op::kSolve: {
-        PIL_REQUIRE(opts.count("session") > 0, "solve needs --session");
-        req.session = opts.at("session");
-        std::stringstream ss(
-            opts.count("methods") ? opts.at("methods") : "ilp2");
+        PIL_REQUIRE(args.flag("session"), "solve needs --session");
+        req.session = args.get("session", "");
+        std::stringstream ss(args.get("methods", "ilp2"));
         std::string item;
         while (std::getline(ss, item, ','))
-          req.methods.push_back(service::method_from_wire(item));
-        if (opts.count("deadline-ms"))
-          req.deadline_ms =
-              parse_double(opts.at("deadline-ms"), "--deadline-ms");
-        if (opts.count("tile-deadline-ms"))
-          req.tile_deadline_ms = parse_double(opts.at("tile-deadline-ms"),
-                                              "--tile-deadline-ms");
-        req.no_degrade = opts.count("no-degrade") > 0;
-        req.include_placement = opts.count("placement") > 0;
+          req.methods.push_back(pilfill::method_from_wire(item));
+        req.deadline_ms = args.num("deadline-ms", 0.0);
+        req.tile_deadline_ms = args.num("tile-deadline-ms", 0.0);
+        req.no_degrade = args.flag("no-degrade");
+        req.include_placement = args.flag("placement");
         break;
       }
       case service::Op::kStats:
@@ -238,20 +190,15 @@ int main(int argc, char** argv) {
     }
 
     service::Client client =
-        opts.count("socket")
-            ? service::Client::connect_unix(opts.at("socket"))
-            : (opts.count("port")
-                   ? service::Client::connect_tcp(static_cast<int>(
-                         parse_int(opts.at("port"), "--port")))
+        args.flag("socket")
+            ? service::Client::connect_unix(args.get("socket", ""))
+            : (args.flag("port")
+                   ? service::Client::connect_tcp(args.num("port", 0))
                    : throw Error("pilreq: need --socket PATH or --port N"));
 
     service::RetryPolicy retry;
-    if (opts.count("retries"))
-      retry.retries =
-          static_cast<int>(parse_int(opts.at("retries"), "--retries"));
-    if (opts.count("retry-backoff-ms"))
-      retry.backoff_ms =
-          parse_double(opts.at("retry-backoff-ms"), "--retry-backoff-ms");
+    retry.retries = args.num("retries", retry.retries);
+    retry.backoff_ms = args.num("retry-backoff-ms", retry.backoff_ms);
 
     std::string raw;
     service::Response resp;
@@ -263,10 +210,7 @@ int main(int argc, char** argv) {
     }
     std::cout << raw << "\n";
     if (resp.trace_id != 0) {
-      char hex[17];
-      std::snprintf(hex, sizeof(hex), "%016llx",
-                    static_cast<unsigned long long>(resp.trace_id));
-      std::cerr << "trace " << hex;
+      std::cerr << "trace " << hex_u64(resp.trace_id);
       if (resp.stages.has_value())
         std::cerr << "  queue " << resp.stages->queue_ms << "ms, admission "
                   << resp.stages->admission_ms << "ms, session "
@@ -279,9 +223,12 @@ int main(int argc, char** argv) {
       std::cerr << "pilreq: " << resp.error << "\n";
       return kExitError;
     }
-    if (opts.count("strict") && (resp.degraded || resp.shed))
+    if (args.flag("strict") && (resp.degraded || resp.shed))
       return kExitDegraded;
     return kExitOk;
+  } catch (const util::UsageError& e) {
+    std::cerr << "pilreq: " << e.what() << "\n";
+    return usage();
   } catch (const service::TransportError& e) {
     switch (e.kind()) {
       case service::TransportError::Kind::kConnect:

@@ -27,7 +27,6 @@
 
 #include <csignal>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,89 +63,55 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      std::cerr << "pilserve: unexpected argument: " << a << "\n";
-      return usage();
-    }
-    const std::string name = a.substr(2);
-    if (name == "reject-when-full" || name == "no-layout-path" ||
-        name == "metrics" || name == "help") {
-      opts[name] = "1";
-    } else {
-      if (i + 1 >= argc) {
-        std::cerr << "pilserve: option --" << name << " needs a value\n";
-        return usage();
-      }
-      opts[name] = argv[++i];
-    }
-  }
-  if (opts.count("help")) return usage();
-
   try {
+    const util::Args args = util::parse_cli(
+        argc, argv, 1,
+        {"reject-when-full", "no-layout-path", "metrics", "help"},
+        {"access-log", "access-log-max-mb", "dedup-window",
+         "default-deadline-ms", "degrade-depth", "flight-dump", "http",
+         "http-socket", "log-level", "max-frame-mb", "max-sessions", "queue",
+         "read-timeout-ms", "socket", "tcp", "watchdog-grace-ms", "workers"});
+    if (!args.positional.empty())
+      throw util::UsageError("unexpected argument: " + args.positional[0]);
+    if (args.flag("help")) return usage();
+
     util::arm_faults_from_env();  // PIL_FAULT / PIL_FAULT_SEED
-    if (opts.count("log-level"))
-      set_log_level(parse_log_level(opts.at("log-level")));
-    if (opts.count("metrics")) obs::set_metrics_enabled(true);
+    if (args.flag("log-level"))
+      set_log_level(parse_log_level(args.get("log-level", "")));
+    if (args.flag("metrics")) obs::set_metrics_enabled(true);
 
     service::ServerConfig config;
-    if (opts.count("socket")) config.unix_socket = opts.at("socket");
-    if (opts.count("tcp"))
-      config.tcp_port =
-          static_cast<int>(parse_int(opts.at("tcp"), "--tcp"));
+    config.unix_socket = args.get("socket", config.unix_socket);
+    config.tcp_port = args.num("tcp", config.tcp_port);
     if (config.unix_socket.empty() && config.tcp_port < 0) {
       std::cerr << "pilserve: need --socket PATH and/or --tcp PORT\n";
       return usage();
     }
-    if (opts.count("workers"))
-      config.workers =
-          static_cast<int>(parse_int(opts.at("workers"), "--workers"));
-    if (opts.count("queue"))
-      config.queue_capacity =
-          static_cast<int>(parse_int(opts.at("queue"), "--queue"));
-    if (opts.count("degrade-depth"))
-      config.degrade_queue_depth = static_cast<int>(
-          parse_int(opts.at("degrade-depth"), "--degrade-depth"));
-    if (opts.count("max-sessions"))
-      config.max_sessions = static_cast<int>(
-          parse_int(opts.at("max-sessions"), "--max-sessions"));
-    if (opts.count("default-deadline-ms"))
+    config.workers = args.num("workers", config.workers);
+    config.queue_capacity = args.num("queue", config.queue_capacity);
+    config.degrade_queue_depth =
+        args.num("degrade-depth", config.degrade_queue_depth);
+    config.max_sessions = args.num("max-sessions", config.max_sessions);
+    if (args.flag("default-deadline-ms"))
       config.default_deadline_seconds =
-          parse_double(opts.at("default-deadline-ms"),
-                             "--default-deadline-ms") /
-          1000.0;
-    if (opts.count("max-frame-mb"))
-      config.max_frame_bytes =
-          static_cast<std::size_t>(parse_int(opts.at("max-frame-mb"),
-                                                   "--max-frame-mb"))
-          << 20;
-    config.reject_when_full = opts.count("reject-when-full") > 0;
-    config.allow_layout_path = opts.count("no-layout-path") == 0;
-    if (opts.count("http"))
-      config.http_port =
-          static_cast<int>(parse_int(opts.at("http"), "--http"));
-    if (opts.count("http-socket")) config.http_socket = opts.at("http-socket");
-    if (opts.count("access-log")) config.access_log = opts.at("access-log");
-    if (opts.count("access-log-max-mb"))
+          args.num("default-deadline-ms", 0.0) / 1000.0;
+    if (args.flag("max-frame-mb"))
+      config.max_frame_bytes = args.num<std::size_t>("max-frame-mb", 0) << 20;
+    config.reject_when_full = args.flag("reject-when-full");
+    config.allow_layout_path = !args.flag("no-layout-path");
+    config.http_port = args.num("http", config.http_port);
+    config.http_socket = args.get("http-socket", config.http_socket);
+    config.access_log = args.get("access-log", config.access_log);
+    if (args.flag("access-log-max-mb"))
       config.access_log_max_bytes =
-          static_cast<std::size_t>(parse_int(opts.at("access-log-max-mb"),
-                                             "--access-log-max-mb"))
-          << 20;
-    if (opts.count("read-timeout-ms"))
-      config.read_timeout_seconds =
-          parse_double(opts.at("read-timeout-ms"), "--read-timeout-ms") /
-          1000.0;
-    if (opts.count("dedup-window"))
-      config.dedup_window = static_cast<int>(
-          parse_int(opts.at("dedup-window"), "--dedup-window"));
-    if (opts.count("watchdog-grace-ms"))
+          args.num<std::size_t>("access-log-max-mb", 0) << 20;
+    if (args.flag("read-timeout-ms"))
+      config.read_timeout_seconds = args.num("read-timeout-ms", 0.0) / 1000.0;
+    config.dedup_window = args.num("dedup-window", config.dedup_window);
+    if (args.flag("watchdog-grace-ms"))
       config.watchdog_grace_seconds =
-          parse_double(opts.at("watchdog-grace-ms"), "--watchdog-grace-ms") /
-          1000.0;
-    const std::string flight_dump =
-        opts.count("flight-dump") ? opts.at("flight-dump") : "";
+          args.num("watchdog-grace-ms", 0.0) / 1000.0;
+    const std::string flight_dump = args.get("flight-dump", "");
 
     service::Server server(config);
 
@@ -191,6 +156,9 @@ int main(int argc, char** argv) {
               << stats.shed << " shed, " << stats.errors << " errors), "
               << stats.sessions_opened << " sessions\n";
     return kExitOk;
+  } catch (const util::UsageError& e) {
+    std::cerr << "pilserve: " << e.what() << "\n";
+    return usage();
   } catch (const Error& e) {
     std::cerr << "pilserve: " << e.what() << "\n";
     return kExitError;

@@ -29,30 +29,7 @@ constexpr int kExitOk = 0;
 constexpr int kExitError = 1;
 constexpr int kExitUsage = 2;
 
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;
-  bool flag(const std::string& name) const { return options.count(name) > 0; }
-  std::string get(const std::string& name, const std::string& dflt) const {
-    const auto it = options.find(name);
-    return it == options.end() ? dflt : it->second;
-  }
-};
-
-Args parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string name = a.substr(2);
-      if (i + 1 >= argc) throw Error("option --" + name + " needs a value");
-      args.options[name] = argv[++i];
-    } else {
-      args.positional.push_back(a);
-    }
-  }
-  return args;
-}
+using util::Args;
 
 obs::FlightDump load_merged(const std::vector<std::string>& paths) {
   if (paths.empty()) throw Error("at least one dump file required");
@@ -124,8 +101,7 @@ int cmd_tiles(const Args& args) {
   const obs::FlightDump dump = load_merged(args.positional);
   std::vector<obs::TileChain> chains = obs::tile_chains(dump);
   const std::string by = args.get("by", "slow");
-  const auto top =
-      static_cast<std::size_t>(parse_int(args.get("top", "10"), "--top"));
+  const auto top = args.num<std::size_t>("top", 10);
 
   if (by == "slow") {
     std::stable_sort(chains.begin(), chains.end(),
@@ -169,7 +145,7 @@ int cmd_tile(const Args& args) {
       load_merged({args.positional.begin(), args.positional.end() - 1});
   const int tile =
       static_cast<int>(parse_int(args.positional.back(), "<tile-id>"));
-  const long long flow = parse_int(args.get("flow", "0"), "--flow");
+  const long long flow = args.num("flow", 0LL);
 
   bool found = false;
   for (const obs::TileChain& c : obs::tile_chains(dump)) {
@@ -298,8 +274,7 @@ int cmd_diff(const Args& args) {
 
   std::sort(slowdowns.begin(), slowdowns.end(),
             [](const auto& x, const auto& y) { return x.first > y.first; });
-  const std::size_t top =
-      static_cast<std::size_t>(parse_int(args.get("top", "5"), "--top"));
+  const auto top = args.num<std::size_t>("top", 5);
   for (std::size_t i = 0; i < slowdowns.size() && i < top; ++i)
     std::cout << "slower in B: " << slowdowns[i].second << "\n";
   return kExitOk;
@@ -330,7 +305,8 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    const Args args = parse_args(argc, argv);
+    const Args args =
+        util::parse_cli(argc, argv, 2, {}, {"by", "flow", "out", "top"});
     if (cmd == "show") return cmd_show(args);
     if (cmd == "tiles") return cmd_tiles(args);
     if (cmd == "tile") return cmd_tile(args);
@@ -338,6 +314,9 @@ int main(int argc, char** argv) {
     if (cmd == "merge") return cmd_merge(args);
     if (cmd == "diff") return cmd_diff(args);
     return usage();
+  } catch (const util::UsageError& e) {
+    std::cerr << "pilstat: " << e.what() << "\n";
+    return kExitUsage;
   } catch (const pil::Error& e) {
     std::cerr << "pilstat: " << e.what() << "\n";
     return kExitError;

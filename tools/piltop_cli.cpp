@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -78,58 +77,37 @@ void render(const obs::JsonValue& doc) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      std::cerr << "piltop: unexpected argument: " << a << "\n";
-      return usage();
-    }
-    const std::string name = a.substr(2);
-    if (name == "once" || name == "raw" || name == "help") {
-      opts[name] = "1";
-    } else {
-      if (i + 1 >= argc) {
-        std::cerr << "piltop: option --" << name << " needs a value\n";
-        return usage();
-      }
-      opts[name] = argv[++i];
-    }
-  }
-  if (opts.count("help")) return usage();
-  if (!opts.count("port") && !opts.count("socket")) {
-    std::cerr << "piltop: need --port N or --socket PATH\n";
-    return usage();
-  }
-
   try {
-    const int port =
-        opts.count("port")
-            ? static_cast<int>(parse_int(opts.at("port"), "--port"))
-            : -1;
-    const std::string socket = opts.count("socket") ? opts.at("socket") : "";
-    const double interval =
-        opts.count("interval")
-            ? parse_double(opts.at("interval"), "--interval")
-            : 2.0;
+    const util::Args args =
+        util::parse_cli(argc, argv, 1, {"once", "raw", "help"},
+                        {"get", "interval", "port", "socket"});
+    if (!args.positional.empty())
+      throw util::UsageError("unexpected argument: " + args.positional[0]);
+    if (args.flag("help")) return usage();
+    if (!args.flag("port") && !args.flag("socket"))
+      throw util::UsageError("need --port N or --socket PATH");
+
+    const int port = args.num("port", -1);
+    const std::string socket = args.get("socket", "");
+    const double interval = args.num("interval", 2.0);
     PIL_REQUIRE(interval > 0, "--interval must be positive");
 
-    if (opts.count("get")) {
+    if (args.flag("get")) {
       int status = 0;
       const std::string body =
-          service::http_get(opts.at("get"), port, socket, &status);
+          service::http_get(args.get("get", ""), port, socket, &status);
       std::cout << body;
       return status == 200 ? kExitOk : kExitError;
     }
 
-    const bool once = opts.count("once") > 0;
+    const bool once = args.flag("once");
     for (;;) {
       int status = 0;
       const std::string body =
           service::http_get("/slo", port, socket, &status);
       PIL_REQUIRE(status == 200, "/slo returned status " +
                                      std::to_string(status));
-      if (opts.count("raw")) {
+      if (args.flag("raw")) {
         std::cout << body;
         if (body.empty() || body.back() != '\n') std::cout << "\n";
       } else {
@@ -140,6 +118,9 @@ int main(int argc, char** argv) {
       if (once) return kExitOk;
       std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     }
+  } catch (const util::UsageError& e) {
+    std::cerr << "piltop: " << e.what() << "\n";
+    return usage();
   } catch (const Error& e) {
     std::cerr << "piltop: " << e.what() << "\n";
     return kExitError;
