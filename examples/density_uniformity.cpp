@@ -1,8 +1,9 @@
 /// \file density_uniformity.cpp
 /// The density-control half of the flow in isolation: analyze window
 /// densities over a fixed r-dissection, compute the per-tile fill
-/// requirement with both engines (exact min-variation LP and the scalable
-/// Monte-Carlo targeter), and compare what they achieve.
+/// requirement with two engines (the min-variation LP, rounded down and
+/// topped up, and the scalable Monte-Carlo targeter), and compare what
+/// they achieve.
 ///
 ///   $ ./density_uniformity [r]
 ///
@@ -61,7 +62,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nMC " << format_double(mc_s * 1e3, 1) << " ms, LP "
             << format_double(lp_s * 1e3, 1)
-            << " ms (LP is exact; MC scales to fine dissections)\n";
+            << " ms (LP starts from the exact optimum; MC scales to fine "
+               "dissections)\n";
 
   // Smoothness (density *steps* between nearby windows, the companion
   // CMP criterion from Chen et al. ISPD'02).

@@ -6,12 +6,14 @@
 /// Zelikovsky, TCAD 2002): raise the minimum window density toward a target
 /// L without pushing any window above a cap U.
 ///
-/// Two engines are provided:
-///   * a Monte-Carlo greedy targeter (scalable; the default for experiments),
-///   * an exact min-variation LP (uses pil::lp; for small dissections and
-///     for cross-checking the targeter in tests).
+/// The three engines share one core. Each resolves L and U the same way,
+/// each starts from a per-tile allocation -- none for Monte-Carlo, an LP
+/// optimum rounded down for the two window LPs -- and each ends in the same
+/// integral top-up loop, which raises the lowest window first and adds a
+/// feature only where every covering window stays at or below U. U is a
+/// hard cap; L is a target that U overrides.
 ///
-/// Both return integer feature counts per tile; every PIL-Fill method then
+/// All return integer feature counts per tile; every PIL-Fill method then
 /// places *exactly these counts*, which is what makes the delay comparison
 /// "at identical density control quality".
 
@@ -42,27 +44,34 @@ struct FillTargetResult {
   double upper_bound_used = 0.0;
 };
 
-/// Monte-Carlo greedy targeter: repeatedly pick the lowest-density window
-/// and drop one feature into a random tile of it that (a) still has slack
-/// capacity and (b) keeps every covering window at or below U. Stops when
-/// the minimum window density reaches L or no window can be improved.
+/// Monte-Carlo greedy targeter: the top-up loop started from no fill.
+/// Repeatedly pick the lowest-density window and drop one feature into a
+/// random tile of it that (a) still has slack capacity and (b) keeps every
+/// covering window at or below U. Stops when the minimum window density
+/// reaches L or no window can be improved: U is a hard cap; L is a target
+/// that U overrides.
 FillTargetResult compute_fill_amounts_mc(
     const grid::DensityMap& wires, const std::vector<int>& tile_capacity,
     const fill::FillRules& rules, const FillTargetConfig& config = {});
 
-/// Exact min-variation LP: maximize the minimum window density subject to
-/// per-tile slack capacity and the cap U, then round to feature counts.
-/// Dense simplex -- intended for dissections up to a few thousand windows.
+/// Min-variation LP: maximize the minimum window density (up to L) subject
+/// to per-tile slack capacity and the cap U, round each tile's LP amount
+/// down to whole features, then top up as Monte-Carlo does. U is a hard
+/// cap; L is a target that U overrides. Dense simplex: a dissection of
+/// more than 1024 windows throws pil::Error naming the engine and the
+/// window count.
 FillTargetResult compute_fill_amounts_lp(
     const grid::DensityMap& wires, const std::vector<int>& tile_capacity,
     const fill::FillRules& rules, const FillTargetConfig& config = {});
 
-/// Exact Min-Fill LP (the other classic objective from the TCAD'02 normal-
-/// fill work): *minimize the total inserted fill* subject to every window
-/// reaching the lower target L (as far as capacity permits -- L is first
-/// clamped to the min-var optimum so the LP stays feasible) and the cap U.
-/// Fewer features means less capacitance for the PIL methods to manage, at
-/// the price of a layout that only just meets the density rule.
+/// Min-Fill LP (the other classic objective from the TCAD'02 normal-fill
+/// work): *minimize the total inserted fill* subject to every window
+/// reaching the lower target L and the cap U, then round down and top up
+/// like the min-variation LP. L is first clamped to the min-variation LP's
+/// optimum so the LP stays feasible. U is a hard cap; L is a target that U
+/// overrides. Fewer features means less capacitance for the PIL methods to
+/// manage, at the price of a layout that only just meets the density rule.
+/// Same 1024-window limit as the min-variation LP.
 FillTargetResult compute_fill_amounts_min_fill_lp(
     const grid::DensityMap& wires, const std::vector<int>& tile_capacity,
     const fill::FillRules& rules, const FillTargetConfig& config = {});

@@ -23,10 +23,12 @@
 namespace pil::pilfill {
 
 /// Which engine computes the per-tile fill requirements (Fig. 8, step 2).
+/// All three end in the same top-up loop, so none passes the cap U; the
+/// two LPs refuse dissections of more than 1024 windows.
 enum class TargetEngine {
   kMonteCarlo,  ///< greedy randomized min-var (scalable; the default)
-  kMinVarLp,    ///< exact min-variation LP
-  kMinFillLp,   ///< exact minimum-total-fill LP at the same density floor
+  kMinVarLp,    ///< min-variation LP, rounded down, then topped up
+  kMinFillLp,   ///< minimum-total-fill LP, rounded down, then topped up
 };
 
 /// "mc", "minvar_lp" or "minfill_lp": the config codec's spelling.
