@@ -125,6 +125,8 @@ const std::string& json_str(const JsonValue& v, std::string_view field);
 /// An array's items.
 const std::vector<JsonValue>& json_array(const JsonValue& v,
                                          std::string_view field);
+/// `v` itself, once checked to be an object.
+const JsonValue& json_object(const JsonValue& v, std::string_view field);
 
 /// `v` as an integer of type T: an integral number within both T and
 /// +-kMaxJsonInt -- anything else was rounded in transit or would be cast

@@ -26,6 +26,7 @@
 
 #include "pil/layout/layout.hpp"
 #include "pil/layout/synthetic.hpp"
+#include "pil/obs/json.hpp"
 #include "pil/pilfill/driver.hpp"
 #include "pil/pilfill/session.hpp"
 
@@ -230,6 +231,9 @@ std::string encode_response(const Response& response);
 /// Parse one pil.response.v1 document. Throws pil::Error on malformed
 /// JSON or a wrong schema.
 Response decode_response(std::string_view json);
+/// The "stages" object that responses and access-log lines carry: the five
+/// stage times as *_ms keys, in declaration order.
+void write_stage_breakdown(obs::JsonWriter& w, const StageBreakdown& stages);
 
 // ----------------------------------------------------------- fingerprints ----
 

@@ -382,4 +382,10 @@ const std::vector<JsonValue>& json_array(const JsonValue& v,
   return v.items;
 }
 
+const JsonValue& json_object(const JsonValue& v, std::string_view field) {
+  if (!v.is_object())
+    throw Error(std::string(field) + ": expected an object");
+  return v;
+}
+
 }  // namespace pil::obs

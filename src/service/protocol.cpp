@@ -96,7 +96,7 @@ void encode_edit(JsonWriter& w, const pilfill::WireEdit& e) {
 }
 
 pilfill::WireEdit decode_edit(const JsonValue& obj) {
-  PIL_REQUIRE(obj.is_object(), "edit: expected an object");
+  obs::json_object(obj, "edit");
   pilfill::WireEdit e;
   e.kind = edit_kind_from_wire(get_str(obj, "kind", "add_segment"));
   e.net = get_int<layout::NetId>(obj, "edit.net", layout::kInvalidNet);
@@ -149,7 +149,7 @@ void encode_method_summary(JsonWriter& w, const MethodSummary& s) {
 }
 
 MethodSummary decode_method_summary(const JsonValue& obj) {
-  PIL_REQUIRE(obj.is_object(), "methods[]: expected an object");
+  obs::json_object(obj, "methods[]");
   MethodSummary s;
   s.requested = pilfill::method_from_wire(get_str(obj, "requested", "normal"));
   s.served = pilfill::method_from_wire(get_str(obj, "served", "normal"));
@@ -173,10 +173,13 @@ MethodSummary decode_method_summary(const JsonValue& obj) {
     const std::vector<JsonValue>& items = obs::json_array(*arr, "placement");
     s.placement.reserve(items.size());
     for (const JsonValue& item : items) {
-      PIL_REQUIRE(item.is_array() && item.items.size() == 4,
-                  "placement[]: expected [xlo,ylo,xhi,yhi]");
-      s.placement.emplace_back(item.items[0].num_v, item.items[1].num_v,
-                               item.items[2].num_v, item.items[3].num_v);
+      const std::vector<JsonValue>& c = obs::json_array(item, "placement[]");
+      if (c.size() != 4)
+        throw Error("placement[]: expected [xlo,ylo,xhi,yhi]");
+      const auto coord = [&](int k) {
+        return obs::json_num(c[k], "placement[]");
+      };
+      s.placement.emplace_back(coord(0), coord(1), coord(2), coord(3));
     }
   }
   return s;
@@ -275,11 +278,11 @@ std::string encode_request(const Request& request) {
 
 Request decode_request(std::string_view json) {
   const JsonValue doc = obs::parse_json(json);
-  PIL_REQUIRE(doc.is_object(), "request: expected a JSON object");
+  obs::json_object(doc, "request");
   const std::string schema = get_str(doc, "schema");
-  PIL_REQUIRE(schema == kRequestSchema,
-              "unsupported request schema \"" + schema + "\" (this endpoint "
-              "speaks " + std::string(kRequestSchema) + ")");
+  if (schema != kRequestSchema)
+    throw Error("unsupported request schema \"" + schema + "\" (this "
+                "endpoint speaks " + std::string(kRequestSchema) + ")");
   Request r;
   r.op = op_from_name(get_str(doc, "op"));
   r.id = get_int<std::uint64_t>(doc, "id", 0);
@@ -289,7 +292,7 @@ Request decode_request(std::string_view json) {
   r.layout_pld = get_str(doc, "layout_pld");
   r.layout_path = get_str(doc, "layout_path");
   if (const JsonValue* gen = doc.find("gen"); gen != nullptr) {
-    PIL_REQUIRE(gen->is_object(), "gen: expected an object");
+    obs::json_object(*gen, "gen");
     GenSpec spec;
     spec.die_um = get_num(*gen, "die_um", spec.die_um);
     spec.num_nets = get_int(*gen, "gen.num_nets", spec.num_nets);
@@ -315,6 +318,16 @@ Request decode_request(std::string_view json) {
 }
 
 // ------------------------------------------------------------- responses ----
+
+void write_stage_breakdown(JsonWriter& w, const StageBreakdown& stages) {
+  w.begin_object();
+  w.kv("queue_ms", stages.queue_ms);
+  w.kv("admission_ms", stages.admission_ms);
+  w.kv("session_ms", stages.session_ms);
+  w.kv("solve_ms", stages.solve_ms);
+  w.kv("write_ms", stages.write_ms);
+  w.end_object();
+}
 
 std::string encode_response(const Response& response) {
   std::ostringstream os;
@@ -359,13 +372,7 @@ std::string encode_response(const Response& response) {
   }
   if (response.stages.has_value()) {
     w.key("stages");
-    w.begin_object();
-    w.kv("queue_ms", response.stages->queue_ms);
-    w.kv("admission_ms", response.stages->admission_ms);
-    w.kv("session_ms", response.stages->session_ms);
-    w.kv("solve_ms", response.stages->solve_ms);
-    w.kv("write_ms", response.stages->write_ms);
-    w.end_object();
+    write_stage_breakdown(w, *response.stages);
   }
   if (!response.stats_json.empty()) {
     w.key("stats");
@@ -377,10 +384,10 @@ std::string encode_response(const Response& response) {
 
 Response decode_response(std::string_view json) {
   const JsonValue doc = obs::parse_json(json);
-  PIL_REQUIRE(doc.is_object(), "response: expected a JSON object");
+  obs::json_object(doc, "response");
   const std::string schema = get_str(doc, "schema");
-  PIL_REQUIRE(schema == kResponseSchema,
-              "unsupported response schema \"" + schema + "\"");
+  if (schema != kResponseSchema)
+    throw Error("unsupported response schema \"" + schema + "\"");
   Response r;
   r.op = op_from_name(get_str(doc, "op", "stats"));
   r.id = get_int<std::uint64_t>(doc, "id", 0);
@@ -400,7 +407,7 @@ Response decode_response(std::string_view json) {
   r.tiles = get_int(doc, "tiles", 0);
   r.prep_seconds = get_num(doc, "prep_seconds", 0.0);
   if (const JsonValue* edit = doc.find("edit"); edit != nullptr) {
-    PIL_REQUIRE(edit->is_object(), "edit: expected an object");
+    obs::json_object(*edit, "edit");
     EditSummary s;
     s.segment = get_int<long long>(*edit, "edit.segment", -1);
     s.columns_rescanned = get_int(*edit, "edit.columns_rescanned", 0);
@@ -413,7 +420,7 @@ Response decode_response(std::string_view json) {
     for (const JsonValue& item : obs::json_array(*methods, "methods"))
       r.methods.push_back(decode_method_summary(item));
   if (const JsonValue* stages = doc.find("stages"); stages != nullptr) {
-    PIL_REQUIRE(stages->is_object(), "stages: expected an object");
+    obs::json_object(*stages, "stages");
     StageBreakdown b;
     b.queue_ms = get_num(*stages, "queue_ms", 0.0);
     b.admission_ms = get_num(*stages, "admission_ms", 0.0);

@@ -343,13 +343,7 @@ struct Server::Impl {
     }
     if (resp.stages.has_value()) {
       w.key("stages");
-      w.begin_object();
-      w.kv("queue_ms", resp.stages->queue_ms);
-      w.kv("admission_ms", resp.stages->admission_ms);
-      w.kv("session_ms", resp.stages->session_ms);
-      w.kv("solve_ms", resp.stages->solve_ms);
-      w.kv("write_ms", resp.stages->write_ms);
-      w.end_object();
+      write_stage_breakdown(w, *resp.stages);
     }
     w.kv("total_ms", total_seconds * 1e3);
     w.end_object();
@@ -588,11 +582,11 @@ struct Server::Impl {
     const int sources = (!req.layout_pld.empty() ? 1 : 0) +
                         (!req.layout_path.empty() ? 1 : 0) +
                         (req.gen.has_value() ? 1 : 0);
-    PIL_REQUIRE(sources == 1,
-                "open_session needs exactly one of layout_pld, layout_path, "
-                "gen");
-    PIL_REQUIRE(req.layout_path.empty() || config.allow_layout_path,
-                "layout_path is disabled on this server");
+    if (sources != 1)
+      throw Error(
+          "open_session needs exactly one of layout_pld, layout_path, gen");
+    if (!req.layout_path.empty() && !config.allow_layout_path)
+      throw Error("layout_path is disabled on this server");
 
     layout::Layout layout;
     if (!req.layout_pld.empty()) {
@@ -694,8 +688,8 @@ struct Server::Impl {
   std::shared_ptr<SessionEntry> find_session(const std::string& id) {
     std::lock_guard<std::mutex> lock(mu);
     auto it = sessions.find(id);
-    PIL_REQUIRE(it != sessions.end(),
-                "unknown session \"" + id + "\" (evicted or never opened)");
+    if (it == sessions.end())
+      throw Error("unknown session \"" + id + "\" (evicted or never opened)");
     it->second->last_used = Clock::now();
     return it->second;
   }
@@ -755,7 +749,7 @@ struct Server::Impl {
 
   void do_solve(Job& job, Response& resp) {
     const Request& req = job.request;
-    PIL_REQUIRE(!req.methods.empty(), "solve needs at least one method");
+    if (req.methods.empty()) throw Error("solve needs at least one method");
     const Clock::time_point t0 = Clock::now();
     auto entry = find_session(req.session);
 

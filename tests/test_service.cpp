@@ -252,6 +252,28 @@ TEST(ServiceProtocol, ResponseRoundTripsBitExactDoubles) {
   EXPECT_TRUE(back.degraded);
 }
 
+/// A rejected document's error goes back to the client: it names what was
+/// wrong and never carries the server's source location.
+void expect_client_facing(const std::string& error) {
+  EXPECT_EQ(error.find("precondition failed"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
+}
+
+/// `decode` (decode_request unless given) must reject `json`, with a
+/// client-facing error naming `field`.
+template <typename Decode = decltype(&decode_request)>
+void expect_rejected(const std::string& json, const std::string& field,
+                     Decode decode = &decode_request) {
+  try {
+    decode(json);
+    ADD_FAILURE() << "accepted " << json;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(field + ":"), std::string::npos)
+        << e.what();
+    expect_client_facing(e.what());
+  }
+}
+
 TEST(ServiceProtocol, RejectsWrongSchemaAndMalformedDocuments) {
   EXPECT_THROW(decode_request("{\"schema\":\"pil.request.v2\",\"op\":\"stats\"}"),
                Error);
@@ -262,6 +284,24 @@ TEST(ServiceProtocol, RejectsWrongSchemaAndMalformedDocuments) {
                    "{\"schema\":\"pil.request.v1\",\"op\":\"levitate\"}"),
                Error);
   EXPECT_THROW(decode_response("{\"schema\":\"pil.request.v1\"}"), Error);
+  // A member that must be an object, sent as a number.
+  expect_rejected(
+      "{\"schema\":\"pil.request.v1\",\"op\":\"open_session\",\"gen\":5}",
+      "gen");
+  expect_rejected(
+      "{\"schema\":\"pil.request.v1\",\"op\":\"apply_edit\",\"edit\":5}",
+      "edit");
+  // Every placement coordinate must be a number, not a silent 0.
+  expect_rejected(
+      "{\"schema\":\"pil.response.v1\",\"op\":\"solve\",\"methods\":"
+      "[{\"placement\":[[\"x\",true,null,{}]]}]}",
+      "placement[]", &decode_response);
+  try {
+    decode_request("{\"schema\":\"pil.request.v2\",\"op\":\"stats\"}");
+    ADD_FAILURE() << "accepted a pil.request.v2 document";
+  } catch (const Error& e) {
+    expect_client_facing(e.what());
+  }
 }
 
 TEST(ServiceProtocol, IgnoresUnknownFieldsButRejectsUnknownConfigKeys) {
@@ -274,17 +314,6 @@ TEST(ServiceProtocol, IgnoresUnknownFieldsButRejectsUnknownConfigKeys) {
       decode_request("{\"schema\":\"pil.request.v1\",\"op\":\"open_session\","
                      "\"config\":{\"windw_um\":32}}"),
       Error);
-}
-
-/// decode_request must reject `json`, with an error naming `field`.
-void expect_rejected(const std::string& json, const std::string& field) {
-  try {
-    decode_request(json);
-    ADD_FAILURE() << "accepted " << json;
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find(field + ":"), std::string::npos)
-        << e.what();
-  }
 }
 
 TEST(ServiceProtocol, IntegerFieldsRejectWhatTheWireCannotCarryExactly) {
@@ -641,6 +670,7 @@ TEST(ServiceServer, UnknownSessionAndBadFramesAreHandled) {
   const Response resp = client.call(solve);
   EXPECT_FALSE(resp.ok);
   EXPECT_NE(resp.error.find("unknown session"), std::string::npos);
+  expect_client_facing(resp.error);
 
   // Malformed JSON in a well-formed frame: an error response, connection
   // stays usable? No -- the server answers and keeps the connection; the
