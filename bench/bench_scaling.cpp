@@ -45,7 +45,7 @@ int main() {
     table.add_row({format_double(die, 0), std::to_string(chip.num_nets()),
                    std::to_string(chip.num_segments()),
                    std::to_string(res.target.total_features),
-                   format_double(res.prep_seconds, 3),
+                   format_double(res.prep_stages.total(), 3),
                    format_double(cpu(res, Method::kIlp2), 3),
                    format_double(cpu(res4, Method::kIlp2), 3),
                    format_double(cpu(res, Method::kGreedy), 4),

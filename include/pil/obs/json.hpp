@@ -30,7 +30,7 @@ std::string json_number(double v);
 ///
 ///   JsonWriter w(os);
 ///   w.begin_object();
-///   w.kv("schema", "pil.run_report.v2");
+///   w.kv("schema", "pil.run_report.v3");
 ///   w.key("methods");
 ///   w.begin_array();
 ///   ...

@@ -169,9 +169,9 @@ bool metrics_enabled() noexcept;
 void set_metrics_enabled(bool enabled) noexcept;
 
 /// Compose a metric name with labels in a fixed, sortable format:
-///   labeled("pilfill.tile_solve_seconds",
-///           {{"method", "ILP-II"}, {"thread", "0"}})
-///     == "pilfill.tile_solve_seconds{method=ILP-II,thread=0}"
+///   labeled("pil.stage_seconds",
+///           {{"stage", "pilfill.solve.tile"}, {"method", "ILP-II"}})
+///     == "pil.stage_seconds{stage=pilfill.solve.tile,method=ILP-II}"
 /// Separator characters inside a label *value* (',', '=', '}', '\\') are
 /// backslash-escaped so the OpenMetrics writer can split the composite
 /// name back into real label dimensions losslessly.

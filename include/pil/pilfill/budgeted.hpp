@@ -60,7 +60,7 @@ struct BudgetedFlowResult {
   BudgetedResult allocation;
   DelayImpact impact;           ///< scored by the standard exact evaluator
   std::vector<geom::Rect> features;
-  double solve_seconds = 0.0;
+  double solve_seconds = 0.0;  ///< stage pilfill.budgeted.solve
 };
 
 /// Derive per-net capacitance budgets from delay budgets: a net that may

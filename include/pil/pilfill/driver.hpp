@@ -150,15 +150,18 @@ struct FillPlacement {
   long long total() const { return static_cast<long long>(features.size()); }
 };
 
-/// Where the shared (method-independent) preparation time went. All in
-/// seconds; total() matches FlowResult::prep_seconds.
+/// Where the shared (method-independent) preparation time went, in
+/// seconds. Each field is timed by one obs::Stage, named before the colon
+/// below; that name is its trace span, its pil.stage_seconds series and
+/// its run-report key.
 struct StageSeconds {
-  double dissection = 0.0;        ///< fixed r-dissection construction
-  double density_map = 0.0;       ///< wire + blockage area accumulation
-  double rc_extraction = 0.0;     ///< RC trees + active-line pieces
-  double slack_extraction = 0.0;  ///< slack-column inventory (both modes)
-  double targeting = 0.0;         ///< per-tile fill requirements
-  double instances = 0.0;         ///< per-tile MDFC instance construction
+  double dissection = 0.0;        ///< grid.dissection: fixed r-dissection
+  double density_map = 0.0;       ///< grid.density_map: wire + blockage area
+  double rc_extraction = 0.0;     ///< rctree.extraction: trees + pieces
+  double slack_extraction = 0.0;  ///< fill.slack_scan: slack columns
+  double targeting = 0.0;         ///< density.targeting: fill requirements
+  double instances = 0.0;         ///< pilfill.instance.build: MDFC instances
+  /// The whole prep time.
   double total() const {
     return dissection + density_map + rc_extraction + slack_extraction +
            targeting + instances;
@@ -168,8 +171,9 @@ struct StageSeconds {
 struct MethodResult {
   Method method = Method::kNormal;
   DelayImpact impact;
-  double solve_seconds = 0.0;  ///< per-tile solve time only (paper's CPU)
-  double eval_seconds = 0.0;   ///< exact-evaluator scoring time
+  /// Stage pilfill.solve.tiles: per-tile solve time only (paper's CPU).
+  double solve_seconds = 0.0;
+  double eval_seconds = 0.0;  ///< stage pilfill.evaluate: exact scoring
   long long placed = 0;
   long long shortfall = 0;     ///< unmet fill requirement (capacity misses)
   long long bb_nodes = 0;
@@ -208,8 +212,7 @@ struct FlowResult {
   density::FillTargetResult target;
   long long total_capacity = 0;
   std::vector<MethodResult> methods;
-  double prep_seconds = 0.0;   ///< extraction + targeting, shared by methods
-  StageSeconds prep_stages;    ///< breakdown of prep_seconds
+  StageSeconds prep_stages;  ///< prep time, shared by the methods
 };
 
 /// Run the flow for each method in `methods`; `config.layer` selects the

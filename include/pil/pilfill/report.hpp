@@ -4,7 +4,7 @@
 /// produced it, the per-stage prep timings, per-method solver internals,
 /// and an optional metrics-registry snapshot) as JSON. This is the
 /// machine-readable counterpart of the CLI's human tables -- schema
-/// "pil.run_report.v2", documented in docs/OBSERVABILITY.md. Its `config`
+/// "pil.run_report.v3", documented in docs/OBSERVABILITY.md. Its `config`
 /// is the service wire's config object (config_codec.hpp), so
 /// read_config_json replays the run.
 

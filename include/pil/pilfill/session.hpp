@@ -101,7 +101,7 @@ struct EditStats {
   int columns_rescanned = 0;  ///< x-site-columns re-scanned
   int tiles_retargeted = 0;   ///< tiles whose fill requirement changed
   int tiles_dirty = 0;        ///< tiles whose cached solves were invalidated
-  double seconds = 0.0;
+  double seconds = 0.0;       ///< stage pilfill.session.apply_edit
 };
 
 /// Session lifetime counters (also published as pilfill.session.* metrics).
@@ -185,7 +185,7 @@ class FillSession {
   const std::vector<rctree::WirePiece>& pieces() const;
   /// Instances of all tiles with a non-zero requirement, in tile order.
   std::vector<TileInstance> instances_snapshot() const;
-  double prep_seconds() const;
+  double prep_seconds() const;  ///< prep_stages().total()
   const StageSeconds& prep_stages() const;
 
  private:

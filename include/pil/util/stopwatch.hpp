@@ -1,9 +1,8 @@
 #pragma once
 /// \file stopwatch.hpp
 /// Wall-clock stopwatch used to report per-method runtimes in the experiment
-/// tables (the paper reports CPU seconds per solver per configuration), plus
-/// a ScopedTimer RAII helper that adds a scope's elapsed time into an
-/// accumulator -- the building block of the driver's per-stage timings.
+/// tables (the paper reports CPU seconds per solver per configuration). The
+/// pipeline's own stages are timed with obs::Stage (pil/obs/stage.hpp).
 
 #include <chrono>
 
@@ -13,71 +12,17 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void reset() {
-    start_ = Clock::now();
-    accumulated_ = 0.0;
-    paused_ = false;
-  }
+  void reset() { start_ = Clock::now(); }
 
-  /// Freeze the clock: elapsed time so far is banked, and seconds() stays
-  /// constant until resume(). pause() while paused is a no-op.
-  void pause() {
-    if (paused_) return;
-    accumulated_ += running_seconds();
-    paused_ = true;
-  }
-
-  /// Restart the clock after a pause(); a no-op when not paused.
-  void resume() {
-    if (!paused_) return;
-    start_ = Clock::now();
-    paused_ = false;
-  }
-
-  bool paused() const { return paused_; }
-
-  /// Elapsed seconds since construction or last reset(), excluding time
-  /// spent paused.
+  /// Elapsed seconds since construction or last reset().
   double seconds() const {
-    return accumulated_ + (paused_ ? 0.0 : running_seconds());
+    return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  /// Elapsed milliseconds since construction or last reset().
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  double running_seconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
   Clock::time_point start_;
-  double accumulated_ = 0.0;
-  bool paused_ = false;
-};
-
-/// Adds the scope's elapsed seconds into `accumulator` on destruction:
-///
-///   double slack_seconds = 0.0;
-///   { ScopedTimer t(slack_seconds); extract_slack_columns(...); }
-///
-/// The accumulator is +='d, so repeated scopes over the same accumulator
-/// total up (e.g. one accumulator across all tiles of a stage).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double& accumulator) : accumulator_(accumulator) {}
-  ~ScopedTimer() { accumulator_ += watch_.seconds(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Elapsed seconds so far in this scope (before the final add).
-  double seconds() const { return watch_.seconds(); }
-
- private:
-  double& accumulator_;
-  Stopwatch watch_;
 };
 
 }  // namespace pil

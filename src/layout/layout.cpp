@@ -55,12 +55,14 @@ SegmentId Layout::add_segment(NetId netid, LayerId layerid, geom::Point p,
               "segment references unknown net");
   PIL_REQUIRE(layerid >= 0 && static_cast<std::size_t>(layerid) < layers_.size(),
               "segment references unknown layer");
-  PIL_REQUIRE(width_um > 0, "segment width must be positive");
+  // Geometry checks throw plain pil::Error: a service client's edit reaches
+  // them, and its error message must not carry a source location.
+  if (!(width_um > 0)) throw Error("segment width must be positive");
   const bool h = geom::nearly_equal(p.y, q.y);
   const bool v = geom::nearly_equal(p.x, q.x);
-  PIL_REQUIRE(h || v, "segments must be axis-aligned");
-  PIL_REQUIRE(die_.contains(p) && die_.contains(q),
-              "segment endpoint outside die");
+  if (!h && !v) throw Error("segments must be axis-aligned");
+  if (!die_.contains(p) || !die_.contains(q))
+    throw Error("segment endpoint outside die");
 
   WireSegment seg;
   seg.id = static_cast<SegmentId>(segments_.size());
@@ -108,8 +110,8 @@ void Layout::move_segment(SegmentId id, double dx, double dy) {
   PIL_REQUIRE(!seg.removed(), "cannot move a removed segment");
   const geom::Point a{seg.a.x + dx, seg.a.y + dy};
   const geom::Point b{seg.b.x + dx, seg.b.y + dy};
-  PIL_REQUIRE(die_.contains(a) && die_.contains(b),
-              "segment endpoint outside die");
+  if (!die_.contains(a) || !die_.contains(b))
+    throw Error("segment endpoint outside die");
   seg.a = a;
   seg.b = b;
 }

@@ -3,10 +3,9 @@
 #include <cmath>
 
 #include "flow_common.hpp"
-#include "pil/obs/trace.hpp"
+#include "pil/obs/stage.hpp"
 #include "pil/pilfill/budgeted.hpp"
 #include "pil/pilfill/session.hpp"
-#include "pil/util/stopwatch.hpp"
 
 namespace pil::pilfill {
 
@@ -150,13 +149,11 @@ BudgetedFlowResult run_budgeted_pil_fill_flow(const layout::Layout& layout,
   const SolverContext ctx = flow_detail::make_context(config, model, lut);
   const std::vector<TileInstance> instances = session.instances_snapshot();
 
-  Stopwatch watch;
   {
-    obs::TraceSpan span("budgeted_solve");
+    obs::Stage stage("pilfill.budgeted.solve", &result.solve_seconds);
     result.allocation = solve_budgeted(instances, ctx, budgets,
                                        static_cast<int>(layout.num_nets()));
   }
-  result.solve_seconds = watch.seconds();
 
   for (std::size_t i = 0; i < instances.size(); ++i)
     flow_detail::append_rects(instances[i], result.allocation.counts[i],

@@ -14,12 +14,11 @@
 
 #include "pil/obs/journal.hpp"
 #include "pil/obs/metrics.hpp"
-#include "pil/obs/trace.hpp"
+#include "pil/obs/stage.hpp"
 #include "pil/pilfill/driver.hpp"
 #include "pil/util/deadline.hpp"
 #include "pil/util/fault.hpp"
 #include "pil/util/rng.hpp"
-#include "pil/util/stopwatch.hpp"
 
 namespace pil::pilfill::flow_detail {
 
@@ -144,8 +143,6 @@ inline void publish_method_metrics(const MethodResult& mr,
     reg.counter(obs::labeled("pilfill.tile_failures",
                              {{"method", m}, {"reason", to_string(f.reason)}}))
         .add(1);
-  reg.gauge(name("pilfill.solve_seconds")).add(mr.solve_seconds);
-  reg.gauge(name("pilfill.eval_seconds")).add(mr.eval_seconds);
 }
 
 /// Solve `todo` tiles with `method` on the shared worker pool. Per-tile RNG
@@ -179,17 +176,10 @@ inline std::vector<TileSolveResult> solve_instances_parallel(
   const obs::JournalCorrelation flow_corr = obs::journal_correlation();
   auto solve_range = [&](SolverContext local_ctx, std::atomic<size_t>& next,
                          int worker) {
-    // Hot-path handles resolved once per worker: recording a tile's solve
-    // time is then one lock-free histogram update. With no sinks attached
-    // the loop body is exactly the uninstrumented solve.
-    obs::Histogram* hist = nullptr;
-    if (obs::metrics_enabled())
-      hist = &obs::metrics().histogram(
-          obs::labeled("pilfill.tile_solve_seconds",
-                       {{"method", to_string(method)},
-                        {"thread", std::to_string(worker)}}));
-    const bool tracing = obs::trace_session() != nullptr;
-    const bool journaling = obs::journal_armed();
+    // Resolved once per worker: recording a tile's solve time is then one
+    // lock-free histogram update.
+    obs::Histogram* const hist =
+        obs::stage_histogram("pilfill.solve.tile", to_string(method), worker);
     for (std::size_t i = next.fetch_add(1); i < todo.size();
          i = next.fetch_add(1)) {
       if (config.fail_fast && abort.load(std::memory_order_relaxed)) break;
@@ -200,29 +190,19 @@ inline std::vector<TileSolveResult> solve_instances_parallel(
       tile_corr.tile = todo[i]->tile_flat;
       obs::JournalScope journal_scope(tile_corr);
       try {
-        if (hist || tracing || journaling) {
-          obs::TraceSpan span(
-              "tile_solve",
-              tracing ? "{\"tile\":" + std::to_string(todo[i]->tile_flat) +
-                            ",\"method\":\"" + to_string(method) + "\"}"
-                      : std::string());
-          if (journaling)
-            obs::journal_record(
-                obs::JournalEventKind::kTileBegin,
-                static_cast<std::uint16_t>(method), 0,
-                static_cast<std::uint64_t>(todo[i]->required));
-          Stopwatch tile_watch;
-          solved[i] = solve_tile_guarded(method, *todo[i], local_ctx, rng);
-          const double tile_seconds = tile_watch.seconds();
-          if (hist) hist->observe(tile_seconds);
-          if (journaling)
-            obs::journal_record(
-                obs::JournalEventKind::kTileEnd,
-                static_cast<std::uint16_t>(method), 0,
-                static_cast<std::uint64_t>(solved[i].placed), tile_seconds);
-        } else {
+        obs::journal_record(obs::JournalEventKind::kTileBegin,
+                            static_cast<std::uint16_t>(method), 0,
+                            static_cast<std::uint64_t>(todo[i]->required));
+        double tile_seconds = 0.0;
+        {
+          obs::Stage stage("pilfill.solve.tile", &tile_seconds, hist,
+                           to_string(method), todo[i]->tile_flat);
           solved[i] = solve_tile_guarded(method, *todo[i], local_ctx, rng);
         }
+        obs::journal_record(obs::JournalEventKind::kTileEnd,
+                            static_cast<std::uint16_t>(method), 0,
+                            static_cast<std::uint64_t>(solved[i].placed),
+                            tile_seconds);
       } catch (const std::exception& e) {
         // solve_tile_guarded is documented not to throw; this is the last
         // line of defense keeping a pool thread from std::terminate.

@@ -69,7 +69,7 @@ void write_run_report(std::ostream& os, const FlowConfig& config,
                       const RunReportOptions& options) {
   obs::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema", "pil.run_report.v2");
+  w.kv("schema", "pil.run_report.v3");
   w.kv("tool", options.tool);
   w.kv("version", kVersionString);
   if (!options.input.empty()) w.kv("input", options.input);
@@ -85,15 +85,16 @@ void write_run_report(std::ostream& os, const FlowConfig& config,
 
   w.key("prep");
   w.begin_object();
-  w.kv("seconds", result.prep_seconds);
-  w.key("stages");
+  const StageSeconds& st = result.prep_stages;
+  w.kv("seconds", st.total());
+  w.key("stages");  // keyed by the obs::Stage names that timed them
   w.begin_object();
-  w.kv("dissection", result.prep_stages.dissection);
-  w.kv("density_map", result.prep_stages.density_map);
-  w.kv("rc_extraction", result.prep_stages.rc_extraction);
-  w.kv("slack_extraction", result.prep_stages.slack_extraction);
-  w.kv("targeting", result.prep_stages.targeting);
-  w.kv("instances", result.prep_stages.instances);
+  w.kv("grid.dissection", st.dissection);
+  w.kv("grid.density_map", st.density_map);
+  w.kv("rctree.extraction", st.rc_extraction);
+  w.kv("fill.slack_scan", st.slack_extraction);
+  w.kv("density.targeting", st.targeting);
+  w.kv("pilfill.instance.build", st.instances);
   w.end_object();
   w.end_object();
 

@@ -12,7 +12,7 @@
 #include "flow_common.hpp"
 #include "pil/obs/journal.hpp"
 #include "pil/obs/metrics.hpp"
-#include "pil/obs/trace.hpp"
+#include "pil/obs/stage.hpp"
 #include "pil/util/log.hpp"
 #include "pil/util/stopwatch.hpp"
 
@@ -134,7 +134,6 @@ struct FillSession::Impl {
   FlowConfig config;
 
   StageSeconds stages;
-  double prep_seconds = 0.0;
 
   std::optional<grid::Dissection> dissection;
   std::optional<grid::DensityMap> wires;
@@ -225,48 +224,36 @@ struct FillSession::Impl {
       util::set_fault_plan(util::FaultPlan::parse(config.fault_spec,
                                                   config.seed));
     {
-      obs::TraceSpan span("prep.dissection");
-      ScopedTimer timer(stages.dissection);
+      obs::Stage stage("grid.dissection", &stages.dissection);
       dissection.emplace(layout.die(), config.window_um, config.r);
     }
     wires.emplace(*dissection);
     {
-      obs::TraceSpan span("prep.rc_trees");
-      ScopedTimer timer(stages.rc_extraction);
+      obs::Stage stage("rctree.extraction", &stages.rc_extraction);
       trees = rctree::build_all_trees(layout);
-    }
-    {
-      ScopedTimer timer(stages.rc_extraction);
       reflatten();
     }
     {
-      obs::TraceSpan span("prep.slack_columns");
-      ScopedTimer timer(stages.slack_extraction);
-      scan.emplace(layout, *dissection, config.layer, config.rules);
-      scan->build(pieces);
-      global = scan->snapshot();
-    }
-    {
-      obs::TraceSpan span("prep.density_map");
-      ScopedTimer timer(stages.density_map);
+      obs::Stage stage("grid.density_map", &stages.density_map);
       wires->add_layer_wires(layout, config.layer);
       wires->add_layer_metal_blockages(layout, config.layer);
     }
-    if (config.solver_mode != SlackMode::kIII) {
-      obs::TraceSpan span("prep.slack_columns");
-      ScopedTimer timer(stages.slack_extraction);
-      alt = fill::extract_slack_columns(layout, *dissection, pieces,
-                                        config.layer, config.rules,
-                                        config.solver_mode);
+    {
+      obs::Stage stage("fill.slack_scan", &stages.slack_extraction);
+      scan.emplace(layout, *dissection, config.layer, config.rules);
+      scan->build(pieces);
+      global = scan->snapshot();
+      if (config.solver_mode != SlackMode::kIII)
+        alt = fill::extract_slack_columns(layout, *dissection, pieces,
+                                          config.layer, config.rules,
+                                          config.solver_mode);
     }
     {
-      obs::TraceSpan span("prep.targeting");
-      ScopedTimer timer(stages.targeting);
+      obs::Stage stage("density.targeting", &stages.targeting);
       target = compute_target();
     }
     {
-      obs::TraceSpan span("prep.instances");
-      ScopedTimer timer(stages.instances);
+      obs::Stage stage("pilfill.instance.build", &stages.instances);
       for (int t = 0; t < dissection->num_tiles(); ++t) {
         const int required = target.features_per_tile[t];
         if (required == 0) continue;
@@ -275,10 +262,10 @@ struct FillSession::Impl {
                                               pieces, config.net_criticality));
       }
     }
-    prep_seconds = stages.total();
     obs::journal_record_at(
         {journal_session_id, 0, -1}, obs::JournalEventKind::kSessionBegin, 0,
-        0, static_cast<std::uint64_t>(dissection->num_tiles()), prep_seconds);
+        0, static_cast<std::uint64_t>(dissection->num_tiles()),
+        stages.total());
 
     const layout::Layer& layer = layout.layer(config.layer);
     model.emplace(layer.eps_r, layer.thickness_um);
@@ -287,14 +274,6 @@ struct FillSession::Impl {
 
     if (obs::metrics_enabled()) {
       auto& reg = obs::metrics();
-      reg.gauge("pilfill.prep.dissection_seconds").add(stages.dissection);
-      reg.gauge("pilfill.prep.density_map_seconds").add(stages.density_map);
-      reg.gauge("pilfill.prep.rc_extraction_seconds")
-          .add(stages.rc_extraction);
-      reg.gauge("pilfill.prep.slack_extraction_seconds")
-          .add(stages.slack_extraction);
-      reg.gauge("pilfill.prep.targeting_seconds").add(stages.targeting);
-      reg.gauge("pilfill.prep.instances_seconds").add(stages.instances);
       reg.counter("pilfill.prep.tiles").add(dissection->num_tiles());
       reg.counter("pilfill.prep.instances")
           .add(static_cast<long long>(instances.size()));
@@ -331,7 +310,6 @@ struct FillSession::Impl {
     result.density_before = wires->stats();
     result.total_capacity = global->total_capacity();
     result.target = target;
-    result.prep_seconds = prep_seconds;
     result.prep_stages = stages;
 
     // The flow budget covers this solve() call: the clock starts here, and
@@ -364,31 +342,31 @@ struct FillSession::Impl {
                         static_cast<std::uint64_t>(instances.size()));
 
     for (const Method method : methods) {
-      obs::TraceSpan method_span(
-          "method", std::string("{\"method\":\"") + to_string(method) + "\"}");
       MethodResult mr;
       mr.method = method;
       mr.placement.features_per_tile.assign(dissection->num_tiles(), 0);
 
       std::map<int, TileSolveResult>& mcache = cache[method];
-      Stopwatch solve_watch;
       std::vector<const TileInstance*> todo;
-      std::vector<int> todo_tiles;
-      todo.reserve(instances.size());
-      for (const auto& [tile, inst] : instances) {
-        if (mcache.count(tile)) continue;
-        todo.push_back(&inst);
-        todo_tiles.push_back(tile);
+      {
+        obs::Stage stage("pilfill.solve.tiles", &mr.solve_seconds,
+                         to_string(method));
+        std::vector<int> todo_tiles;
+        todo.reserve(instances.size());
+        for (const auto& [tile, inst] : instances) {
+          if (mcache.count(tile)) continue;
+          todo.push_back(&inst);
+          todo_tiles.push_back(tile);
+        }
+        obs::journal_record(obs::JournalEventKind::kMethodBegin,
+                            static_cast<std::uint16_t>(method), 0,
+                            static_cast<std::uint64_t>(todo.size()));
+        std::vector<TileSolveResult> solved =
+            flow_detail::solve_instances_parallel(method, todo, ctx, *model,
+                                                  cfg);
+        for (std::size_t i = 0; i < todo.size(); ++i)
+          mcache[todo_tiles[i]] = std::move(solved[i]);
       }
-      obs::journal_record(obs::JournalEventKind::kMethodBegin,
-                          static_cast<std::uint16_t>(method), 0,
-                          static_cast<std::uint64_t>(todo.size()));
-      std::vector<TileSolveResult> solved =
-          flow_detail::solve_instances_parallel(method, todo, ctx, *model,
-                                                cfg);
-      for (std::size_t i = 0; i < todo.size(); ++i)
-        mcache[todo_tiles[i]] = std::move(solved[i]);
-      mr.solve_seconds = solve_watch.seconds();
       obs::journal_record(obs::JournalEventKind::kMethodEnd,
                           static_cast<std::uint16_t>(method), 0,
                           static_cast<std::uint64_t>(todo.size()),
@@ -408,10 +386,8 @@ struct FillSession::Impl {
       }
 
       {
-        obs::TraceSpan eval_span(
-            "evaluate",
-            std::string("{\"method\":\"") + to_string(method) + "\"}");
-        ScopedTimer eval_timer(mr.eval_seconds);
+        obs::Stage stage("pilfill.evaluate", &mr.eval_seconds,
+                         to_string(method));
         mr.impact = evaluator->evaluate_rects(mr.placement.features);
       }
 
@@ -453,30 +429,51 @@ struct FillSession::Impl {
   }
 
   EditStats apply_edit(const WireEdit& edit) {
-    obs::TraceSpan span("session.apply_edit");
-    Stopwatch watch;
+    EditStats es;
+    {
+      obs::Stage stage("pilfill.session.apply_edit", &es.seconds);
+      edit_in_place(edit, es);
+    }
+    obs::journal_record_at({journal_session_id, 0, -1},
+                           obs::JournalEventKind::kSessionEdit, 0, 0,
+                           static_cast<std::uint64_t>(es.segment), es.seconds);
+    if (obs::metrics_enabled()) {
+      auto& reg = obs::metrics();
+      reg.counter("pilfill.session.edits").add(1);
+      reg.counter("pilfill.session.columns_rescanned")
+          .add(es.columns_rescanned);
+      reg.counter("pilfill.session.tiles_dirty").add(es.tiles_dirty);
+    }
+    PIL_INFO("apply_edit: segment " << es.segment << ", "
+             << es.columns_rescanned << " column(s) rescanned, "
+             << es.tiles_retargeted << " tile(s) retargeted, "
+             << es.tiles_dirty << " tile(s) dirty (" << es.seconds << " s)");
+    return es;
+  }
 
+  /// apply_edit's work, steps 1-9: mutate the layout and refresh the prep
+  /// state, recording everything but the time in `es`.
+  void edit_in_place(const WireEdit& edit, EditStats& es) {
     // -- 1. Resolve the edited net and validate the request. --------------
     layout::NetId net = layout::kInvalidNet;
     switch (edit.kind) {
       case WireEdit::Kind::kAddSegment:
-        PIL_REQUIRE(edit.net != layout::kInvalidNet &&
-                        static_cast<std::size_t>(edit.net) < layout.num_nets(),
-                    "edit references an unknown net");
-        PIL_REQUIRE(edit.width_um > 0,
-                    "added segment needs a positive width");
+        if (edit.net == layout::kInvalidNet ||
+            static_cast<std::size_t>(edit.net) >= layout.num_nets())
+          throw Error("edit references an unknown net");
+        if (!(edit.width_um > 0))
+          throw Error("added segment needs a positive width");
         net = edit.net;
         break;
       case WireEdit::Kind::kRemoveSegment:
       case WireEdit::Kind::kMoveSegment: {
-        PIL_REQUIRE(edit.segment >= 0 &&
-                        static_cast<std::size_t>(edit.segment) <
-                            layout.num_segments(),
-                    "edit references an unknown segment");
+        if (edit.segment < 0 ||
+            static_cast<std::size_t>(edit.segment) >= layout.num_segments())
+          throw Error("edit references an unknown segment");
         const layout::WireSegment& seg = layout.segment(edit.segment);
-        PIL_REQUIRE(!seg.removed(), "segment was already removed");
-        PIL_REQUIRE(seg.layer == config.layer,
-                    "edits must stay on the session's fill layer");
+        if (seg.removed()) throw Error("segment was already removed");
+        if (seg.layer != config.layer)
+          throw Error("edits must stay on the session's fill layer");
         net = seg.net;
         break;
       }
@@ -663,29 +660,10 @@ struct FillSession::Impl {
     stats.columns_rescanned += rr.xcols_rescanned;
     stats.tiles_dirty += dirty;
 
-    EditStats es;
     es.segment = sid;
     es.columns_rescanned = rr.xcols_rescanned;
     es.tiles_retargeted = retargeted;
     es.tiles_dirty = dirty;
-    es.seconds = watch.seconds();
-    obs::journal_record_at({journal_session_id, 0, -1},
-                           obs::JournalEventKind::kSessionEdit, 0, 0,
-                           static_cast<std::uint64_t>(sid), es.seconds);
-
-    if (obs::metrics_enabled()) {
-      auto& reg = obs::metrics();
-      reg.counter("pilfill.session.edits").add(1);
-      reg.counter("pilfill.session.columns_rescanned")
-          .add(rr.xcols_rescanned);
-      reg.counter("pilfill.session.tiles_dirty").add(dirty);
-      reg.gauge("pilfill.session.edit_seconds").add(es.seconds);
-    }
-    PIL_INFO("apply_edit: segment " << sid << ", " << rr.xcols_rescanned
-             << " column(s) rescanned, " << retargeted
-             << " tile(s) retargeted, " << dirty << " tile(s) dirty ("
-             << es.seconds << " s)");
-    return es;
   }
 };
 
@@ -739,7 +717,7 @@ std::vector<TileInstance> FillSession::instances_snapshot() const {
   for (const auto& [tile, inst] : impl_->instances) out.push_back(inst);
   return out;
 }
-double FillSession::prep_seconds() const { return impl_->prep_seconds; }
+double FillSession::prep_seconds() const { return impl_->stages.total(); }
 const StageSeconds& FillSession::prep_stages() const { return impl_->stages; }
 
 }  // namespace pil::pilfill

@@ -73,8 +73,8 @@ RcTree RcTree::build(const Layout& layout, NetId netid,
   if (segs.empty()) {
     // Degenerate but legal: a net with no routing. All pins must coincide.
     for (const auto& s : net.sinks)
-      PIL_REQUIRE(manhattan_distance(s.location, net.source) <= tol,
-                  "net '" + net.name + "' has sinks but no routing");
+      if (manhattan_distance(s.location, net.source) > tol)
+        throw Error("net '" + net.name + "' has sinks but no routing");
     RcNode root;
     root.p = net.source;
     root.upstream_res = net.driver_res_ohm;
@@ -159,8 +159,8 @@ RcTree RcTree::build(const Layout& layout, NetId netid,
 
   const NodeKey source_key = make_key(net.source, tol);
   const auto src_it = node_of.find(source_key);
-  PIL_REQUIRE(src_it != node_of.end(),
-              "net '" + net.name + "': source is not on the routing");
+  if (src_it == node_of.end())
+    throw Error("net '" + net.name + "': source is not on the routing");
   const int src_node = src_it->second;
 
   // ---- 3. BFS from the source: orientation, loop/connectivity checks ------
@@ -185,8 +185,8 @@ RcTree RcTree::build(const Layout& layout, NetId netid,
       }
     }
   }
-  PIL_REQUIRE(static_cast<int>(order.size()) == n,
-              "net '" + net.name + "': routing is disconnected");
+  if (static_cast<int>(order.size()) != n)
+    throw Error("net '" + net.name + "': routing is disconnected");
 
   // ---- 4. Renumber so the root is node 0, in BFS order --------------------
   std::vector<int> newid(n, -1);
@@ -242,8 +242,8 @@ RcTree RcTree::build(const Layout& layout, NetId netid,
   tree.sink_nodes_.reserve(net.sinks.size());
   for (const auto& sink : net.sinks) {
     const auto it = node_of.find(make_key(sink.location, tol));
-    PIL_REQUIRE(it != node_of.end(),
-                "net '" + net.name + "': sink is not on the routing");
+    if (it == node_of.end())
+      throw Error("net '" + net.name + "': sink is not on the routing");
     const int node = newid[it->second];
     tree.nodes_[node].cap_ff += sink.load_cap_ff;
     tree.nodes_[node].subtree_sinks += 1;  // local count; accumulated below

@@ -7,7 +7,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +18,7 @@
 #include "pil/obs/journal.hpp"
 #include "pil/obs/json.hpp"
 #include "pil/obs/metrics.hpp"
+#include "pil/obs/stage.hpp"
 #include "pil/obs/trace.hpp"
 #include "pil/pilfill/config_codec.hpp"
 #include "pil/pilfill/driver.hpp"
@@ -22,7 +26,6 @@
 #include "pil/pilfill/session.hpp"
 #include "pil/util/error.hpp"
 #include "pil/util/log.hpp"
-#include "pil/util/stopwatch.hpp"
 #include "pil/util/strings.hpp"
 
 namespace pil {
@@ -525,36 +528,7 @@ TEST(Trace, EmitsProcessAndThreadMetadata) {
   EXPECT_EQ(obs::trace_process_name(), "pil-test");
 }
 
-// ------------------------------------------------------- stopwatch / log ----
-
-TEST(Stopwatch, PauseFreezesElapsedTime) {
-  Stopwatch sw;
-  sw.pause();
-  EXPECT_TRUE(sw.paused());
-  const double frozen = sw.seconds();
-  // Burn a little wall clock; the paused reading must not move.
-  double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
-  EXPECT_GT(sink, 0.0);
-  EXPECT_DOUBLE_EQ(sw.seconds(), frozen);
-  sw.pause();  // idempotent
-  sw.resume();
-  EXPECT_FALSE(sw.paused());
-  EXPECT_GE(sw.seconds(), frozen);
-  sw.resume();  // idempotent
-}
-
-TEST(Stopwatch, ScopedTimerAccumulates) {
-  double total = 0.0;
-  {
-    ScopedTimer t(total);
-    EXPECT_GE(t.seconds(), 0.0);
-  }
-  const double first = total;
-  EXPECT_GE(first, 0.0);
-  { ScopedTimer t(total); }
-  EXPECT_GE(total, first);  // += semantics, not overwrite
-}
+// ------------------------------------------------------------------ log ----
 
 TEST(Log, ParseLogLevel) {
   EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
@@ -599,7 +573,7 @@ TEST(RunReport, RoundTripsThroughParser) {
   write_run_report(os, small_config(), res, options);
   const JsonValue v = parse_json(os.str());
 
-  EXPECT_EQ(v.at("schema").str_v, "pil.run_report.v2");
+  EXPECT_EQ(v.at("schema").str_v, "pil.run_report.v3");
   EXPECT_EQ(v.at("input").str_v, "synthetic:small");
   EXPECT_EQ(v.at("config").at("threads").num_v, 1);
   // Stage breakdown sums to the reported prep time.
@@ -621,6 +595,93 @@ TEST(RunReport, RoundTripsThroughParser) {
   // The metrics snapshot rode along and has the per-method counters.
   const JsonValue& counters = v.at("metrics").at("counters");
   EXPECT_NE(counters.find("pilfill.tiles_solved{method=ILP-II}"), nullptr);
+  obs::metrics().clear();
+}
+
+// One name per stage in every sink. A traced, metered flow's run report
+// keys prep.stages by the same six names as the prep spans and the
+// pil.stage_seconds labels, and every per-method solve, evaluate and tile
+// span was counted once in its histogram.
+TEST(Stage, OneNamePerStageAcrossSinks) {
+  const layout::Layout l = small_layout();
+  const pilfill::FlowConfig config = small_config(2);
+  obs::metrics().clear();
+  obs::set_metrics_enabled(true);
+  obs::TraceSession session;
+  obs::set_trace_session(&session);
+  const pilfill::FlowResult res = pilfill::run_pil_fill_flow(
+      l, config, {pilfill::Method::kNormal, pilfill::Method::kIlp2});
+  obs::set_trace_session(nullptr);
+  std::ostringstream report;
+  write_run_report(report, config, res);
+  obs::set_metrics_enabled(false);
+  const JsonValue v = parse_json(report.str());
+
+  std::set<std::string> report_keys;
+  for (const auto& [name, seconds] : v.at("prep").at("stages").members)
+    report_keys.insert(name);
+  EXPECT_EQ(report_keys.size(), 6u);
+
+  // (stage, method) -> histogram count, summed over worker threads; the
+  // method is "" for a prep stage.
+  using Key = std::pair<std::string, std::string>;
+  std::map<Key, long long> observed;
+  const std::string prefix = "pil.stage_seconds{";
+  for (const auto& [name, hist] : v.at("metrics").at("histograms").members) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    std::map<std::string, std::string> labels;
+    std::istringstream in(
+        name.substr(prefix.size(), name.size() - prefix.size() - 1));
+    for (std::string kv; std::getline(in, kv, ',');)
+      labels[kv.substr(0, kv.find('='))] = kv.substr(kv.find('=') + 1);
+    observed[{labels["stage"], labels["method"]}] +=
+        static_cast<long long>(hist.at("count").num_v);
+  }
+  std::map<Key, long long> spans;
+  std::ostringstream trace;
+  session.write_json(trace);
+  for (const JsonValue& e : parse_json(trace.str()).items) {
+    if (e.at("ph").str_v != "X") continue;
+    const JsonValue* args = e.find("args");
+    ++spans[{e.at("name").str_v,
+             args != nullptr ? args->at("method").str_v : std::string()}];
+  }
+
+  std::set<std::string> prep_spans, prep_labels;
+  for (const auto& [key, n] : spans)
+    if (key.second.empty()) prep_spans.insert(key.first);
+  for (const auto& [key, n] : observed)
+    if (key.second.empty()) prep_labels.insert(key.first);
+  EXPECT_EQ(prep_spans, report_keys);
+  EXPECT_EQ(prep_labels, report_keys);
+
+  for (const char* stage :
+       {"pilfill.solve.tiles", "pilfill.evaluate", "pilfill.solve.tile"})
+    for (const char* method : {"Normal", "ILP-II"}) {
+      const Key key{stage, method};
+      EXPECT_GT(spans[key], 0) << stage << " " << method;
+      EXPECT_EQ(observed[key], spans[key]) << stage << " " << method;
+    }
+  const JsonValue& counters = v.at("metrics").at("counters");
+  EXPECT_EQ(spans[Key("pilfill.solve.tile", "ILP-II")],
+            static_cast<long long>(
+                counters.at("pilfill.tiles_solved{method=ILP-II}").num_v));
+
+  // Two Stages on one accumulator sum their times, as the histogram does.
+  obs::set_metrics_enabled(true);
+  double total = 0.0;
+  { obs::Stage stage("test.stage", &total); }
+  const double first = total;
+  { obs::Stage stage("test.stage", &total); }
+  obs::set_metrics_enabled(false);
+  const obs::Histogram::Snapshot twice =
+      obs::metrics()
+          .histogram("pil.stage_seconds{stage=test.stage}")
+          .snapshot();
+  EXPECT_EQ(twice.count, 2);
+  EXPECT_GE(first, 0.0);
+  EXPECT_GE(total, first);
+  EXPECT_DOUBLE_EQ(total, twice.sum);
   obs::metrics().clear();
 }
 

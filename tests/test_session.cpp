@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <tuple>
 
 #include "pil/pil.hpp"
@@ -262,23 +264,54 @@ TEST(Session, InvalidEditsRollBack) {
   const FlowConfig config = small_config(1);
   FillSession session(l, config);
 
-  // Unknown net / unknown segment / off-layer segment are rejected.
-  EXPECT_THROW(session.apply_edit(WireEdit::add_segment(
-                   static_cast<layout::NetId>(l.num_nets() + 7), {1, 1},
-                   {1, 3}, 0.4)),
-               Error);
-  EXPECT_THROW(session.apply_edit(WireEdit::remove_segment(
-                   static_cast<layout::SegmentId>(l.num_segments() + 7))),
-               Error);
-  // A move that leaves the die is rejected atomically.
-  EXPECT_THROW(session.apply_edit(WireEdit::move_segment(0, 1e6, 0)), Error);
+  // Every rejection is a plain pil::Error: a service client reads its
+  // message, so it names the problem without a source location.
+  auto rejects = [&](const WireEdit& edit) {
+    try {
+      session.apply_edit(edit);
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.find("precondition failed"), std::string::npos) << what;
+      EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+      return;
+    }
+    ADD_FAILURE() << "edit was accepted";
+  };
 
-  // The session is untouched: it still matches a fresh flow on the
-  // original layout.
+  // Unknown net / unknown segment / off-layer segment are rejected.
+  rejects(WireEdit::add_segment(
+      static_cast<layout::NetId>(l.num_nets() + 7), {1, 1}, {1, 3}, 0.4));
+  rejects(WireEdit::remove_segment(
+      static_cast<layout::SegmentId>(l.num_segments() + 7)));
+  // A move that leaves the die is rejected atomically.
+  rejects(WireEdit::move_segment(0, 1e6, 0));
+  rejects(WireEdit::add_segment(0, {1, 1}, {1, 3}, 0.0));
+  rejects(WireEdit::add_segment(0, {1, 1}, {3, 3}, 0.4));  // diagonal
+  // A segment touching none of the net's routing fails the connectivity
+  // gate and rolls back to a tombstone, which cannot be removed again.
+  const auto tombstone = static_cast<layout::SegmentId>(l.num_segments());
+  rejects(WireEdit::add_segment(0, {1, 1}, {1, 3}, 0.4));
+  ASSERT_EQ(session.layout().num_segments(), l.num_segments() + 1);
+  EXPECT_TRUE(session.layout().segment(tombstone).removed());
+  rejects(WireEdit::remove_segment(tombstone));
+  // A fill-layer segment other than its net's trunk is a stub with a sink
+  // at its end: removing it disconnects that sink.
+  const auto stub = std::find_if(
+      l.segments().begin(), l.segments().end(),
+      [&](const layout::WireSegment& s) {
+        return s.layer == config.layer && l.net(s.net).segments[0] != s.id;
+      });
+  ASSERT_NE(stub, l.segments().end());
+  rejects(WireEdit::remove_segment(stub->id));
+
+  // The session still matches a fresh flow on the original layout; the
+  // tombstone is inert.
   const FlowResult incremental = session.solve({Method::kNormal});
-  const FlowResult fresh =
-      run_pil_fill_flow(session.layout(), config, {Method::kNormal});
-  EXPECT_TRUE(flow_results_equivalent(incremental, fresh));
+  EXPECT_TRUE(flow_results_equivalent(
+      incremental, run_pil_fill_flow(l, config, {Method::kNormal})));
+  EXPECT_TRUE(flow_results_equivalent(
+      incremental,
+      run_pil_fill_flow(session.layout(), config, {Method::kNormal})));
 }
 
 TEST(SessionValidate, RejectsBadConfigs) {

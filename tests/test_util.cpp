@@ -233,7 +233,6 @@ TEST(Stopwatch, MonotoneNonNegative) {
   const double b = sw.seconds();
   EXPECT_GE(a, 0.0);
   EXPECT_GE(b, a);
-  EXPECT_GE(sw.millis(), 0.0);
 }
 
 TEST(Stopwatch, ResetRestarts) {

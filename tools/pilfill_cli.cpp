@@ -12,7 +12,7 @@
 ///   pilfill table layout.{pld,def} [--weighted]   # all 4 methods, one row
 ///
 /// Observability (fill/table): --metrics-json <path> writes a structured
-/// run report (schema pil.run_report.v2), --trace-json <path> writes a
+/// run report (schema pil.run_report.v3), --trace-json <path> writes a
 /// Chrome/Perfetto trace of the pipeline stages and per-tile solves,
 /// --metrics-openmetrics <path> writes the registry in OpenMetrics text
 /// format, and --log-level debug|info|warn|error|off sets the library log
@@ -619,7 +619,7 @@ int usage() {
       "  check <filled.pld> [--max-density D] [--window W] [--r R]\n"
       "  score <layout> <fill.gds> [--fill-layer N] [--max-density D]\n"
       "observability (fill/table):\n"
-      "  --metrics-json <path>   write a pil.run_report.v2 JSON report\n"
+      "  --metrics-json <path>   write a pil.run_report.v3 JSON report\n"
       "  --metrics-openmetrics <path>  write metrics in OpenMetrics text format\n"
       "  --trace-json <path>     write a Chrome/Perfetto trace of the run\n"
       "  --flight-dump <path>    always write a pil.flight.v1 postmortem dump\n"
