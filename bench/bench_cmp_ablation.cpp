@@ -17,7 +17,7 @@ int main() {
   const layout::Layout chip = layout::make_testcase_t2();
   const grid::Dissection dis(chip.die(), 32.0, 4);
   grid::DensityMap wires(dis);
-  wires.add_layer_wires(chip, 0);
+  wires.add_layer_metal(chip, 0);
 
   cmp::CmpModelConfig cmp_cfg;
   cmp_cfg.planarization_length_um = 24.0;

@@ -21,7 +21,7 @@ int main() {
   const auto trees = rctree::build_all_trees(chip);
   const grid::Dissection dis(chip.die(), 32.0, 4);
   grid::DensityMap wires(dis);
-  wires.add_layer_wires(chip, 0);
+  wires.add_layer_metal(chip, 0);
 
   cmp::CmpModelConfig cmp_cfg;
   cmp_cfg.planarization_length_um = 24.0;

@@ -6,6 +6,10 @@
 /// The knee of this curve is where timing-aware fill earns its keep: most
 /// of the density improvement is available at a small fraction of the
 /// unconstrained delay cost.
+///
+/// Exits 1 unless (a) the delay spent stays within the budget on every row,
+/// (b) neither the features placed nor the minimum density ever fall as the
+/// budget grows and (c) the budget does not stop the unconstrained run.
 
 #include <iostream>
 
@@ -32,10 +36,20 @@ int main() {
   Table table({"budget (ps)", "placed", "delay spent (ps)", "exact tau (ps)",
                "min density", "variation", "budget hit"});
   const double max_spend = full.delay_spent_ps;
+  bool within_budget = true;
+  bool monotone = true;
+  long long prev_placed = 0;
+  double prev_min = 0.0;
   for (const double frac : {0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0}) {
     pilfill::MvdcConfig cfg;
     cfg.delay_budget_ps = frac * max_spend;
     const pilfill::MvdcResult r = pilfill::run_mvdc_fill(chip, flow, cfg);
+    within_budget =
+        within_budget && r.delay_spent_ps <= cfg.delay_budget_ps + 1e-12;
+    monotone = monotone && r.placed >= prev_placed &&
+               r.density_after.min_density >= prev_min;
+    prev_placed = r.placed;
+    prev_min = r.density_after.min_density;
     table.add_row({format_double(cfg.delay_budget_ps, 5),
                    std::to_string(r.placed),
                    format_double(r.delay_spent_ps, 5),
@@ -45,5 +59,5 @@ int main() {
                    r.budget_exhausted ? "yes" : "no"});
   }
   table.print(std::cout);
-  return 0;
+  return within_budget && monotone && !full.budget_exhausted ? 0 : 1;
 }

@@ -64,7 +64,7 @@ void BM_DensityMap(benchmark::State& state) {
   const grid::Dissection dis(chip.die(), 32.0, 4);
   for (auto _ : state) {
     grid::DensityMap m(dis);
-    m.add_layer_wires(chip, 0);
+    m.add_layer_metal(chip, 0);
     benchmark::DoNotOptimize(m.stats().max_density);
   }
 }

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const layout::Layout chip = layout::make_testcase_t2();
   const grid::Dissection dis(chip.die(), 32.0, 4);
   grid::DensityMap before(dis);
-  before.add_layer_wires(chip, 0);
+  before.add_layer_metal(chip, 0);
 
   pilfill::FlowConfig flow;
   flow.window_um = 32;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
             << dis.tile_um() << " um, " << dis.num_windows() << " windows\n";
 
   grid::DensityMap wires(dis);
-  wires.add_layer_wires(chip, 0);
+  wires.add_layer_metal(chip, 0);
   const grid::DensityStats before = wires.stats();
   std::cout << "window density before fill: min " << before.min_density
             << ", max " << before.max_density << ", variation "

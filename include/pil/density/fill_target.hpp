@@ -11,13 +11,16 @@
 /// optimum rounded down for the two window LPs -- and each ends in the same
 /// integral top-up loop, which raises the lowest window first and adds a
 /// feature only where every covering window stays at or below U. U is a
-/// hard cap; L is a target that U overrides.
+/// hard cap; L is a target that U overrides. The engines pick a uniformly
+/// random tile of the window; compute_fill_amounts_picked runs the same
+/// loop with the caller's choice of tile (MVDC picks the cheapest delay).
 ///
 /// All return integer feature counts per tile; every PIL-Fill method then
 /// places *exactly these counts*, which is what makes the delay comparison
 /// "at identical density control quality".
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "pil/fill/rules.hpp"
@@ -75,5 +78,20 @@ FillTargetResult compute_fill_amounts_lp(
 FillTargetResult compute_fill_amounts_min_fill_lp(
     const grid::DensityMap& wires, const std::vector<int>& tile_capacity,
     const fill::FillRules& rules, const FillTargetConfig& config = {});
+
+/// The choice of tile in the top-up loop. `candidates` are the flat ids of
+/// the lowest window's tiles, row by row, that still have slack capacity
+/// and keep every covering window at or below U (never empty). Returns the
+/// index into `candidates` of the tile that gets the next feature, or -1
+/// to stop the loop.
+using TilePick = std::function<int(const std::vector<int>& candidates)>;
+
+/// The top-up loop from no fill with the caller's choice of tile: L and U
+/// resolve as for every engine and U stays a hard cap. The loop also stops
+/// when `pick` returns -1. `config.seed` is unused.
+FillTargetResult compute_fill_amounts_picked(
+    const grid::DensityMap& wires, const std::vector<int>& tile_capacity,
+    const fill::FillRules& rules, const FillTargetConfig& config,
+    const TilePick& pick);
 
 }  // namespace pil::density

@@ -30,23 +30,21 @@ class DensityMap {
 
   const Dissection& dissection() const { return *dis_; }
 
-  /// Accumulate the drawn area of every segment on `layer` into the tiles.
-  void add_layer_wires(const layout::Layout& layout, layout::LayerId layer);
-
-  /// Accumulate the metal blockages on `layer` (macro metalization counts
-  /// toward window density; pure keep-outs do not).
-  void add_layer_metal_blockages(const layout::Layout& layout,
-                                 layout::LayerId layer);
+  /// Accumulate everything on `layer` that counts toward window density:
+  /// the drawn area of every segment, then every metal blockage (a macro's
+  /// own metalization counts; a pure keep-out does not). This is the one
+  /// rule for a layer's density; every flow, the checker and the CLI use it.
+  void add_layer_metal(const layout::Layout& layout, layout::LayerId layer);
 
   /// Accumulate one rectangle of feature area (wire or fill).
   void add_rect(const geom::Rect& r);
 
   /// Recompute the wire + metal-blockage area of a subset of tiles from
   /// scratch, leaving every other tile untouched. The affected tiles are
-  /// re-accumulated in the exact order add_layer_wires +
-  /// add_layer_metal_blockages uses, so the result is bit-identical to a
-  /// fresh map of the (edited) layout -- floating-point accumulation order
-  /// matters, which is why this re-adds rather than subtracting deltas.
+  /// re-accumulated in the exact order add_layer_metal uses, so the result
+  /// is bit-identical to a fresh map of the (edited) layout -- floating-point
+  /// accumulation order matters, which is why this re-adds rather than
+  /// subtracting deltas.
   void recompute_tiles(const layout::Layout& layout, layout::LayerId layer,
                        const std::vector<int>& tiles_flat);
 

@@ -11,9 +11,10 @@
 /// the per-tile convex optimum, simulated annealing moves individual
 /// features between columns -- including across tiles -- accepting a move
 /// only if every covering window stays within the density band the
-/// starting placement achieved (floor) and the targeter's cap. Costs are
-/// charged per whole gap (cross-tile column totals), O(1) per move from
-/// the lookup tables.
+/// starting placement achieved (floor) and the targeter's cap. The flow
+/// runs on one FillSession's prep, so window densities count the session's
+/// wires and metal blockages. Costs are charged per whole gap (cross-tile
+/// column totals), O(1) per move from the lookup tables.
 
 #include <cstdint>
 

@@ -7,12 +7,16 @@
 ///
 /// Given a total delay-impact budget D, insert fill to raise the minimum
 /// window density as far as possible while the (weighted or non-weighted)
-/// Elmore delay increase stays within D. The solver interleaves the
-/// min-variation targeter with timing-aware column allocation: it always
-/// works on the currently-lowest-density window and, within it, spends the
-/// cheapest available delay marginal (exact convex/LUT model). It stops
-/// when the budget is exhausted, the density target is reached, or no
-/// insertable site remains.
+/// Elmore delay increase stays within D. MVDC runs on a FillSession's prep
+/// and is the fill-targeting top-up loop
+/// (density::compute_fill_amounts_picked) with a delay-aware choice of
+/// tile: the loop always works on the currently-lowest-density window, and
+/// MVDC fills the candidate tile whose cheapest site has the smallest delay
+/// marginal (exact convex/LUT model, FlowConfig::net_criticality
+/// included). L and U come from FlowConfig::target and resolve as for every
+/// targeting engine; U is a hard cap on every window, metal blockages
+/// counted. It stops when the budget is exhausted, the minimum reaches L,
+/// or no insertable site remains.
 ///
 /// Sweeping D traces the density-vs-delay tradeoff frontier
 /// (bench_mvdc_tradeoff).
@@ -27,9 +31,6 @@ struct MvdcConfig {
   /// Total delay-impact budget in ps, measured with the same per-tile LUT
   /// cost model the MDFC solvers optimize. Infinity = pure min-var fill.
   double delay_budget_ps = std::numeric_limits<double>::infinity();
-  /// Density target/cap; negative = auto, as in density::FillTargetConfig.
-  double lower_target = -1.0;
-  double upper_bound = -1.0;
 };
 
 struct MvdcResult {
@@ -39,8 +40,8 @@ struct MvdcResult {
   double delay_spent_ps = 0.0;   ///< per-tile model estimate (allocator view)
   DelayImpact impact;            ///< exact evaluator score of the placement
   std::vector<geom::Rect> features;
-  double lower_target_used = 0.0;
-  double upper_bound_used = 0.0;
+  double lower_target_used = 0.0;  ///< L, resolved from FlowConfig::target
+  double upper_bound_used = 0.0;   ///< U, resolved from FlowConfig::target
   bool budget_exhausted = false; ///< stopped because of D, not density/slack
 };
 

@@ -133,11 +133,13 @@ struct Targeting {
 
   /// The integral step every engine ends in. From `start` features per
   /// tile, repeatedly take the lowest-density window and add one feature
-  /// to a random tile of it that (a) still has slack capacity and (b)
-  /// keeps every covering window at or below U. Stops when the minimum
-  /// window density reaches L or no window can be raised: U is a hard
-  /// cap, L a target that U overrides.
-  FillTargetResult top_up(std::vector<int> start, std::uint64_t seed,
+  /// to the tile `pick` chooses among the window's candidates: tiles that
+  /// (a) still have slack capacity and (b) keep every covering window at
+  /// or below U. Stops when the minimum window density reaches L, no
+  /// window can be raised, or `pick` returns -1: U is a hard cap, L a
+  /// target that U overrides.
+  template <typename Pick>
+  FillTargetResult top_up(std::vector<int> start, Pick&& pick,
                           const char* engine) const {
     std::vector<double> warea = wire_area;  // wires + fill so far
     for (int flat = 0; flat < dis.num_tiles(); ++flat) {
@@ -160,7 +162,6 @@ struct Targeting {
     for (std::size_t w = 0; w < warea.size(); ++w)
       heap.emplace(warea[w] / win_area[w], static_cast<int>(w));
 
-    Rng rng(seed);
     std::vector<int> candidates;
 
     while (!heap.empty()) {
@@ -188,8 +189,11 @@ struct Targeting {
         stuck[w] = true;  // cannot improve this window any further
         continue;
       }
-      const int flat = candidates[static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(candidates.size()) - 1))];
+      const int at = pick(candidates);
+      if (at < 0) break;  // the pick stops the loop
+      PIL_REQUIRE(at < static_cast<int>(candidates.size()),
+                  "tile pick out of range");
+      const int flat = candidates[at];
       res.features_per_tile[flat] += 1;
       for_covering_windows(dis, dis.tile_unflat(flat),
                            [&](std::size_t cw) { warea[cw] += fa; });
@@ -210,6 +214,15 @@ struct Targeting {
   }
 };
 
+/// The engines' choice of tile: uniform over the candidates, one draw per
+/// feature from `seed`.
+auto uniform_pick(std::uint64_t seed) {
+  return [rng = Rng(seed)](const std::vector<int>& candidates) mutable {
+    return static_cast<int>(rng.uniform_int(
+        0, static_cast<std::int64_t>(candidates.size()) - 1));
+  };
+}
+
 }  // namespace
 
 FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
@@ -217,8 +230,8 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
                                          const fill::FillRules& rules,
                                          const FillTargetConfig& config) {
   const Targeting t(wires, tile_capacity, rules, config);
-  return t.top_up(std::vector<int>(tile_capacity.size(), 0), config.seed,
-                  "MC");
+  return t.top_up(std::vector<int>(tile_capacity.size(), 0),
+                  uniform_pick(config.seed), "MC");
 }
 
 FillTargetResult compute_fill_amounts_lp(const DensityMap& wires,
@@ -228,7 +241,7 @@ FillTargetResult compute_fill_amounts_lp(const DensityMap& wires,
   const Targeting t(wires, tile_capacity, rules, config);
   const char* engine = "min-var LP";
   return t.top_up(t.floored(t.solve_window_lp(/*min_fill=*/false, engine)),
-                  config.seed, engine);
+                  uniform_pick(config.seed), engine);
 }
 
 FillTargetResult compute_fill_amounts_min_fill_lp(
@@ -240,7 +253,16 @@ FillTargetResult compute_fill_amounts_min_fill_lp(
   // min-fill LP feasible.
   t.L = std::min(t.L, t.solve_window_lp(/*min_fill=*/false, engine).back());
   return t.top_up(t.floored(t.solve_window_lp(/*min_fill=*/true, engine)),
-                  config.seed, engine);
+                  uniform_pick(config.seed), engine);
+}
+
+FillTargetResult compute_fill_amounts_picked(
+    const DensityMap& wires, const std::vector<int>& tile_capacity,
+    const fill::FillRules& rules, const FillTargetConfig& config,
+    const TilePick& pick) {
+  const Targeting t(wires, tile_capacity, rules, config);
+  return t.top_up(std::vector<int>(tile_capacity.size(), 0), pick,
+                  "caller's pick");
 }
 
 }  // namespace pil::density

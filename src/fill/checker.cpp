@@ -155,7 +155,7 @@ CheckReport check_fill(const layout::Layout& layout,
     PIL_REQUIRE(dissection != nullptr,
                 "density check needs the dissection");
     grid::DensityMap density(*dissection);
-    density.add_layer_wires(layout, options.layer);
+    density.add_layer_metal(layout, options.layer);
     for (const auto& r : features) density.add_rect(r);
     for (int wy = 0; wy < dissection->windows_y(); ++wy) {
       for (int wx = 0; wx < dissection->windows_x(); ++wx) {

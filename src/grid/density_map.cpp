@@ -4,20 +4,25 @@
 
 namespace pil::grid {
 
-void DensityMap::add_layer_wires(const layout::Layout& layout,
-                                 layout::LayerId layer) {
-  for (const auto& seg : layout.segments()) {
-    if (seg.layer != layer) continue;
-    add_rect(seg.rect());
-  }
+namespace {
+
+/// Every rect on `layer` that counts toward window density, in the one
+/// accumulation order: the drawn wires, then the metal blockages.
+template <typename F>
+void for_each_metal_rect(const layout::Layout& layout, layout::LayerId layer,
+                         F&& fn) {
+  for (const auto& seg : layout.segments())
+    if (seg.layer == layer) fn(seg.rect());
+  for (const auto& b : layout.blockages())
+    if (b.layer == layer && b.is_metal) fn(b.rect);
 }
 
-void DensityMap::add_layer_metal_blockages(const layout::Layout& layout,
-                                           layout::LayerId layer) {
-  for (const auto& b : layout.blockages()) {
-    if (b.layer != layer || !b.is_metal) continue;
-    add_rect(b.rect);
-  }
+}  // namespace
+
+void DensityMap::add_layer_metal(const layout::Layout& layout,
+                                 layout::LayerId layer) {
+  for_each_metal_rect(layout, layer,
+                      [this](const geom::Rect& r) { add_rect(r); });
 }
 
 void DensityMap::add_rect(const geom::Rect& r) {
@@ -57,14 +62,7 @@ void DensityMap::recompute_tiles(const layout::Layout& layout,
       }
     }
   };
-  for (const auto& seg : layout.segments()) {
-    if (seg.layer != layer) continue;
-    add_masked(seg.rect());
-  }
-  for (const auto& b : layout.blockages()) {
-    if (b.layer != layer || !b.is_metal) continue;
-    add_masked(b.rect);
-  }
+  for_each_metal_rect(layout, layer, add_masked);
 }
 
 void DensityMap::add_area(TileIndex t, double area) {

@@ -5,11 +5,14 @@
 namespace pil::layout {
 
 LayerId Layout::add_layer(Layer layer) {
-  PIL_REQUIRE(!layer.name.empty(), "layer needs a name");
-  PIL_REQUIRE(find_layer(layer.name) == kInvalidLayer, "duplicate layer name");
-  PIL_REQUIRE(layer.default_wire_width_um > 0 && layer.sheet_res_ohm_sq > 0 &&
-                  layer.thickness_um > 0 && layer.eps_r > 0,
-              "layer parameters must be positive");
+  // Layers, nets and blockages arrive from client-supplied files and
+  // generator specs: plain errors, no source locations.
+  if (layer.name.empty()) throw Error("layer needs a name");
+  if (find_layer(layer.name) != kInvalidLayer)
+    throw Error("duplicate layer name");
+  if (!(layer.default_wire_width_um > 0 && layer.sheet_res_ohm_sq > 0 &&
+        layer.thickness_um > 0 && layer.eps_r > 0))
+    throw Error("layer parameters must be positive");
   layers_.push_back(std::move(layer));
   return static_cast<LayerId>(layers_.size() - 1);
 }
@@ -27,10 +30,11 @@ LayerId Layout::find_layer(const std::string& name) const {
 }
 
 NetId Layout::add_net(Net net) {
-  PIL_REQUIRE(net.driver_res_ohm > 0, "driver resistance must be positive");
-  PIL_REQUIRE(die_.contains(net.source), "net source outside die");
+  if (!(net.driver_res_ohm > 0))
+    throw Error("driver resistance must be positive");
+  if (!die_.contains(net.source)) throw Error("net source outside die");
   for (const auto& s : net.sinks)
-    PIL_REQUIRE(die_.contains(s.location), "net sink outside die");
+    if (!die_.contains(s.location)) throw Error("net sink outside die");
   net.id = static_cast<NetId>(nets_.size());
   net.segments.clear();
   nets_.push_back(std::move(net));
@@ -132,10 +136,11 @@ double Layout::total_wire_area(LayerId layerid) const {
 
 void Layout::add_blockage(LayerId layerid, const geom::Rect& rect,
                           bool is_metal) {
-  PIL_REQUIRE(layerid >= 0 && static_cast<std::size_t>(layerid) < layers_.size(),
-              "blockage references unknown layer");
-  PIL_REQUIRE(!rect.empty() && rect.area() > 0, "blockage rect must have area");
-  PIL_REQUIRE(die_.contains(rect), "blockage outside die");
+  if (!(layerid >= 0 && static_cast<std::size_t>(layerid) < layers_.size()))
+    throw Error("blockage references unknown layer");
+  if (rect.empty() || !(rect.area() > 0))
+    throw Error("blockage rect must have area");
+  if (!die_.contains(rect)) throw Error("blockage outside die");
   blockages_.push_back(Blockage{layerid, rect, is_metal});
 }
 

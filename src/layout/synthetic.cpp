@@ -53,7 +53,8 @@ class TrackOccupancy {
 
 Layout generate_synthetic_layout(const SyntheticLayoutConfig& cfg,
                                  GeneratorStats* stats_out) {
-  PIL_REQUIRE(cfg.die_um > 0 && cfg.track_pitch_um > 0, "bad die/pitch");
+  // die_um arrives from client generator specs: a plain error.
+  if (!(cfg.die_um > 0 && cfg.track_pitch_um > 0)) throw Error("bad die/pitch");
   PIL_REQUIRE(cfg.wire_width_um > 0 &&
                   cfg.wire_width_um + cfg.min_spacing_um <= cfg.track_pitch_um,
               "wires must fit on the track grid with spacing");
@@ -84,7 +85,7 @@ Layout generate_synthetic_layout(const SyntheticLayoutConfig& cfg,
 
   const double pitch = cfg.track_pitch_um;
   const int tracks = static_cast<int>(std::floor(cfg.die_um / pitch));
-  PIL_REQUIRE(tracks >= 4, "die too small for track grid");
+  if (tracks < 4) throw Error("die too small for track grid");
   TrackOccupancy hocc(tracks, pitch);  // horizontal tracks: y = pitch*(t+.5)
   TrackOccupancy vocc(tracks, pitch);  // vertical tracks:   x = pitch*(t+.5)
 

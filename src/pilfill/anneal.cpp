@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "flow_common.hpp"
+#include "pil/obs/stage.hpp"
+#include "pil/pilfill/session.hpp"
 #include "pil/util/log.hpp"
-#include "pil/util/stopwatch.hpp"
 
 namespace pil::pilfill {
 
@@ -113,213 +115,195 @@ AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
   PIL_REQUIRE(config.solver_mode == fill::SlackMode::kIII,
               "annealing prices whole gaps; use SlackColumn-III");
 
-  // Reuse the per-tile flow for prep + the convex starting placement (the
-  // counts are recomputed below; only the target spec is consumed here).
-  const FlowResult base =
-      run_pil_fill_flow(layout, config, {Method::kConvex});
-
-  // Rebuild the shared context the flow used (cheap relative to the solve).
+  // The session's prep is the flow's: the same targets, slack columns and
+  // density map run_pil_fill_flow works from.
+  const FillSession session(layout, config);
+  const grid::Dissection& dis = session.dissection();
+  const fill::SlackColumns& global = session.global_slack();
+  const density::FillTargetResult& target = session.target();
   const layout::Layer& layer = layout.layer(config.layer);
-  const grid::Dissection dis(layout.die(), config.window_um, config.r);
-  const auto trees = rctree::build_all_trees(layout);
-  const auto pieces = fill::flatten_pieces(trees);
-  const fill::SlackColumns global = fill::extract_slack_columns(
-      layout, dis, pieces, config.layer, config.rules, fill::SlackMode::kIII);
   const cap::CouplingModel model(layer.eps_r, layer.thickness_um);
   cap::ColumnCapLut lut(model, config.rules.feature_um);
-  SolverContext ctx;
-  ctx.model = &model;
-  ctx.lut = &lut;
-  ctx.rules = config.rules;
-  ctx.objective = config.objective;
-  ctx.switch_factor = config.switch_factor;
+  const SolverContext ctx = flow_detail::make_context(config, model, lut);
 
   // Instances for EVERY tile with slack (zero-requirement tiles are legal
   // move destinations as long as the window band allows it).
   std::vector<TileInstance> instances;
   for (int t = 0; t < dis.num_tiles(); ++t) {
     if (global.tile_parts(t).empty()) continue;
-    instances.push_back(build_tile_instance(
-        t, base.target.features_per_tile[t], global, pieces,
-        config.net_criticality));
+    instances.push_back(build_tile_instance(t, target.features_per_tile[t],
+                                            global, session.pieces(),
+                                            config.net_criticality));
   }
-
-  // Starting counts: the per-tile convex solution (deterministic, matches
-  // `start`); zero-requirement tiles start empty.
-  Stopwatch watch;
-  std::vector<std::vector<int>> counts(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    if (instances[i].required > 0)
-      counts[i] = solve_tile_convex(instances[i], ctx).counts;
-    else
-      counts[i].assign(instances[i].cols.size(), 0);
-  }
-
-  GlobalState state(instances, global, ctx);
-  state.set_counts(counts);
 
   AnnealFlowResult result;
-  result.target = base.target;
-  result.initial_cost_ps = state.total_cost_ps();
-
-  // Window-density accounting (site-based, matching the targeter): wires
-  // plus fa per placed feature, bucketed by the feature's tile.
-  grid::DensityMap wires(dis);
-  wires.add_layer_wires(layout, config.layer);
-  const int nwx = dis.windows_x();
-  const int nwy = dis.windows_y();
-  const double fa = config.rules.feature_area();
-  std::vector<double> warea(static_cast<std::size_t>(nwx) * nwy);
-  std::vector<double> winarea(warea.size());
-  for (int wy = 0; wy < nwy; ++wy) {
-    for (int wx = 0; wx < nwx; ++wx) {
-      const std::size_t w = static_cast<std::size_t>(wy) * nwx + wx;
-      warea[w] = wires.window_area(wx, wy);
-      winarea[w] = dis.window_rect(wx, wy).area();
+  result.target = target;
+  std::vector<std::vector<int>> best;
+  {
+    obs::Stage stage("pilfill.anneal.solve", &result.solve_seconds);
+    // Starting counts: the per-tile convex solution (deterministic, matches
+    // `start`); zero-requirement tiles start empty.
+    std::vector<std::vector<int>> counts(instances.size());
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      if (instances[i].required > 0)
+        counts[i] = solve_tile_convex(instances[i], ctx).counts;
+      else
+        counts[i].assign(instances[i].cols.size(), 0);
     }
-  }
-  // Windows covering each instance's tile.
-  std::vector<std::vector<int>> tile_windows(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const grid::TileIndex t = dis.tile_unflat(instances[i].tile_flat);
-    const int wx_lo = std::max(0, t.ix - dis.r() + 1);
-    const int wx_hi = std::min(nwx - 1, t.ix);
-    const int wy_lo = std::max(0, t.iy - dis.r() + 1);
-    const int wy_hi = std::min(nwy - 1, t.iy);
-    for (int wy = wy_lo; wy <= wy_hi; ++wy)
-      for (int wx = wx_lo; wx <= wx_hi; ++wx)
-        tile_windows[i].push_back(wy * nwx + wx);
-    for (const int w : tile_windows[i])
-      warea[w] += instances[i].required * fa;
-  }
-  // Density band: never regress below the achieved floor (minus the
-  // configured slack); never exceed the targeter's cap.
-  double floor_density = 1.0;
-  for (std::size_t w = 0; w < warea.size(); ++w)
-    floor_density = std::min(floor_density, warea[w] / winarea[w]);
-  const double floor_slack = anneal.floor_slack_features * fa;
-  const double cap_density = base.target.upper_bound_used;
 
-  auto can_give = [&](std::size_t i) {
-    for (const int w : tile_windows[i])
-      if ((warea[w] - fa) / winarea[w] <
-          floor_density - floor_slack / winarea[w] - 1e-12)
-        return false;
-    return true;
-  };
-  auto can_take = [&](std::size_t i) {
-    for (const int w : tile_windows[i])
-      if ((warea[w] + fa) / winarea[w] > cap_density + 1e-12) return false;
-    return true;
-  };
+    GlobalState state(instances, global, ctx);
+    state.set_counts(counts);
+    result.initial_cost_ps = state.total_cost_ps();
 
-  // Anneal: intra-tile shuffles plus window-feasible inter-tile moves.
-  Rng rng(anneal.seed ^ 0xA11EA1u);
-  long long total_features = 0;
-  for (const auto& c : counts)
-    for (const int m : c) total_features += m;
-  const long long budget = anneal.moves_per_feature * total_features;
-  double temp = anneal.initial_temp_frac *
-                (total_features > 0
-                     ? state.total_cost_ps() * 1e3 / total_features
-                     : 0.0);
-  const double cool =
-      budget > 0 && temp > 0 ? std::pow(0.01, 1.0 / budget) : 1.0;
-
-  // Snapshotting every improvement would dominate the runtime (the state is
-  // thousands of ints); snapshot sparingly and reconcile with the final
-  // state after the loop -- cooling ends in pure descent, so the final
-  // state is at or near the best seen.
-  std::vector<std::vector<int>> best = state.part_counts();
-  double best_cost = state.total_cost_ps();
-  double snapshot_cost = best_cost;
-  long long improvements = 0;
-
-  auto random_part_with_feature = [&](std::size_t i, int& part) {
-    const auto& pc = state.part_counts()[i];
-    int tries = 8;
-    while (tries--) {
-      const int k = static_cast<int>(rng.uniform_int(0, pc.size() - 1));
-      if (pc[k] > 0) {
-        part = k;
-        return true;
+    // Window-density accounting (site-based, matching the targeter): the
+    // session's wires and metal plus fa per placed feature, bucketed by the
+    // feature's tile.
+    const int nwx = dis.windows_x();
+    const int nwy = dis.windows_y();
+    const double fa = config.rules.feature_area();
+    std::vector<double> warea(static_cast<std::size_t>(nwx) * nwy);
+    std::vector<double> winarea(warea.size());
+    for (int wy = 0; wy < nwy; ++wy) {
+      for (int wx = 0; wx < nwx; ++wx) {
+        const std::size_t w = static_cast<std::size_t>(wy) * nwx + wx;
+        warea[w] = session.wires().window_area(wx, wy);
+        winarea[w] = dis.window_rect(wx, wy).area();
       }
     }
-    return false;
-  };
-  auto random_part_with_space = [&](std::size_t i, int& part) {
-    const auto& pc = state.part_counts()[i];
-    int tries = 8;
-    while (tries--) {
-      const int k = static_cast<int>(rng.uniform_int(0, pc.size() - 1));
-      if (pc[k] < instances[i].cols[k].num_sites) {
-        part = k;
-        return true;
-      }
+    // Windows covering each instance's tile.
+    std::vector<std::vector<int>> tile_windows(instances.size());
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+      const grid::TileIndex t = dis.tile_unflat(instances[i].tile_flat);
+      const int wx_lo = std::max(0, t.ix - dis.r() + 1);
+      const int wx_hi = std::min(nwx - 1, t.ix);
+      const int wy_lo = std::max(0, t.iy - dis.r() + 1);
+      const int wy_hi = std::min(nwy - 1, t.iy);
+      for (int wy = wy_lo; wy <= wy_hi; ++wy)
+        for (int wx = wx_lo; wx <= wx_hi; ++wx)
+          tile_windows[i].push_back(wy * nwx + wx);
+      for (const int w : tile_windows[i])
+        warea[w] += instances[i].required * fa;
     }
-    return false;
-  };
+    // Density band: never regress below the achieved floor (minus the
+    // configured slack); never exceed the targeter's cap.
+    double floor_density = 1.0;
+    for (std::size_t w = 0; w < warea.size(); ++w)
+      floor_density = std::min(floor_density, warea[w] / winarea[w]);
+    const double floor_slack = anneal.floor_slack_features * fa;
+    const double cap_density = target.upper_bound_used;
 
-  for (long long it = 0; it < budget; ++it, temp *= cool) {
-    const bool inter = rng.uniform01() < anneal.inter_tile_fraction;
-    const std::size_t src = rng.uniform_int(0, instances.size() - 1);
-    const std::size_t dst =
-        inter ? static_cast<std::size_t>(
-                    rng.uniform_int(0, instances.size() - 1))
-              : src;
-    if (inter && dst == src) continue;
-    int from, to;
-    if (!random_part_with_feature(src, from)) continue;
-    if (!random_part_with_space(dst, to)) continue;
-    if (src == dst && from == to) continue;
-    if (inter && (!can_give(src) || !can_take(dst))) continue;
-    ++result.moves_tried;
-    const double delta = state.move_delta_between(src, from, dst, to);
-    const bool accept =
-        delta <= 0 ||
-        (temp > 0 && rng.uniform01() < std::exp(-delta * 1e-3 / temp));
-    if (!accept) continue;
-    state.apply_move_between(src, from, dst, to);
-    if (inter) {
-      for (const int w : tile_windows[src]) warea[w] -= fa;
-      for (const int w : tile_windows[dst]) warea[w] += fa;
-    }
-    ++result.moves_accepted;
-    if (state.total_cost_ps() < best_cost - 1e-15) {
-      best_cost = state.total_cost_ps();
-      if (++improvements % 64 == 0 || best_cost < 0.99 * snapshot_cost) {
-        best = state.part_counts();
-        snapshot_cost = best_cost;
-      }
-    }
-  }
-  if (state.total_cost_ps() <= snapshot_cost) {
+    auto can_give = [&](std::size_t i) {
+      for (const int w : tile_windows[i])
+        if ((warea[w] - fa) / winarea[w] <
+            floor_density - floor_slack / winarea[w] - 1e-12)
+          return false;
+      return true;
+    };
+    auto can_take = [&](std::size_t i) {
+      for (const int w : tile_windows[i])
+        if ((warea[w] + fa) / winarea[w] > cap_density + 1e-12) return false;
+      return true;
+    };
+
+    // Anneal: intra-tile shuffles plus window-feasible inter-tile moves.
+    Rng rng(anneal.seed ^ 0xA11EA1u);
+    long long total_features = 0;
+    for (const auto& c : counts)
+      for (const int m : c) total_features += m;
+    const long long budget = anneal.moves_per_feature * total_features;
+    double temp = anneal.initial_temp_frac *
+                  (total_features > 0
+                       ? state.total_cost_ps() * 1e3 / total_features
+                       : 0.0);
+    const double cool =
+        budget > 0 && temp > 0 ? std::pow(0.01, 1.0 / budget) : 1.0;
+
+    // Snapshotting every improvement would dominate the runtime (the state
+    // is thousands of ints); snapshot sparingly and reconcile with the
+    // final state after the loop -- cooling ends in pure descent, so the
+    // final state is at or near the best seen.
     best = state.part_counts();
-    result.final_cost_ps = state.total_cost_ps();
-  } else {
-    result.final_cost_ps = snapshot_cost;
+    double best_cost = state.total_cost_ps();
+    double snapshot_cost = best_cost;
+    long long improvements = 0;
+
+    auto random_part_with_feature = [&](std::size_t i, int& part) {
+      const auto& pc = state.part_counts()[i];
+      int tries = 8;
+      while (tries--) {
+        const int k = static_cast<int>(rng.uniform_int(0, pc.size() - 1));
+        if (pc[k] > 0) {
+          part = k;
+          return true;
+        }
+      }
+      return false;
+    };
+    auto random_part_with_space = [&](std::size_t i, int& part) {
+      const auto& pc = state.part_counts()[i];
+      int tries = 8;
+      while (tries--) {
+        const int k = static_cast<int>(rng.uniform_int(0, pc.size() - 1));
+        if (pc[k] < instances[i].cols[k].num_sites) {
+          part = k;
+          return true;
+        }
+      }
+      return false;
+    };
+
+    for (long long it = 0; it < budget; ++it, temp *= cool) {
+      const bool inter = rng.uniform01() < anneal.inter_tile_fraction;
+      const std::size_t src = rng.uniform_int(0, instances.size() - 1);
+      const std::size_t dst =
+          inter ? static_cast<std::size_t>(
+                      rng.uniform_int(0, instances.size() - 1))
+                : src;
+      if (inter && dst == src) continue;
+      int from, to;
+      if (!random_part_with_feature(src, from)) continue;
+      if (!random_part_with_space(dst, to)) continue;
+      if (src == dst && from == to) continue;
+      if (inter && (!can_give(src) || !can_take(dst))) continue;
+      ++result.moves_tried;
+      const double delta = state.move_delta_between(src, from, dst, to);
+      const bool accept =
+          delta <= 0 ||
+          (temp > 0 && rng.uniform01() < std::exp(-delta * 1e-3 / temp));
+      if (!accept) continue;
+      state.apply_move_between(src, from, dst, to);
+      if (inter) {
+        for (const int w : tile_windows[src]) warea[w] -= fa;
+        for (const int w : tile_windows[dst]) warea[w] += fa;
+      }
+      ++result.moves_accepted;
+      if (state.total_cost_ps() < best_cost - 1e-15) {
+        best_cost = state.total_cost_ps();
+        if (++improvements % 64 == 0 || best_cost < 0.99 * snapshot_cost) {
+          best = state.part_counts();
+          snapshot_cost = best_cost;
+        }
+      }
+    }
+    if (state.total_cost_ps() <= snapshot_cost) {
+      best = state.part_counts();
+      result.final_cost_ps = state.total_cost_ps();
+    } else {
+      result.final_cost_ps = snapshot_cost;
+    }
   }
-  result.solve_seconds = watch.seconds();
 
   // Materialize the best placement and score it with the standard evaluator.
   result.features_per_tile.assign(dis.num_tiles(), 0);
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    int placed = 0;
-    for (std::size_t k = 0; k < instances[i].cols.size(); ++k) {
-      const InstanceColumn& ic = instances[i].cols[k];
-      const fill::SlackColumn& col = global.columns()[ic.column];
-      for (int s = 0; s < best[i][k]; ++s)
-        result.features.push_back(
-            global.site_rect(col, ic.first_site + s, config.rules));
-      placed += best[i][k];
-    }
-    result.features_per_tile[instances[i].tile_flat] = placed;
+    flow_detail::append_rects(instances[i], best[i], global, config.rules,
+                              result.features);
+    for (const int m : best[i])
+      result.features_per_tile[instances[i].tile_flat] += m;
   }
-  EvaluatorOptions eval_options;
-  eval_options.style = config.style;
-  eval_options.switch_factor = config.switch_factor;
-  const DelayImpactEvaluator evaluator(global, pieces, model, config.rules,
-                                       eval_options);
+  const DelayImpactEvaluator evaluator(global, session.pieces(), model,
+                                       config.rules,
+                                       flow_detail::make_eval_options(config));
   result.impact = evaluator.evaluate_rects(result.features);
 
   PIL_INFO("anneal: " << result.initial_cost_ps << " -> "

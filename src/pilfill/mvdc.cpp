@@ -1,27 +1,14 @@
 #include "pil/pilfill/mvdc.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <queue>
 
+#include "flow_common.hpp"
+#include "pil/pilfill/session.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
 
 namespace {
-
-using grid::Dissection;
-using grid::TileIndex;
-
-template <typename F>
-void for_covering_windows(const Dissection& dis, int ix, int iy, F&& fn) {
-  const int wx_lo = std::max(0, ix - dis.r() + 1);
-  const int wx_hi = std::min(dis.windows_x() - 1, ix);
-  const int wy_lo = std::max(0, iy - dis.r() + 1);
-  const int wy_hi = std::min(dis.windows_y() - 1, iy);
-  for (int wy = wy_lo; wy <= wy_hi; ++wy)
-    for (int wx = wx_lo; wx <= wx_hi; ++wx) fn(wx, wy);
-}
 
 /// Timing-aware site pool of one tile: columns with counts and a heap of
 /// next-feature delay marginals (exact LUT model, so marginals are
@@ -52,7 +39,6 @@ struct TilePool {
                      static_cast<int>(k));
   }
 
-  bool has_site() const { return !heap.empty(); }
   double cheapest_ps() const { return heap.top().first; }
 
   /// Take the cheapest site; returns its delay cost (ps).
@@ -70,143 +56,69 @@ struct TilePool {
 
 MvdcResult run_mvdc_fill(const layout::Layout& layout, const FlowConfig& flow,
                          const MvdcConfig& mvdc) {
-  flow.rules.validate();
   PIL_REQUIRE(flow.style == cap::FillStyle::kFloating,
               "MVDC allocation requires the convex floating model");
   PIL_REQUIRE(mvdc.delay_budget_ps >= 0, "negative delay budget");
+
+  // The session only preps: MVDC chooses the fill amounts itself.
+  FlowConfig prep = flow;
+  prep.required_per_tile.assign(
+      grid::Dissection(layout.die(), flow.window_um, flow.r).num_tiles(), 0);
+  const FillSession session(layout, prep);
+  const fill::SlackColumns& slack = session.global_slack();
+
   const layout::Layer& layer = layout.layer(flow.layer);
-
-  const Dissection dis(layout.die(), flow.window_um, flow.r);
-  grid::DensityMap wires(dis);
-  wires.add_layer_wires(layout, flow.layer);
-
-  const auto trees = rctree::build_all_trees(layout);
-  const auto pieces = fill::flatten_pieces(trees);
-  const fill::SlackColumns slack = fill::extract_slack_columns(
-      layout, dis, pieces, flow.layer, flow.rules, fill::SlackMode::kIII);
-
   const cap::CouplingModel model(layer.eps_r, layer.thickness_um);
   cap::ColumnCapLut lut(model, flow.rules.feature_um);
-  SolverContext ctx;
-  ctx.model = &model;
-  ctx.lut = &lut;
-  ctx.rules = flow.rules;
-  ctx.objective = flow.objective;
-  ctx.switch_factor = flow.switch_factor;
+  const SolverContext ctx = flow_detail::make_context(flow, model, lut);
 
+  // One site pool per tile; a tile's capacity is its pool's site count.
+  const int num_tiles = session.tiles_total();
+  std::vector<TilePool> pools(num_tiles);
+  std::vector<int> capacity(num_tiles);
+  for (int t = 0; t < num_tiles; ++t) {
+    pools[t].inst = build_tile_instance(t, 0, slack, session.pieces(),
+                                        flow.net_criticality);
+    pools[t].init(ctx);
+    capacity[t] = slack.tile_capacity(t);
+  }
+
+  // The top-up loop raises the lowest window; MVDC fills it through the
+  // cheapest marginal among its candidate tiles, and stops once raising the
+  // minimum would bust the budget.
   MvdcResult result;
-  result.density_before = wires.stats();
-  const double fa = flow.rules.feature_area();
-  const double win_area = dis.window_um() * dis.window_um();
-  result.lower_target_used = mvdc.lower_target >= 0
-                                 ? mvdc.lower_target
-                                 : result.density_before.max_density;
-  result.upper_bound_used =
-      mvdc.upper_bound >= 0
-          ? mvdc.upper_bound
-          : std::max(result.lower_target_used,
-                     result.density_before.max_density) +
-                2 * fa / win_area;
-  PIL_REQUIRE(result.upper_bound_used >= result.lower_target_used,
-              "upper bound below lower target");
-
-  // Tile pools (only tiles with any slack capacity).
-  std::vector<int> pool_of_tile(dis.num_tiles(), -1);
-  std::vector<TilePool> pools;
-  for (int t = 0; t < dis.num_tiles(); ++t) {
-    if (slack.tile_parts(t).empty()) continue;
-    TilePool pool;
-    pool.inst = build_tile_instance(t, 0, slack, pieces);
-    pool.init(ctx);
-    pool_of_tile[t] = static_cast<int>(pools.size());
-    pools.push_back(std::move(pool));
-  }
-
-  // Window density state, as in the Monte-Carlo targeter.
-  const int nwx = dis.windows_x();
-  const int nwy = dis.windows_y();
-  std::vector<double> warea(static_cast<std::size_t>(nwx) * nwy);
-  for (int wy = 0; wy < nwy; ++wy)
-    for (int wx = 0; wx < nwx; ++wx)
-      warea[static_cast<std::size_t>(wy) * nwx + wx] = wires.window_area(wx, wy);
-  std::vector<bool> stuck(warea.size(), false);
-  using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> windows;
-  for (std::size_t w = 0; w < warea.size(); ++w)
-    windows.emplace(warea[w] / win_area, static_cast<int>(w));
-
-  while (!windows.empty()) {
-    const auto [dens, w] = windows.top();
-    windows.pop();
-    if (stuck[w]) continue;
-    const double current = warea[w] / win_area;
-    if (current > dens + 1e-15) {
-      windows.emplace(current, w);
-      continue;
-    }
-    if (current >= result.lower_target_used - 1e-12) break;
-
-    // Cheapest insertable site among the window's tiles (respecting U on
-    // every covering window).
-    const int wx = w % nwx;
-    const int wy = w / nwx;
-    int best_pool = -1;
-    double best_cost = 0;
-    for (int iy = wy; iy < wy + dis.r(); ++iy) {
-      for (int ix = wx; ix < wx + dis.r(); ++ix) {
-        if (ix >= dis.tiles_x() || iy >= dis.tiles_y()) continue;
-        const int pi = pool_of_tile[dis.tile_flat(TileIndex{ix, iy})];
-        if (pi < 0 || !pools[pi].has_site()) continue;
-        bool ok = true;
-        for_covering_windows(dis, ix, iy, [&](int cwx, int cwy) {
-          const std::size_t cw = static_cast<std::size_t>(cwy) * nwx + cwx;
-          if (warea[cw] + fa > result.upper_bound_used * win_area + 1e-12)
-            ok = false;
-        });
-        if (!ok) continue;
-        const double cost = pools[pi].cheapest_ps();
-        if (best_pool < 0 || cost < best_cost) {
-          best_pool = pi;
-          best_cost = cost;
+  const density::FillTargetResult target = density::compute_fill_amounts_picked(
+      session.wires(), capacity, flow.rules, flow.target,
+      [&](const std::vector<int>& candidates) {
+        int best = 0;
+        for (int i = 1; i < static_cast<int>(candidates.size()); ++i)
+          if (pools[candidates[i]].cheapest_ps() <
+              pools[candidates[best]].cheapest_ps())
+            best = i;
+        TilePool& pool = pools[candidates[best]];
+        if (result.delay_spent_ps + pool.cheapest_ps() >
+            mvdc.delay_budget_ps + 1e-15) {
+          result.budget_exhausted = true;
+          return -1;
         }
-      }
-    }
-    if (best_pool < 0) {
-      stuck[w] = true;  // nothing can raise this window any further
-      continue;
-    }
-    // Raising the minimum *requires* filling this window; if even the
-    // cheapest way busts the budget, MVDC is done.
-    if (result.delay_spent_ps + best_cost > mvdc.delay_budget_ps + 1e-15) {
-      result.budget_exhausted = true;
-      break;
-    }
-    result.delay_spent_ps += pools[best_pool].take(ctx);
-    ++result.placed;
-    const TileIndex t = dis.tile_unflat(pools[best_pool].inst.tile_flat);
-    for_covering_windows(dis, t.ix, t.iy, [&](int cwx, int cwy) {
-      warea[static_cast<std::size_t>(cwy) * nwx + cwx] += fa;
-    });
-    windows.emplace(warea[w] / win_area, w);
-  }
+        result.delay_spent_ps += pool.take(ctx);
+        return best;
+      });
+  result.density_before = target.before;
+  result.lower_target_used = target.lower_target_used;
+  result.upper_bound_used = target.upper_bound_used;
+  result.placed = target.total_features;
 
   // Materialize the placement and score it exactly.
-  for (const TilePool& pool : pools) {
-    for (std::size_t k = 0; k < pool.inst.cols.size(); ++k) {
-      const InstanceColumn& ic = pool.inst.cols[k];
-      const fill::SlackColumn& col = slack.columns()[ic.column];
-      for (int i = 0; i < pool.counts[k]; ++i)
-        result.features.push_back(
-            slack.site_rect(col, ic.first_site + i, flow.rules));
-    }
-  }
-  EvaluatorOptions eval_options;
-  eval_options.switch_factor = flow.switch_factor;
-  const DelayImpactEvaluator evaluator(slack, pieces, model, flow.rules,
-                                       eval_options);
+  for (const TilePool& pool : pools)
+    flow_detail::append_rects(pool.inst, pool.counts, slack, flow.rules,
+                              result.features);
+  const DelayImpactEvaluator evaluator(slack, session.pieces(), model,
+                                       flow.rules,
+                                       flow_detail::make_eval_options(flow));
   result.impact = evaluator.evaluate_rects(result.features);
 
-  grid::DensityMap after = wires;
+  grid::DensityMap after = session.wires();
   for (const auto& r : result.features) after.add_rect(r);
   result.density_after = after.stats();
   PIL_INFO("MVDC: placed " << result.placed << ", delay spent "

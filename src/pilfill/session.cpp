@@ -235,8 +235,7 @@ struct FillSession::Impl {
     }
     {
       obs::Stage stage("grid.density_map", &stages.density_map);
-      wires->add_layer_wires(layout, config.layer);
-      wires->add_layer_metal_blockages(layout, config.layer);
+      wires->add_layer_metal(layout, config.layer);
     }
     {
       obs::Stage stage("fill.slack_scan", &stages.slack_extraction);

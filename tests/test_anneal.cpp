@@ -52,29 +52,33 @@ TEST(Anneal, TotalFillCountIsPreserved) {
 
 TEST(Anneal, DensityBandIsPreserved) {
   // Inter-tile moves may reshuffle per-tile counts, but every window must
-  // stay within [starting floor, targeter cap] (site accounting; drawn-area
-  // tolerance for boundary-straddling features).
-  const Layout l = layout::make_testcase_t2();
-  const FlowResult base = run_pil_fill_flow(l, flow(4), {Method::kConvex});
-  const AnnealFlowResult ann = run_annealed_pil_fill_flow(l, flow(4));
+  // stay within [starting floor, targeter cap] (site accounting over the
+  // session's wires and metal blockages), macro metal included.
+  layout::SyntheticLayoutConfig with_macros = layout::testcase_t2_config();
+  with_macros.num_macros = 2;
+  for (const Layout& l : {layout::make_testcase_t2(),
+                          layout::generate_synthetic_layout(with_macros)}) {
+    const FillSession session(l, flow(4));
+    const AnnealFlowResult ann = run_annealed_pil_fill_flow(l, flow(4));
 
-  const grid::Dissection dis(l.die(), 32, 4);
-  grid::DensityMap before(dis);
-  before.add_layer_wires(l, 0);
-  grid::DensityMap after = before;
-  for (int t = 0; t < dis.num_tiles(); ++t)
-    after.add_area(dis.tile_unflat(t),
-                   ann.features_per_tile[t] * fill::FillRules{}.feature_area());
-  grid::DensityMap start = before;
-  for (int t = 0; t < dis.num_tiles(); ++t)
-    start.add_area(
-        dis.tile_unflat(t),
-        base.target.features_per_tile[t] * fill::FillRules{}.feature_area());
+    const grid::Dissection& dis = session.dissection();
+    const double fa = fill::FillRules{}.feature_area();
+    grid::DensityMap after = session.wires();
+    grid::DensityMap start = session.wires();
+    for (int t = 0; t < dis.num_tiles(); ++t) {
+      after.add_area(dis.tile_unflat(t), ann.features_per_tile[t] * fa);
+      start.add_area(dis.tile_unflat(t),
+                     session.target().features_per_tile[t] * fa);
+    }
 
-  const double eps = 1e-9;
-  EXPECT_GE(after.stats().min_density, start.stats().min_density - eps);
-  EXPECT_LE(after.stats().max_density,
-            base.target.upper_bound_used + eps);
+    const double eps = 1e-9;
+    const std::size_t blockages = l.blockages().size();
+    EXPECT_GE(after.stats().min_density, start.stats().min_density - eps)
+        << blockages << " blockage(s)";
+    EXPECT_LE(after.stats().max_density,
+              session.target().upper_bound_used + eps)
+        << blockages << " blockage(s)";
+  }
 }
 
 TEST(Anneal, DeterministicPerSeed) {

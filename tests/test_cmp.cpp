@@ -77,7 +77,7 @@ TEST(CmpModel, FillFlattensRealLayout) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection dis(l.die(), 32.0, 4);
   DensityMap before(dis);
-  before.add_layer_wires(l, 0);
+  before.add_layer_metal(l, 0);
 
   pilfill::FlowConfig config;
   config.window_um = 32;
@@ -119,7 +119,7 @@ TEST(Erosion, SparseLayoutPaysDelay) {
   const auto trees = rctree::build_all_trees(l);
   const grid::Dissection dis(l.die(), 32.0, 2);
   grid::DensityMap wires(dis);
-  wires.add_layer_wires(l, 0);  // real (sparse) densities
+  wires.add_layer_metal(l, 0);  // real (sparse) densities
   const CmpResult cmp = simulate_cmp(wires);
   const ErosionReport r = erosion_delay_report(trees, l, cmp);
   EXPECT_GT(r.total_delay_increase_ps, 0.0);
@@ -136,7 +136,7 @@ TEST(Erosion, FillReducesErosionDelay) {
   const auto trees = rctree::build_all_trees(l);
   const grid::Dissection dis(l.die(), 32.0, 4);
   grid::DensityMap before(dis);
-  before.add_layer_wires(l, 0);
+  before.add_layer_metal(l, 0);
 
   pilfill::FlowConfig flow;
   flow.window_um = 32;

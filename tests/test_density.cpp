@@ -168,7 +168,7 @@ TEST(FillTargetLp, RefusesDissectionsPastTheWindowLimit) {
   const Dissection dis(l.die(), 20.0, 8);
   ASSERT_EQ(dis.num_windows(), 2025);
   DensityMap wires(dis);
-  wires.add_layer_wires(l, 0);
+  wires.add_layer_metal(l, 0);
   const std::vector<int> cap(dis.num_tiles(), 1000);
   for (const auto& [engine, targeter] :
        {std::pair{"min-var", &compute_fill_amounts_lp},
@@ -205,7 +205,7 @@ TEST(MinFillLp, UsesFewerFeaturesForTheSameFloor) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection dis(l.die(), 32.0, 2);
   DensityMap wires(dis);
-  wires.add_layer_wires(l, 0);
+  wires.add_layer_metal(l, 0);
   std::vector<int> cap(dis.num_tiles(), 1000);
 
   const FillTargetResult minvar = compute_fill_amounts_lp(wires, cap, kRules);
@@ -226,7 +226,7 @@ TEST(MinFillLp, InfeasibleFloorIsClampedNotFatal) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection dis(l.die(), 32.0, 2);
   DensityMap wires(dis);
-  wires.add_layer_wires(l, 0);
+  wires.add_layer_metal(l, 0);
   std::vector<int> cap(dis.num_tiles(), 2);  // almost no capacity
   FillTargetConfig cfg;
   cfg.lower_target = 0.9;  // impossible
@@ -253,7 +253,7 @@ TEST(FillTargetProperty, McNearLpOnRealLayout) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection dis(l.die(), 32.0, 2);
   DensityMap wires(dis);
-  wires.add_layer_wires(l, 0);
+  wires.add_layer_metal(l, 0);
   std::vector<int> cap(dis.num_tiles(), 1000);  // ample capacity
 
   const FillTargetResult mc = compute_fill_amounts_mc(wires, cap, kRules);

@@ -503,6 +503,21 @@ TEST(Checker, DetectsDensityOverCap) {
   EXPECT_EQ(r.violations[0].kind, ViolationKind::kDensityOverCap);
   // Without a dissection the density check is a hard error.
   EXPECT_THROW(check_fill(l, {}, opt, nullptr), Error);
+
+  // A metal blockage counts toward window density: a cap between the
+  // wire-only and the wire-plus-macro density is busted.
+  Layout macro = two_line_layout();
+  macro.add_blockage(0, geom::Rect{4, 22, 12, 30}, /*is_metal=*/true);
+  grid::DensityMap wires_only(dis);
+  for (const auto& seg : macro.segments()) wires_only.add_rect(seg.rect());
+  grid::DensityMap with_metal(dis);
+  with_metal.add_layer_metal(macro, 0);
+  opt.max_window_density = 0.5 * (wires_only.stats().max_density +
+                                  with_metal.stats().max_density);
+  ASSERT_LT(wires_only.stats().max_density, opt.max_window_density);
+  const CheckReport metal = check_fill(macro, {}, opt, &dis);
+  ASSERT_FALSE(metal.clean());
+  EXPECT_EQ(metal.violations[0].kind, ViolationKind::kDensityOverCap);
 }
 
 TEST(Checker, ViolationCapBoundsOutput) {

@@ -128,7 +128,7 @@ TEST(DensityMap, LayerWiresMatchTotalArea) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection d(l.die(), 32.0, 4);
   DensityMap m(d);
-  m.add_layer_wires(l, 0);
+  m.add_layer_metal(l, 0);
   double tiles_total = 0;
   for (int flat = 0; flat < d.num_tiles(); ++flat)
     tiles_total += m.tile_area_flat(flat);
@@ -262,7 +262,7 @@ TEST(Smoothness, BoundedByVariation) {
   for (const int rr : {2, 4}) {
     const Dissection d(l.die(), 32.0, rr);
     DensityMap m(d);
-    m.add_layer_wires(l, 0);
+    m.add_layer_metal(l, 0);
     const SmoothnessReport r = analyze_smoothness(m);
     EXPECT_GT(r.type1, 0.0);
     EXPECT_LE(r.type1, r.variation + 1e-12);
@@ -280,7 +280,7 @@ TEST(Smoothness, FillImprovesSmoothness) {
   const layout::Layout l = layout::make_testcase_t2();
   const Dissection d(l.die(), 32.0, 4);
   DensityMap before(d);
-  before.add_layer_wires(l, 0);
+  before.add_layer_metal(l, 0);
 
   const auto trees = rctree::build_all_trees(l);
   const auto pieces = fill::flatten_pieces(trees);
@@ -327,7 +327,7 @@ TEST(DensityMapProperty, StatsMatchEnumeration) {
   for (const int r : {2, 4, 8}) {
     const Dissection d(l.die(), 32.0, r);
     DensityMap m(d);
-    m.add_layer_wires(l, 0);
+    m.add_layer_metal(l, 0);
     const DensityStats s = m.stats();
     double mn = 1e9, mx = -1e9;
     for (int wy = 0; wy < d.windows_y(); ++wy)

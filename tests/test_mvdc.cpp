@@ -76,16 +76,74 @@ TEST(Mvdc, DensityMonotoneInBudget) {
 }
 
 TEST(Mvdc, ExplicitTargetsHonored) {
+  // L and U come from FlowConfig::target, as for every targeting engine.
   const Layout l = layout::make_testcase_t2();
-  MvdcConfig cfg;
-  cfg.lower_target = 0.12;
-  cfg.upper_bound = 0.2;
-  const MvdcResult r = run_mvdc_fill(l, base_flow(), cfg);
+  FlowConfig flow = base_flow();
+  flow.target.lower_target = 0.12;
+  flow.target.upper_bound = 0.2;
+  const MvdcResult r = run_mvdc_fill(l, flow, MvdcConfig{});
   const double straddle_tol =
       15 * fill::FillRules{}.feature_area() / (32.0 * 32.0);
   EXPECT_DOUBLE_EQ(r.lower_target_used, 0.12);
+  EXPECT_DOUBLE_EQ(r.upper_bound_used, 0.2);
   EXPECT_LE(r.density_after.max_density, 0.2 + straddle_tol);
   EXPECT_GE(r.density_after.min_density, 0.12 - straddle_tol);
+}
+
+/// Maximum window density with each feature's area in the tile holding its
+/// centre (the tile its slack site belongs to), on top of the session's
+/// wires and metal blockages.
+double site_counted_max(const FillSession& session,
+                        const std::vector<geom::Rect>& features) {
+  grid::DensityMap density = session.wires();
+  for (const geom::Rect& f : features)
+    density.add_area(session.dissection().tile_at(f.center()),
+                     session.config().rules.feature_area());
+  return density.stats().max_density;
+}
+
+TEST(Mvdc, KeepsEveryWindowUnderTheSessionCap) {
+  // MVDC's U is the session's, and no window passes it: on clipped edge
+  // windows (W = 20 on the 128 um die) and with macro metal in the windows.
+  layout::SyntheticLayoutConfig with_macros = layout::testcase_t2_config();
+  with_macros.num_macros = 2;
+  const Layout t2 = layout::make_testcase_t2();
+  const Layout t2_macros = layout::generate_synthetic_layout(with_macros);
+  struct Row {
+    const Layout* layout;
+    int window_um;
+    int r;
+  };
+  for (const Row& row : {Row{&t2, 20, 2}, Row{&t2, 20, 4}, Row{&t2, 20, 8},
+                         Row{&t2_macros, 32, 2}, Row{&t2_macros, 32, 4}}) {
+    FlowConfig flow;
+    flow.window_um = row.window_um;
+    flow.r = row.r;
+    const FillSession session(*row.layout, flow);
+    const MvdcResult r = run_mvdc_fill(*row.layout, flow, MvdcConfig{});
+    const double cap = session.target().upper_bound_used;
+    const std::string label = (row.layout == &t2 ? "T2 " : "T2+macros ") +
+                              std::to_string(row.window_um) + "/" +
+                              std::to_string(row.r);
+    EXPECT_EQ(r.upper_bound_used, cap) << label;
+    EXPECT_LE(site_counted_max(session, r.features), cap + 1e-9) << label;
+  }
+}
+
+TEST(Mvdc, WeightedBudgetHonoursNetCriticality) {
+  // With every net's criticality 0, every weighted marginal is 0: a zero
+  // budget buys as much fill as an unlimited one.
+  const Layout l = layout::make_testcase_t2();
+  FlowConfig flow = base_flow();
+  flow.objective = Objective::kWeighted;
+  flow.net_criticality.assign(l.num_nets(), 0.0);
+  MvdcConfig zero;
+  zero.delay_budget_ps = 0.0;
+  const MvdcResult none = run_mvdc_fill(l, flow, zero);
+  const MvdcResult full = run_mvdc_fill(l, flow, MvdcConfig{});
+  EXPECT_GT(full.placed, 0);
+  EXPECT_EQ(none.placed, full.placed);
+  EXPECT_FALSE(none.budget_exhausted);
 }
 
 TEST(Mvdc, SpentEstimateTracksExactScore) {

@@ -687,6 +687,29 @@ TEST(ServiceServer, UnknownSessionAndBadFramesAreHandled) {
       "{\"schema\":\"pil.request.v2\",\"op\":\"stats\"}"));
   EXPECT_FALSE(wrong.ok);
   EXPECT_NE(wrong.error.find("pil.request.v1"), std::string::npos);
+
+  // A layout the client supplies is rejected without source locations,
+  // whether it arrives as PLD text or as a generator spec.
+  const std::string head =
+      "PLD 1\nDIE 0 0 32 32\n"
+      "LAYER m3 H WIDTH 0.5 SHEETRES 0.08 THICKNESS 0.5 EPSR 3.9\n";
+  std::vector<Request> opens(5);
+  opens[0].layout_pld = head + "NET n0 SOURCE 40 5 RDRV 100\nEND\n";
+  opens[1].layout_pld =
+      head + "LAYER m3 H WIDTH 0.5 SHEETRES 0.08 THICKNESS 0.5 EPSR 3.9\n";
+  opens[2].layout_pld = head + "BLOCKAGE m3 20 20 40 30\n";
+  opens[3].gen = GenSpec{};
+  opens[3].gen->die_um = -5.0;
+  opens[4].gen = GenSpec{};
+  opens[4].gen->die_um = 1.0;  // too small for four tracks
+  for (Request& open : opens) {
+    open.op = Op::kOpenSession;
+    open.config = small_config();
+    const Response rejected = client.call(open);
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_FALSE(rejected.error.empty());
+    expect_client_facing(rejected.error);
+  }
 }
 
 TEST(ServiceServer, OversizeFrameGetsDiagnosedThenDisconnected) {

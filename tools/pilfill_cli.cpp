@@ -322,8 +322,7 @@ grid::DensityStats density_with_fill(const layout::Layout& l,
                                      const std::vector<geom::Rect>& features) {
   const grid::Dissection dis(l.die(), config.window_um, config.r);
   grid::DensityMap m(dis);
-  m.add_layer_wires(l, config.layer);
-  m.add_layer_metal_blockages(l, config.layer);
+  m.add_layer_metal(l, config.layer);
   for (const auto& f : features) m.add_rect(f);
   return m.stats();
 }
@@ -351,9 +350,9 @@ int cmd_analyze(const Args& args) {
   config.validate(l);
 
   const grid::Dissection dis(l.die(), config.window_um, config.r);
-  grid::DensityMap wires(dis);
-  wires.add_layer_wires(l, config.layer);
-  const grid::DensityStats stats = wires.stats();
+  grid::DensityMap density(dis);
+  density.add_layer_metal(l, config.layer);
+  const grid::DensityStats stats = density.stats();
 
   const auto trees = rctree::build_all_trees(l);
   double worst_delay = 0, total_delay = 0;
@@ -385,7 +384,7 @@ int cmd_analyze(const Args& args) {
             << to_string(config.solver_mode) << "), capacity "
             << slack.total_capacity() << " features\n";
   std::cout << "\nwindow density heatmap (' ' = min, '@' = max):\n"
-            << grid::render_density_ascii(wires);
+            << grid::render_density_ascii(density);
   return 0;
 }
 
@@ -489,14 +488,17 @@ int cmd_fill(const Args& args) {
 
 int cmd_check(const Args& args) {
   // Verify a filled .pld: fill nets are recognized by the "FILL" name
-  // prefix written by `pilfill fill --out`; everything else is real wiring.
+  // prefix written by `pilfill fill --out`; everything else, blockages
+  // included, is the design the fill must respect.
   if (args.positional.empty()) throw Error("check: layout path required");
   const layout::Layout filled = load_layout(args.positional[0], args);
   const pilfill::FlowConfig config = flow_from_args(args);
 
-  layout::Layout wires_only(filled.die());
+  layout::Layout design(filled.die());
   for (std::size_t i = 0; i < filled.num_layers(); ++i)
-    wires_only.add_layer(filled.layer(static_cast<layout::LayerId>(i)));
+    design.add_layer(filled.layer(static_cast<layout::LayerId>(i)));
+  for (const layout::Blockage& b : filled.blockages())
+    design.add_blockage(b.layer, b.rect, b.is_metal);
   std::vector<geom::Rect> features;
   for (std::size_t i = 0; i < filled.num_nets(); ++i) {
     const layout::Net& net = filled.net(static_cast<layout::NetId>(i));
@@ -508,14 +510,14 @@ int cmd_check(const Args& args) {
       copy.source = net.source;
       copy.driver_res_ohm = net.driver_res_ohm;
       copy.sinks = net.sinks;
-      nid = wires_only.add_net(std::move(copy));
+      nid = design.add_net(std::move(copy));
     }
     for (const layout::SegmentId sid : net.segments) {
       const layout::WireSegment& seg = filled.segment(sid);
       if (is_fill)
         features.push_back(seg.rect());
       else
-        wires_only.add_segment(nid, seg.layer, seg.a, seg.b, seg.width_um);
+        design.add_segment(nid, seg.layer, seg.a, seg.b, seg.width_um);
     }
   }
 
@@ -525,7 +527,7 @@ int cmd_check(const Args& args) {
       args.num("max-density", options.max_window_density);
   const grid::Dissection dis(filled.die(), config.window_um, config.r);
   const fill::CheckReport report =
-      fill::check_fill(wires_only, features, options, &dis);
+      fill::check_fill(design, features, options, &dis);
 
   std::cout << "checked " << report.features_checked << " fill features: "
             << (report.clean() ? "CLEAN" : "VIOLATIONS FOUND") << "\n";
