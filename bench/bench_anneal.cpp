@@ -34,10 +34,11 @@ int main() {
       pilfill::FlowConfig flow;
       flow.window_um = window;
       flow.r = r;
-      const pilfill::FlowResult base = pilfill::run_pil_fill_flow(
-          chip, flow, {Method::kNormal, Method::kIlp2});
+      pilfill::FillSession session(chip, flow);
+      const pilfill::FlowResult base =
+          session.solve({Method::kNormal, Method::kIlp2});
       const pilfill::AnnealFlowResult ann =
-          pilfill::run_annealed_pil_fill_flow(chip, flow);
+          pilfill::run_annealed_pil_fill_flow(session);
       const double ilp2 = base.methods[1].impact.delay_ps;
       const double tau = ann.impact.delay_ps;
       never_worse = never_worse && tau <= 1.001 * ilp2;

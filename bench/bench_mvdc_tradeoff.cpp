@@ -22,10 +22,11 @@ int main() {
   pilfill::FlowConfig flow;
   flow.window_um = 32;
   flow.r = 4;
+  const pilfill::FillSession session(chip, flow);  // one prep for the sweep
 
   // The unconstrained run bounds the sweep.
   const pilfill::MvdcResult full =
-      pilfill::run_mvdc_fill(chip, flow, pilfill::MvdcConfig{});
+      pilfill::run_mvdc_fill(session, pilfill::MvdcConfig{});
 
   std::cout << "=== MVDC: density-vs-delay tradeoff (T2, W=32, r=4) ===\n"
             << "unconstrained: " << full.placed << " features, "
@@ -43,7 +44,7 @@ int main() {
   for (const double frac : {0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0}) {
     pilfill::MvdcConfig cfg;
     cfg.delay_budget_ps = frac * max_spend;
-    const pilfill::MvdcResult r = pilfill::run_mvdc_fill(chip, flow, cfg);
+    const pilfill::MvdcResult r = pilfill::run_mvdc_fill(session, cfg);
     within_budget =
         within_budget && r.delay_spent_ps <= cfg.delay_budget_ps + 1e-12;
     monotone = monotone && r.placed >= prev_placed &&

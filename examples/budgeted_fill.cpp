@@ -18,18 +18,17 @@ int main(int argc, char** argv) {
       argc > 1 ? parse_double(argv[1], "allowance") : 0.002;
 
   const layout::Layout chip = layout::make_testcase_t2();
-  const auto pieces = fill::flatten_pieces(rctree::build_all_trees(chip));
-
   pilfill::FlowConfig flow;
   flow.window_um = 32;
   flow.r = 4;
+  const pilfill::FillSession session(chip, flow);
 
   pilfill::BudgetedConfig budgets;
   budgets.net_cap_budget_ff = pilfill::budgets_from_delay_ps(
-      pieces, static_cast<int>(chip.num_nets()), allowance_ps);
+      session.pieces(), static_cast<int>(chip.num_nets()), allowance_ps);
 
   const pilfill::BudgetedFlowResult res =
-      pilfill::run_budgeted_pil_fill_flow(chip, flow, budgets);
+      pilfill::run_budgeted_pil_fill_flow(session, budgets);
 
   double max_used = 0, max_budget = 0;
   int binding = 0;
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "per-net delay allowance : " << allowance_ps << " ps\n"
-            << "prescribed fill         : " << res.target.total_features
+            << "prescribed fill         : " << session.target().total_features
             << " features\n"
             << "placed / shortfall      : " << res.allocation.placed << " / "
             << res.allocation.shortfall << "\n"

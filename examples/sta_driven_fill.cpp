@@ -22,13 +22,20 @@ int main(int argc, char** argv) {
       argc > 1 ? parse_double(argv[1], "required") : 6.0;
 
   const layout::Layout chip = layout::make_testcase_t2();
-  const auto trees = rctree::build_all_trees(chip);
-  const auto pieces = fill::flatten_pieces(trees);
+  pilfill::FlowConfig flow;
+  flow.window_um = 32;
+  flow.r = 4;
+  flow.objective = pilfill::Objective::kWeighted;
+  // One prep serves the STA, the plain ILP-II run, the budgeted flow and
+  // the per-net read-out.
+  pilfill::FillSession session(chip, flow);
+  const auto& pieces = session.pieces();
 
   // --- 1. STA --------------------------------------------------------------
   sta::TimingConstraints constraints;
   constraints.default_required_ps = required_ps;
-  const sta::TimingReport timing = sta::analyze_timing(trees, constraints);
+  const sta::TimingReport timing =
+      sta::analyze_timing(session.trees(), constraints);
   std::cout << "pre-fill STA @ required " << required_ps << " ps: WNS "
             << format_double(timing.worst_slack_ps, 3) << " ps, "
             << timing.failing_nets << "/" << chip.num_nets()
@@ -54,14 +61,8 @@ int main(int argc, char** argv) {
     return wns;
   };
 
-  pilfill::FlowConfig flow;
-  flow.window_um = 32;
-  flow.r = 4;
-  flow.objective = pilfill::Objective::kWeighted;
-
   // --- 3a/3b: per-tile ILP-II, plain vs criticality-weighted ---------------
-  const pilfill::FlowResult plain =
-      pilfill::run_pil_fill_flow(chip, flow, {pilfill::Method::kIlp2});
+  const pilfill::FlowResult plain = session.solve({pilfill::Method::kIlp2});
   pilfill::FlowConfig crit_flow = flow;
   crit_flow.required_per_tile = plain.target.features_per_tile;
   crit_flow.net_criticality = criticality;
@@ -69,24 +70,15 @@ int main(int argc, char** argv) {
       pilfill::run_pil_fill_flow(chip, crit_flow, {pilfill::Method::kIlp2});
 
   // Read out the per-net coupling each placement actually causes.
-  const grid::Dissection dis(chip.die(), flow.window_um, flow.r);
-  const fill::SlackColumns slack = fill::extract_slack_columns(
-      chip, dis, pieces, 0, flow.rules, fill::SlackMode::kIII);
-  const cap::CouplingModel model(chip.layer(0).eps_r,
-                                 chip.layer(0).thickness_um);
-  const pilfill::DelayImpactEvaluator evaluator(slack, pieces, model,
-                                                flow.rules);
   const int nn = static_cast<int>(chip.num_nets());
-  const auto plain_dc =
-      evaluator.per_net_coupling_ff(plain.methods[0].placement.features, nn);
-  const auto crit_dc =
-      evaluator.per_net_coupling_ff(crit.methods[0].placement.features, nn);
+  const auto plain_dc = session.evaluator().per_net_coupling_ff(
+      plain.methods[0].placement.features, nn);
+  const auto crit_dc = session.evaluator().per_net_coupling_ff(
+      crit.methods[0].placement.features, nn);
 
-  // --- 3c: slack-budgeted ----------------------------------------------------
-  pilfill::FlowConfig budget_flow = flow;
-  budget_flow.required_per_tile = plain.target.features_per_tile;
+  // --- 3c: slack-budgeted, on the plain run's fill requirements -------------
   const pilfill::BudgetedFlowResult budgeted =
-      pilfill::run_budgeted_pil_fill_flow(chip, budget_flow, budgets);
+      pilfill::run_budgeted_pil_fill_flow(session, budgets);
 
   // --- 4. report -------------------------------------------------------------
   Table table({"flavor", "placed", "shortfall", "wtau (ps)",

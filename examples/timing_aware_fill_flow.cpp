@@ -48,8 +48,8 @@ int main(int argc, char** argv) try {
   const std::vector<Method> methods = {Method::kNormal, Method::kIlp1,
                                        Method::kIlp2, Method::kGreedy,
                                        Method::kConvex};
-  const pilfill::FlowResult res =
-      pilfill::run_pil_fill_flow(chip, config, methods);
+  pilfill::FillSession session(chip, config);
+  const pilfill::FlowResult res = session.solve(methods);
 
   std::cout << "density before: [" << res.density_before.min_density << ", "
             << res.density_before.max_density << "]; prescribed fill "
@@ -69,28 +69,17 @@ int main(int argc, char** argv) try {
 
   // Crosstalk proxy: fill-induced coupling relative to each net's total
   // capacitance (the intro's crosstalk concern, quantified per method).
-  {
-    const auto trees = rctree::build_all_trees(chip);
-    const auto pieces = fill::flatten_pieces(trees);
-    const grid::Dissection dis(chip.die(), config.window_um, config.r);
-    const auto slack = fill::extract_slack_columns(
-        chip, dis, pieces, config.layer, config.rules, fill::SlackMode::kIII);
-    const cap::CouplingModel model(chip.layer(config.layer).eps_r,
-                                   chip.layer(config.layer).thickness_um);
-    const pilfill::DelayImpactEvaluator evaluator(slack, pieces, model,
-                                                  config.rules);
-    std::cout << "\nworst relative coupling increase (dC / C_net):\n";
-    for (const auto& m : res.methods) {
-      const auto dc = evaluator.per_net_coupling_ff(
-          m.placement.features, static_cast<int>(chip.num_nets()));
-      double worst = 0;
-      for (std::size_t n = 0; n < dc.size(); ++n) {
-        const double total = trees[n].total_cap_ff();
-        if (total > 0) worst = std::max(worst, dc[n] / total);
-      }
-      std::cout << "  " << to_string(m.method) << ": "
-                << format_double(100 * worst, 3) << "%\n";
+  std::cout << "\nworst relative coupling increase (dC / C_net):\n";
+  for (const auto& m : res.methods) {
+    const auto dc = session.evaluator().per_net_coupling_ff(
+        m.placement.features, static_cast<int>(chip.num_nets()));
+    double worst = 0;
+    for (std::size_t n = 0; n < dc.size(); ++n) {
+      const double total = session.trees()[n].total_cap_ff();
+      if (total > 0) worst = std::max(worst, dc[n] / total);
     }
+    std::cout << "  " << to_string(m.method) << ": "
+              << format_double(100 * worst, 3) << "%\n";
   }
 
   // Persist the ILP-II placement: fill features become zero-sink nets on

@@ -12,13 +12,14 @@
 /// features between columns -- including across tiles -- accepting a move
 /// only if every covering window stays within the density band the
 /// starting placement achieved (floor) and the targeter's cap. The flow
-/// runs on one FillSession's prep, so window densities count the session's
-/// wires and metal blockages. Costs are charged per whole gap (cross-tile
+/// runs on a caller's FillSession (its targets, slack columns, wires and
+/// evaluator), so window densities count the session's wires and metal
+/// blockages. Costs are charged per whole gap (cross-tile
 /// column totals), O(1) per move from the lookup tables.
 
 #include <cstdint>
 
-#include "pil/pilfill/driver.hpp"
+#include "pil/pilfill/session.hpp"
 
 namespace pil::pilfill {
 
@@ -40,7 +41,6 @@ struct AnnealConfig {
 };
 
 struct AnnealFlowResult {
-  density::FillTargetResult target;
   DelayImpact impact;            ///< exact evaluator score of the BEST state
   double initial_cost_ps = 0.0;  ///< global model cost of the convex start
   double final_cost_ps = 0.0;    ///< global model cost after annealing
@@ -51,11 +51,10 @@ struct AnnealFlowResult {
   double solve_seconds = 0.0;
 };
 
-/// Run the flow with the annealing-refined global placement. The per-tile
-/// fill requirements (and thus the density quality) match
-/// run_pil_fill_flow exactly; floating fill only.
-AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
-                                            const FlowConfig& config,
+/// Anneal from the per-tile convex placement of the session's targets, so
+/// the total fill (and thus the density quality) matches session.solve();
+/// floating fill and SlackColumn-III only.
+AnnealFlowResult run_annealed_pil_fill_flow(const FillSession& session,
                                             const AnnealConfig& anneal = {});
 
 }  // namespace pil::pilfill

@@ -22,7 +22,7 @@
 #include <limits>
 #include <vector>
 
-#include "pil/pilfill/driver.hpp"
+#include "pil/pilfill/session.hpp"
 #include "pil/pilfill/solvers.hpp"
 
 namespace pil::pilfill {
@@ -55,8 +55,6 @@ BudgetedResult solve_budgeted(const std::vector<TileInstance>& instances,
 
 /// Whole-layout budgeted flow result (see run_budgeted_pil_fill_flow).
 struct BudgetedFlowResult {
-  grid::DensityStats density_before;
-  density::FillTargetResult target;
   BudgetedResult allocation;
   DelayImpact impact;           ///< scored by the standard exact evaluator
   std::vector<geom::Rect> features;
@@ -80,11 +78,11 @@ std::vector<double> budgets_from_per_net_delay_ps(
     const std::vector<rctree::WirePiece>& pieces, int num_nets,
     const std::vector<double>& delay_allowance_ps);
 
-/// Run the full flow (dissection, targeting, slack extraction) and solve
-/// with the global budget-aware allocator. Uses config.solver_mode columns
-/// like the per-tile methods; budgets must use the layout's NetId space.
-BudgetedFlowResult run_budgeted_pil_fill_flow(const layout::Layout& layout,
-                                              const FlowConfig& config,
+/// Solve the session's tile instances (its targets, on its
+/// config.solver_mode columns) with the global budget-aware allocator and
+/// score the placement with session.evaluator(). Budgets use the session
+/// layout's NetId space.
+BudgetedFlowResult run_budgeted_pil_fill_flow(const FillSession& session,
                                               const BudgetedConfig& budgets);
 
 }  // namespace pil::pilfill

@@ -7,8 +7,9 @@
 ///
 /// Given a total delay-impact budget D, insert fill to raise the minimum
 /// window density as far as possible while the (weighted or non-weighted)
-/// Elmore delay increase stays within D. MVDC runs on a FillSession's prep
-/// and is the fill-targeting top-up loop
+/// Elmore delay increase stays within D. MVDC runs on a caller's
+/// FillSession (its wires, global slack columns, pieces and evaluator; its
+/// own fill targets go unused) and is the fill-targeting top-up loop
 /// (density::compute_fill_amounts_picked) with a delay-aware choice of
 /// tile: the loop always works on the currently-lowest-density window, and
 /// MVDC fills the candidate tile whose cheapest site has the smallest delay
@@ -23,7 +24,7 @@
 
 #include <vector>
 
-#include "pil/pilfill/driver.hpp"
+#include "pil/pilfill/session.hpp"
 
 namespace pil::pilfill {
 
@@ -34,7 +35,7 @@ struct MvdcConfig {
 };
 
 struct MvdcResult {
-  grid::DensityStats density_before;
+  /// Window densities with the fill; without it they are session.wires().
   grid::DensityStats density_after;
   long long placed = 0;
   double delay_spent_ps = 0.0;   ///< per-tile model estimate (allocator view)
@@ -45,9 +46,8 @@ struct MvdcResult {
   bool budget_exhausted = false; ///< stopped because of D, not density/slack
 };
 
-/// Run MVDC fill on `layout`. config.objective selects which delay metric
-/// the budget constrains.
-MvdcResult run_mvdc_fill(const layout::Layout& layout,
-                         const FlowConfig& flow, const MvdcConfig& mvdc);
+/// Run MVDC fill on the session's layout. session.config().objective
+/// selects which delay metric the budget constrains.
+MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc);
 
 }  // namespace pil::pilfill

@@ -42,7 +42,9 @@
 ///     to its predecessor keeps its cached per-method solve results.
 ///
 /// The one-shot flows (run_pil_fill_flow & friends) are thin wrappers over
-/// a FillSession: construct, solve, discard.
+/// a FillSession: construct, solve, discard. The extension flows (budgeted,
+/// MVDC, anneal) take a caller's session, so one prep and one evaluator
+/// serve every flow a caller compares.
 
 #include <cstdint>
 #include <map>
@@ -176,13 +178,21 @@ class FillSession {
   int tiles_total() const;
   const SessionStats& stats() const;
 
-  // Prep-state accessors (read-only views of the cached artifacts; used by
-  // the one-shot wrappers and the budgeted flow).
+  // Prep-state accessors: read-only views of the cached artifacts, which
+  // the extension flows (budgeted, MVDC, anneal) and pilfill read instead
+  // of prepping again.
   const grid::DensityMap& wires() const;
   const density::FillTargetResult& target() const;
   const fill::SlackColumns& global_slack() const;
   const fill::SlackColumns& solver_slack() const;
+  const std::vector<rctree::RcTree>& trees() const;  ///< one per net
   const std::vector<rctree::WirePiece>& pieces() const;
+  /// The session's one scorer, over global_slack() and pieces(). apply_edit
+  /// rebuilds it, so the reference is valid only until the next edit.
+  const DelayImpactEvaluator& evaluator() const;
+  /// Window densities of wires() (drawn wires and metal) plus `features`;
+  /// solve() takes each method's density_after from it.
+  grid::DensityMap density_with(const std::vector<geom::Rect>& features) const;
   /// Instances of all tiles with a non-zero requirement, in tile order.
   std::vector<TileInstance> instances_snapshot() const;
   double prep_seconds() const;  ///< prep_stages().total()

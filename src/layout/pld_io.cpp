@@ -4,46 +4,33 @@
 #include <iomanip>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "pil/util/strings.hpp"
 
 namespace pil::layout {
-
-namespace {
-
-[[noreturn]] void fail(int lineno, const std::string& what) {
-  std::ostringstream os;
-  os << "pld parse error at line " << lineno << ": " << what;
-  throw Error(os.str());
-}
-
-}  // namespace
 
 Layout read_pld(std::istream& in) {
   Layout layout;
   bool saw_magic = false;
   bool saw_die = false;
   NetId current_net = kInvalidNet;
-  std::string line;
-  int lineno = 0;
 
-  while (std::getline(in, line)) {
-    ++lineno;
+  // Reads one line; the loop below prefixes its errors with the line.
+  auto read_line = [&](std::string line) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     const auto tokens = split_ws(line);
-    if (tokens.empty()) continue;
+    if (tokens.empty()) return;
     const std::string& kw = tokens[0];
 
     if (kw == "PLD") {
       if (tokens.size() != 2 || parse_int(tokens[1], "PLD version") != 1)
-        fail(lineno, "expected 'PLD 1'");
+        throw Error("expected 'PLD 1'");
       saw_magic = true;
     } else if (!saw_magic) {
-      fail(lineno, "file must start with 'PLD 1'");
+      throw Error("file must start with 'PLD 1'");
     } else if (kw == "DIE") {
-      if (tokens.size() != 5) fail(lineno, "DIE needs 4 coordinates");
+      if (tokens.size() != 5) throw Error("DIE needs 4 coordinates");
       layout.set_die(geom::Rect{
           parse_double(tokens[1], "DIE"), parse_double(tokens[2], "DIE"),
           parse_double(tokens[3], "DIE"), parse_double(tokens[4], "DIE")});
@@ -52,9 +39,9 @@ Layout read_pld(std::istream& in) {
       if (tokens.size() != 11 || tokens[3] != "WIDTH" ||
           tokens[5] != "SHEETRES" || tokens[7] != "THICKNESS" ||
           tokens[9] != "EPSR")
-        fail(lineno,
-             "expected LAYER <name> <H|V> WIDTH w SHEETRES r THICKNESS t "
-             "EPSR e");
+        throw Error(
+            "expected LAYER <name> <H|V> WIDTH w SHEETRES r THICKNESS t "
+            "EPSR e");
       Layer layer;
       layer.name = tokens[1];
       if (tokens[2] == "H")
@@ -62,18 +49,18 @@ Layout read_pld(std::istream& in) {
       else if (tokens[2] == "V")
         layer.preferred_direction = Orientation::kVertical;
       else
-        fail(lineno, "layer direction must be H or V");
+        throw Error("layer direction must be H or V");
       layer.default_wire_width_um = parse_double(tokens[4], "LAYER WIDTH");
       layer.sheet_res_ohm_sq = parse_double(tokens[6], "LAYER SHEETRES");
       layer.thickness_um = parse_double(tokens[8], "LAYER THICKNESS");
       layer.eps_r = parse_double(tokens[10], "LAYER EPSR");
       layout.add_layer(std::move(layer));
     } else if (kw == "BLOCKAGE") {
-      if (!saw_die) fail(lineno, "BLOCKAGE before DIE");
+      if (!saw_die) throw Error("BLOCKAGE before DIE");
       if (tokens.size() != 6 && !(tokens.size() == 7 && tokens[6] == "METAL"))
-        fail(lineno, "expected BLOCKAGE <layer> x0 y0 x1 y1 [METAL]");
+        throw Error("expected BLOCKAGE <layer> x0 y0 x1 y1 [METAL]");
       const LayerId lid = layout.find_layer(tokens[1]);
-      if (lid == kInvalidLayer) fail(lineno, "BLOCKAGE on unknown layer");
+      if (lid == kInvalidLayer) throw Error("BLOCKAGE on unknown layer");
       layout.add_blockage(
           lid,
           geom::Rect{parse_double(tokens[2], "BLOCKAGE"),
@@ -82,10 +69,10 @@ Layout read_pld(std::istream& in) {
                      parse_double(tokens[5], "BLOCKAGE")},
           tokens.size() == 7);
     } else if (kw == "NET") {
-      if (!saw_die) fail(lineno, "NET before DIE");
-      if (current_net != kInvalidNet) fail(lineno, "nested NET (missing END)");
+      if (!saw_die) throw Error("NET before DIE");
+      if (current_net != kInvalidNet) throw Error("nested NET (missing END)");
       if (tokens.size() != 7 || tokens[2] != "SOURCE" || tokens[5] != "RDRV")
-        fail(lineno, "expected NET <name> SOURCE x y RDRV r");
+        throw Error("expected NET <name> SOURCE x y RDRV r");
       Net net;
       net.name = tokens[1];
       net.source = geom::Point{parse_double(tokens[3], "NET SOURCE"),
@@ -93,29 +80,43 @@ Layout read_pld(std::istream& in) {
       net.driver_res_ohm = parse_double(tokens[6], "NET RDRV");
       current_net = layout.add_net(std::move(net));
     } else if (kw == "SEG") {
-      if (current_net == kInvalidNet) fail(lineno, "SEG outside NET");
-      if (tokens.size() != 7) fail(lineno, "expected SEG layer x0 y0 x1 y1 w");
+      if (current_net == kInvalidNet) throw Error("SEG outside NET");
+      if (tokens.size() != 7) throw Error("expected SEG layer x0 y0 x1 y1 w");
       const LayerId lid = layout.find_layer(tokens[1]);
-      if (lid == kInvalidLayer) fail(lineno, "SEG on unknown layer");
+      if (lid == kInvalidLayer) throw Error("SEG on unknown layer");
       layout.add_segment(
           current_net, lid,
           geom::Point{parse_double(tokens[2], "SEG"), parse_double(tokens[3], "SEG")},
           geom::Point{parse_double(tokens[4], "SEG"), parse_double(tokens[5], "SEG")},
           parse_double(tokens[6], "SEG width"));
     } else if (kw == "SINK") {
-      if (current_net == kInvalidNet) fail(lineno, "SINK outside NET");
+      if (current_net == kInvalidNet) throw Error("SINK outside NET");
       if (tokens.size() != 5 || tokens[3] != "CLOAD")
-        fail(lineno, "expected SINK x y CLOAD c");
+        throw Error("expected SINK x y CLOAD c");
       SinkPin sink;
       sink.location = geom::Point{parse_double(tokens[1], "SINK"),
                                   parse_double(tokens[2], "SINK")};
       sink.load_cap_ff = parse_double(tokens[4], "SINK CLOAD");
       layout.mutable_net(current_net).sinks.push_back(sink);
     } else if (kw == "END") {
-      if (current_net == kInvalidNet) fail(lineno, "END outside NET");
+      if (current_net == kInvalidNet) throw Error("END outside NET");
       current_net = kInvalidNet;
     } else {
-      fail(lineno, "unknown keyword '" + kw + "'");
+      throw Error("unknown keyword '" + kw + "'");
+    }
+  };
+
+  std::string line;
+  int lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    // Every error on a line -- a keyword check, a malformed number, a
+    // layer, net, blockage or segment the Layout rejects -- names the line.
+    try {
+      read_line(line);
+    } catch (const Error& e) {
+      throw Error("pld parse error at line " + std::to_string(lineno) + ": " +
+                  e.what());
     }
   }
   if (current_net != kInvalidNet) throw Error("pld: unterminated NET at EOF");

@@ -5,7 +5,6 @@
 
 #include "flow_common.hpp"
 #include "pil/obs/stage.hpp"
-#include "pil/pilfill/session.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
@@ -105,9 +104,9 @@ class GlobalState {
 
 }  // namespace
 
-AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
-                                            const FlowConfig& config,
+AnnealFlowResult run_annealed_pil_fill_flow(const FillSession& session,
                                             const AnnealConfig& anneal) {
+  const FlowConfig& config = session.config();
   PIL_REQUIRE(config.style == cap::FillStyle::kFloating,
               "annealing requires the convex floating model");
   PIL_REQUIRE(anneal.moves_per_feature >= 0 && anneal.initial_temp_frac >= 0,
@@ -115,13 +114,10 @@ AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
   PIL_REQUIRE(config.solver_mode == fill::SlackMode::kIII,
               "annealing prices whole gaps; use SlackColumn-III");
 
-  // The session's prep is the flow's: the same targets, slack columns and
-  // density map run_pil_fill_flow works from.
-  const FillSession session(layout, config);
   const grid::Dissection& dis = session.dissection();
   const fill::SlackColumns& global = session.global_slack();
   const density::FillTargetResult& target = session.target();
-  const layout::Layer& layer = layout.layer(config.layer);
+  const layout::Layer& layer = session.layout().layer(config.layer);
   const cap::CouplingModel model(layer.eps_r, layer.thickness_um);
   cap::ColumnCapLut lut(model, config.rules.feature_um);
   const SolverContext ctx = flow_detail::make_context(config, model, lut);
@@ -137,7 +133,6 @@ AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
   }
 
   AnnealFlowResult result;
-  result.target = target;
   std::vector<std::vector<int>> best;
   {
     obs::Stage stage("pilfill.anneal.solve", &result.solve_seconds);
@@ -301,10 +296,7 @@ AnnealFlowResult run_annealed_pil_fill_flow(const layout::Layout& layout,
     for (const int m : best[i])
       result.features_per_tile[instances[i].tile_flat] += m;
   }
-  const DelayImpactEvaluator evaluator(global, session.pieces(), model,
-                                       config.rules,
-                                       flow_detail::make_eval_options(config));
-  result.impact = evaluator.evaluate_rects(result.features);
+  result.impact = session.evaluator().evaluate_rects(result.features);
 
   PIL_INFO("anneal: " << result.initial_cost_ps << " -> "
                       << result.final_cost_ps << " ps model cost, "

@@ -134,36 +134,28 @@ std::vector<FlowResult> run_multi_layer_pil_fill_flow(
   return results;
 }
 
-BudgetedFlowResult run_budgeted_pil_fill_flow(const layout::Layout& layout,
-                                              const FlowConfig& config,
+BudgetedFlowResult run_budgeted_pil_fill_flow(const FillSession& session,
                                               const BudgetedConfig& budgets) {
-  const layout::Layer& layer = layout.layer(config.layer);
-
-  FillSession session(layout, config);
-  BudgetedFlowResult result;
-  result.density_before = session.wires().stats();
-  result.target = session.target();
-
+  const FlowConfig& config = session.config();
+  const layout::Layer& layer = session.layout().layer(config.layer);
   const cap::CouplingModel model(layer.eps_r, layer.thickness_um);
   cap::ColumnCapLut lut(model, config.rules.feature_um);
   const SolverContext ctx = flow_detail::make_context(config, model, lut);
   const std::vector<TileInstance> instances = session.instances_snapshot();
 
+  BudgetedFlowResult result;
   {
     obs::Stage stage("pilfill.budgeted.solve", &result.solve_seconds);
-    result.allocation = solve_budgeted(instances, ctx, budgets,
-                                       static_cast<int>(layout.num_nets()));
+    result.allocation =
+        solve_budgeted(instances, ctx, budgets,
+                       static_cast<int>(session.layout().num_nets()));
   }
 
   for (std::size_t i = 0; i < instances.size(); ++i)
     flow_detail::append_rects(instances[i], result.allocation.counts[i],
                               session.solver_slack(), config.rules,
                               result.features);
-
-  const DelayImpactEvaluator evaluator(session.global_slack(),
-                                       session.pieces(), model, config.rules,
-                                       flow_detail::make_eval_options(config));
-  result.impact = evaluator.evaluate_rects(result.features);
+  result.impact = session.evaluator().evaluate_rects(result.features);
   return result;
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 /// \file flow_common.hpp
 /// Internal helpers shared by the FillSession engine (session.cpp) and the
-/// budgeted driver (driver.cpp): solver-context construction, placement
-/// assembly, metric publication, and the deterministic worker pool that
-/// runs per-tile solves. Not installed; include with a quoted path only.
+/// extension flows that run on a session (budgeted in driver.cpp, mvdc.cpp,
+/// anneal.cpp): solver-context construction, placement assembly, metric
+/// publication, and the deterministic worker pool that runs per-tile
+/// solves. Not installed; include with a quoted path only.
 
 #include <algorithm>
 #include <atomic>
@@ -53,13 +54,6 @@ inline SolverContext make_context(const FlowConfig& config,
   ctx.tile_deadline_seconds = config.tile_deadline_seconds;
   ctx.degrade_on_failure = config.degrade_on_failure;
   return ctx;
-}
-
-inline EvaluatorOptions make_eval_options(const FlowConfig& config) {
-  EvaluatorOptions options;
-  options.style = config.style;
-  options.switch_factor = config.switch_factor;
-  return options;
 }
 
 /// Turn per-instance-column counts into feature rectangles. All methods

@@ -3,7 +3,6 @@
 #include <queue>
 
 #include "flow_common.hpp"
-#include "pil/pilfill/session.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
@@ -54,20 +53,14 @@ struct TilePool {
 
 }  // namespace
 
-MvdcResult run_mvdc_fill(const layout::Layout& layout, const FlowConfig& flow,
-                         const MvdcConfig& mvdc) {
+MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc) {
+  const FlowConfig& flow = session.config();
   PIL_REQUIRE(flow.style == cap::FillStyle::kFloating,
               "MVDC allocation requires the convex floating model");
   PIL_REQUIRE(mvdc.delay_budget_ps >= 0, "negative delay budget");
-
-  // The session only preps: MVDC chooses the fill amounts itself.
-  FlowConfig prep = flow;
-  prep.required_per_tile.assign(
-      grid::Dissection(layout.die(), flow.window_um, flow.r).num_tiles(), 0);
-  const FillSession session(layout, prep);
   const fill::SlackColumns& slack = session.global_slack();
 
-  const layout::Layer& layer = layout.layer(flow.layer);
+  const layout::Layer& layer = session.layout().layer(flow.layer);
   const cap::CouplingModel model(layer.eps_r, layer.thickness_um);
   cap::ColumnCapLut lut(model, flow.rules.feature_um);
   const SolverContext ctx = flow_detail::make_context(flow, model, lut);
@@ -104,7 +97,6 @@ MvdcResult run_mvdc_fill(const layout::Layout& layout, const FlowConfig& flow,
         result.delay_spent_ps += pool.take(ctx);
         return best;
       });
-  result.density_before = target.before;
   result.lower_target_used = target.lower_target_used;
   result.upper_bound_used = target.upper_bound_used;
   result.placed = target.total_features;
@@ -113,17 +105,11 @@ MvdcResult run_mvdc_fill(const layout::Layout& layout, const FlowConfig& flow,
   for (const TilePool& pool : pools)
     flow_detail::append_rects(pool.inst, pool.counts, slack, flow.rules,
                               result.features);
-  const DelayImpactEvaluator evaluator(slack, session.pieces(), model,
-                                       flow.rules,
-                                       flow_detail::make_eval_options(flow));
-  result.impact = evaluator.evaluate_rects(result.features);
-
-  grid::DensityMap after = session.wires();
-  for (const auto& r : result.features) after.add_rect(r);
-  result.density_after = after.stats();
+  result.impact = session.evaluator().evaluate_rects(result.features);
+  result.density_after = session.density_with(result.features).stats();
   PIL_INFO("MVDC: placed " << result.placed << ", delay spent "
                            << result.delay_spent_ps << " ps, min density "
-                           << result.density_before.min_density << " -> "
+                           << target.before.min_density << " -> "
                            << result.density_after.min_density);
   return result;
 }

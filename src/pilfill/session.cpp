@@ -168,7 +168,7 @@ struct FillSession::Impl {
   void rebuild_evaluator() {
     evaluator = std::make_unique<DelayImpactEvaluator>(
         *global, pieces, *model, config.rules,
-        flow_detail::make_eval_options(config));
+        EvaluatorOptions{config.style, config.switch_factor});
   }
 
   /// Per-tile fill requirements from the current density map and capacity
@@ -277,6 +277,13 @@ struct FillSession::Impl {
       reg.counter("pilfill.prep.instances")
           .add(static_cast<long long>(instances.size()));
     }
+  }
+
+  grid::DensityMap density_with(
+      const std::vector<geom::Rect>& features) const {
+    grid::DensityMap map = *wires;
+    for (const auto& rect : features) map.add_rect(rect);
+    return map;
   }
 
   FlowResult solve(const std::vector<Method>& methods,
@@ -390,9 +397,7 @@ struct FillSession::Impl {
         mr.impact = evaluator->evaluate_rects(mr.placement.features);
       }
 
-      grid::DensityMap after = *wires;
-      for (const auto& rect : mr.placement.features) after.add_rect(rect);
-      mr.density_after = after.stats();
+      mr.density_after = density_with(mr.placement.features).stats();
 
       flow_detail::publish_method_metrics(mr, todo.size());
       // Session counters are only published once the session is used as a
@@ -707,8 +712,18 @@ const fill::SlackColumns& FillSession::global_slack() const {
 const fill::SlackColumns& FillSession::solver_slack() const {
   return impl_->solver_slack();
 }
+const std::vector<rctree::RcTree>& FillSession::trees() const {
+  return impl_->trees;
+}
 const std::vector<rctree::WirePiece>& FillSession::pieces() const {
   return impl_->pieces;
+}
+const DelayImpactEvaluator& FillSession::evaluator() const {
+  return *impl_->evaluator;
+}
+grid::DensityMap FillSession::density_with(
+    const std::vector<geom::Rect>& features) const {
+  return impl_->density_with(features);
 }
 std::vector<TileInstance> FillSession::instances_snapshot() const {
   std::vector<TileInstance> out;

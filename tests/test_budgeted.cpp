@@ -157,13 +157,11 @@ TEST(BudgetedFlow, LooseBudgetsMatchConvex) {
   FlowConfig config;
   config.window_um = 32;
   config.r = 4;
-  const FlowResult convex =
-      run_pil_fill_flow(l, config, {Method::kConvex});
-  // Replay the same per-tile requirements so both flows place identically.
-  FlowConfig pinned = config;
-  pinned.required_per_tile = convex.target.features_per_tile;
+  // One session: both flows fill the same per-tile requirements.
+  FillSession session(l, config);
+  const FlowResult convex = session.solve({Method::kConvex});
   const BudgetedFlowResult budgeted =
-      run_budgeted_pil_fill_flow(l, pinned, BudgetedConfig{});
+      run_budgeted_pil_fill_flow(session, BudgetedConfig{});
   EXPECT_EQ(budgeted.allocation.placed, convex.methods[0].placed);
   EXPECT_EQ(budgeted.allocation.shortfall, 0);
   EXPECT_NEAR(budgeted.impact.delay_ps, convex.methods[0].impact.delay_ps,
@@ -179,16 +177,11 @@ TEST(BudgetedFlow, EvaluatorPerNetCouplingDominatesAllocatorAccounting) {
   FlowConfig flow;
   flow.window_um = 32;
   flow.r = 4;
+  const FillSession session(l, flow);
   const BudgetedFlowResult res =
-      run_budgeted_pil_fill_flow(l, flow, BudgetedConfig{});
+      run_budgeted_pil_fill_flow(session, BudgetedConfig{});
 
-  const grid::Dissection dis(l.die(), flow.window_um, flow.r);
-  const auto pieces = fill::flatten_pieces(rctree::build_all_trees(l));
-  const fill::SlackColumns slack = fill::extract_slack_columns(
-      l, dis, pieces, 0, flow.rules, fill::SlackMode::kIII);
-  const cap::CouplingModel model(l.layer(0).eps_r, l.layer(0).thickness_um);
-  const DelayImpactEvaluator evaluator(slack, pieces, model, flow.rules);
-  const auto exact = evaluator.per_net_coupling_ff(
+  const auto exact = session.evaluator().per_net_coupling_ff(
       res.features, static_cast<int>(l.num_nets()));
 
   double alloc_total = 0, exact_total = 0;
@@ -203,18 +196,18 @@ TEST(BudgetedFlow, EvaluatorPerNetCouplingDominatesAllocatorAccounting) {
 
 TEST(BudgetedFlow, TightBudgetsCapPerNetCoupling) {
   const Layout l = layout::make_testcase_t2();
-  const auto pieces = fill::flatten_pieces(rctree::build_all_trees(l));
   FlowConfig config;
   config.window_um = 32;
   config.r = 4;
+  const FillSession session(l, config);
 
   BudgetedConfig loose;
-  const BudgetedFlowResult a = run_budgeted_pil_fill_flow(l, config, loose);
+  const BudgetedFlowResult a = run_budgeted_pil_fill_flow(session, loose);
 
   BudgetedConfig tight;
   tight.net_cap_budget_ff = budgets_from_delay_ps(
-      pieces, static_cast<int>(l.num_nets()), 0.0005);
-  const BudgetedFlowResult b = run_budgeted_pil_fill_flow(l, config, tight);
+      session.pieces(), static_cast<int>(l.num_nets()), 0.0005);
+  const BudgetedFlowResult b = run_budgeted_pil_fill_flow(session, tight);
 
   // Hard guarantee: every net within its budget.
   for (std::size_t n = 0; n < tight.net_cap_budget_ff.size(); ++n)

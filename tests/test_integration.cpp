@@ -471,32 +471,30 @@ TEST(Flow, CriticalityShiftsFillOffCriticalNets) {
   config.r = 2;
   config.objective = Objective::kWeighted;
 
-  const FlowResult base = run_pil_fill_flow(l, config, {Method::kIlp2});
+  FillSession session(l, config);
+  const FlowResult base = session.solve({Method::kIlp2});
   // Find the net the baseline charges most, via the budgeted allocator's
   // accounting (run with infinite budgets just to get per-net usage).
-  FlowConfig pinned = config;
-  pinned.required_per_tile = base.target.features_per_tile;
   const BudgetedFlowResult acct =
-      run_budgeted_pil_fill_flow(l, pinned, BudgetedConfig{});
+      run_budgeted_pil_fill_flow(session, BudgetedConfig{});
   int worst = 0;
   for (std::size_t n = 1; n < acct.allocation.net_cap_used_ff.size(); ++n)
     if (acct.allocation.net_cap_used_ff[n] >
         acct.allocation.net_cap_used_ff[worst])
       worst = static_cast<int>(n);
 
-  FlowConfig critical = pinned;
+  FlowConfig critical = config;
+  critical.required_per_tile = base.target.features_per_tile;
   critical.net_criticality.assign(l.num_nets(), 1.0);
   critical.net_criticality[worst] = 1000.0;
-  const FlowResult shifted =
-      run_pil_fill_flow(l, critical, {Method::kIlp2});
+  FillSession critical_session(l, critical);
+  const FlowResult shifted = critical_session.solve({Method::kIlp2});
 
   // Score per-net coupling of both ILP-II placements with the evaluator's
   // column accounting: recompute from the budgeted allocator under the same
   // criticality to read out usage.
-  BudgetedConfig free_budgets;
-  FlowConfig crit_acct = critical;
   const BudgetedFlowResult shifted_acct =
-      run_budgeted_pil_fill_flow(l, crit_acct, free_budgets);
+      run_budgeted_pil_fill_flow(critical_session, BudgetedConfig{});
   EXPECT_LT(shifted_acct.allocation.net_cap_used_ff[worst],
             acct.allocation.net_cap_used_ff[worst]);
   // Identical density control throughout.

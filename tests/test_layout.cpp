@@ -151,14 +151,18 @@ TEST(PldIo, SyntheticRoundTripIsExact) {
 }
 
 TEST(PldIo, ParseErrorsCarryLineNumbers) {
-  auto expect_error = [](const char* text, const char* needle) {
+  auto expect_error = [](const std::string& text, const char* needle) {
     std::istringstream is(text);
     try {
       read_pld(is);
       FAIL() << "expected parse error for: " << text;
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+      // One line prefix at most, whichever check threw.
+      EXPECT_EQ(what.find("pld parse error", what.find("pld parse error") + 1),
+                std::string::npos)
+          << what;
     }
   };
   expect_error("DIE 0 0 1 1\n", "PLD 1");
@@ -168,6 +172,14 @@ TEST(PldIo, ParseErrorsCarryLineNumbers) {
                "unterminated NET");
   expect_error("PLD 1\nDIE 0 0 9 9\nBOGUS\n", "unknown keyword");
   expect_error("PLD 1\nNET a SOURCE 1 1 RDRV 100\nEND\n", "NET before DIE");
+  // A bad number, or input the Layout itself rejects, names its line too.
+  const std::string head =
+      "PLD 1\nDIE 0 0 9 9\n"
+      "LAYER m3 H WIDTH 0.5 SHEETRES 0.08 THICKNESS 0.5 EPSR 3.9\n";
+  expect_error(head + "NET a SOURCE 1 1 RDRV x\nEND\n", "line 4");
+  expect_error(head + "NET a SOURCE 40 1 RDRV 100\nEND\n", "line 4");
+  expect_error(head + "NET a SOURCE 1 1 RDRV 100\n  SEG m3 1 1 5 1 0\nEND\n",
+               "line 5");
 }
 
 TEST(PldIo, CommentsAndBlankLinesIgnored) {

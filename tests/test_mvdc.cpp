@@ -18,7 +18,8 @@ FlowConfig base_flow() {
 
 TEST(Mvdc, UnlimitedBudgetMatchesPureMinVarQuality) {
   const Layout l = layout::make_testcase_t2();
-  const MvdcResult r = run_mvdc_fill(l, base_flow(), MvdcConfig{});
+  FillSession session(l, base_flow());
+  const MvdcResult r = run_mvdc_fill(session, MvdcConfig{});
   EXPECT_FALSE(r.budget_exhausted);
   EXPECT_GT(r.placed, 0);
   // Uniformity improves and stays within the cap (up to boundary-straddling
@@ -26,48 +27,50 @@ TEST(Mvdc, UnlimitedBudgetMatchesPureMinVarQuality) {
   // a few features' worth into neighboring windows).
   const double straddle_tol =
       15 * fill::FillRules{}.feature_area() / (32.0 * 32.0);
-  EXPECT_LT(r.density_after.variation(), r.density_before.variation());
+  EXPECT_LT(r.density_after.variation(), session.wires().stats().variation());
   EXPECT_LE(r.density_after.max_density, r.upper_bound_used + straddle_tol);
   // With no budget pressure, the min density matches what the plain
   // Monte-Carlo targeter achieves (same windows, same capacities).
-  FlowConfig flow = base_flow();
-  const FlowResult mc = run_pil_fill_flow(l, flow, {Method::kConvex});
+  const FlowResult mc = session.solve({Method::kConvex});
   EXPECT_NEAR(r.density_after.min_density,
               mc.methods[0].density_after.min_density, 0.01);
 }
 
 TEST(Mvdc, ZeroBudgetSpendsOnlyFreeColumns) {
   const Layout l = layout::make_testcase_t2();
+  const FillSession session(l, base_flow());
   MvdcConfig cfg;
   cfg.delay_budget_ps = 0.0;
-  const MvdcResult r = run_mvdc_fill(l, base_flow(), cfg);
+  const MvdcResult r = run_mvdc_fill(session, cfg);
   // Zero-cost (boundary) columns are still usable; coupling columns are not.
   EXPECT_DOUBLE_EQ(r.delay_spent_ps, 0.0);
   EXPECT_NEAR(r.impact.delay_ps, 0.0, 1e-12);
   EXPECT_GT(r.placed, 0);
   // And the density achieved is worse than with an unlimited budget.
-  const MvdcResult full = run_mvdc_fill(l, base_flow(), MvdcConfig{});
+  const MvdcResult full = run_mvdc_fill(session, MvdcConfig{});
   EXPECT_LT(r.density_after.min_density, full.density_after.min_density);
 }
 
 TEST(Mvdc, BudgetIsRespected) {
   const Layout l = layout::make_testcase_t2();
+  const FillSession session(l, base_flow());
   for (const double budget : {0.01, 0.05, 0.2}) {
     MvdcConfig cfg;
     cfg.delay_budget_ps = budget;
-    const MvdcResult r = run_mvdc_fill(l, base_flow(), cfg);
+    const MvdcResult r = run_mvdc_fill(session, cfg);
     EXPECT_LE(r.delay_spent_ps, budget + 1e-12) << budget;
   }
 }
 
 TEST(Mvdc, DensityMonotoneInBudget) {
   const Layout l = layout::make_testcase_t2();
+  const FillSession session(l, base_flow());
   double prev_min = -1;
   long long prev_placed = -1;
   for (const double budget : {0.0, 0.02, 0.1, 1.0}) {
     MvdcConfig cfg;
     cfg.delay_budget_ps = budget;
-    const MvdcResult r = run_mvdc_fill(l, base_flow(), cfg);
+    const MvdcResult r = run_mvdc_fill(session, cfg);
     EXPECT_GE(r.density_after.min_density, prev_min - 1e-12) << budget;
     EXPECT_GE(r.placed, prev_placed) << budget;
     prev_min = r.density_after.min_density;
@@ -81,7 +84,7 @@ TEST(Mvdc, ExplicitTargetsHonored) {
   FlowConfig flow = base_flow();
   flow.target.lower_target = 0.12;
   flow.target.upper_bound = 0.2;
-  const MvdcResult r = run_mvdc_fill(l, flow, MvdcConfig{});
+  const MvdcResult r = run_mvdc_fill(FillSession(l, flow), MvdcConfig{});
   const double straddle_tol =
       15 * fill::FillRules{}.feature_area() / (32.0 * 32.0);
   EXPECT_DOUBLE_EQ(r.lower_target_used, 0.12);
@@ -120,7 +123,7 @@ TEST(Mvdc, KeepsEveryWindowUnderTheSessionCap) {
     flow.window_um = row.window_um;
     flow.r = row.r;
     const FillSession session(*row.layout, flow);
-    const MvdcResult r = run_mvdc_fill(*row.layout, flow, MvdcConfig{});
+    const MvdcResult r = run_mvdc_fill(session, MvdcConfig{});
     const double cap = session.target().upper_bound_used;
     const std::string label = (row.layout == &t2 ? "T2 " : "T2+macros ") +
                               std::to_string(row.window_um) + "/" +
@@ -137,10 +140,11 @@ TEST(Mvdc, WeightedBudgetHonoursNetCriticality) {
   FlowConfig flow = base_flow();
   flow.objective = Objective::kWeighted;
   flow.net_criticality.assign(l.num_nets(), 0.0);
+  const FillSession session(l, flow);
   MvdcConfig zero;
   zero.delay_budget_ps = 0.0;
-  const MvdcResult none = run_mvdc_fill(l, flow, zero);
-  const MvdcResult full = run_mvdc_fill(l, flow, MvdcConfig{});
+  const MvdcResult none = run_mvdc_fill(session, zero);
+  const MvdcResult full = run_mvdc_fill(session, MvdcConfig{});
   EXPECT_GT(full.placed, 0);
   EXPECT_EQ(none.placed, full.placed);
   EXPECT_FALSE(none.budget_exhausted);
@@ -152,7 +156,7 @@ TEST(Mvdc, SpentEstimateTracksExactScore) {
   const Layout l = layout::make_testcase_t2();
   MvdcConfig cfg;
   cfg.delay_budget_ps = 0.1;
-  const MvdcResult r = run_mvdc_fill(l, base_flow(), cfg);
+  const MvdcResult r = run_mvdc_fill(FillSession(l, base_flow()), cfg);
   if (r.delay_spent_ps > 0) {
     EXPECT_GT(r.impact.delay_ps, 0.5 * r.delay_spent_ps);
     EXPECT_LT(r.impact.delay_ps, 2.0 * r.delay_spent_ps);
@@ -161,12 +165,15 @@ TEST(Mvdc, SpentEstimateTracksExactScore) {
 
 TEST(Mvdc, RejectsBadConfig) {
   const Layout l = layout::make_testcase_t2();
+  const FillSession session(l, base_flow());
   MvdcConfig cfg;
   cfg.delay_budget_ps = -1;
-  EXPECT_THROW(run_mvdc_fill(l, base_flow(), cfg), Error);
+  EXPECT_THROW(run_mvdc_fill(session, cfg), Error);
+  // A grounded-fill session preps fine; MVDC refuses it.
   FlowConfig grounded = base_flow();
   grounded.style = cap::FillStyle::kGrounded;
-  EXPECT_THROW(run_mvdc_fill(l, grounded, MvdcConfig{}), Error);
+  const FillSession grounded_session(l, grounded);
+  EXPECT_THROW(run_mvdc_fill(grounded_session, MvdcConfig{}), Error);
 }
 
 }  // namespace

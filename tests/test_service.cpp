@@ -709,6 +709,9 @@ TEST(ServiceServer, UnknownSessionAndBadFramesAreHandled) {
     EXPECT_FALSE(rejected.ok);
     EXPECT_FALSE(rejected.error.empty());
     expect_client_facing(rejected.error);
+    if (!open.layout_pld.empty())  // each PLD's bad line is its fourth
+      EXPECT_NE(rejected.error.find("line 4"), std::string::npos)
+          << rejected.error;
   }
 }
 

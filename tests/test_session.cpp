@@ -223,6 +223,40 @@ TEST(Session, RepeatedSolvesServeFromCache) {
   EXPECT_EQ(session.stats().tiles_resolved, 2 * resolved_once);
 }
 
+TEST(Session, ScorerTreesAndDensityFollowEdits) {
+  // evaluator(), trees() and density_with() read the session's current
+  // state: after an edit they agree with a fresh session on the edited
+  // layout, and density_with(placement) is the method's density_after.
+  FillSession session(small_layout(), small_config(1));
+  EditScript script(session.layout(), session.config().layer, 11);
+  session.apply_edit(script.next(0));
+  const FlowResult res = session.solve({Method::kIlp2});
+  const MethodResult& mr = res.methods[0];
+  const FillSession fresh(session.layout(), session.config());
+
+  const DelayImpact scored =
+      session.evaluator().evaluate_rects(mr.placement.features);
+  const DelayImpact fresh_scored =
+      fresh.evaluator().evaluate_rects(mr.placement.features);
+  EXPECT_EQ(scored.delay_ps, mr.impact.delay_ps);
+  EXPECT_EQ(scored.delay_ps, fresh_scored.delay_ps);
+  EXPECT_EQ(scored.weighted_delay_ps, fresh_scored.weighted_delay_ps);
+
+  ASSERT_EQ(session.trees().size(), session.layout().num_nets());
+  ASSERT_EQ(fresh.trees().size(), session.layout().num_nets());
+  for (std::size_t n = 0; n < session.trees().size(); ++n)
+    EXPECT_EQ(session.trees()[n].total_cap_ff(),
+              fresh.trees()[n].total_cap_ff())
+        << "net " << n;
+
+  const grid::DensityStats after =
+      session.density_with(mr.placement.features).stats();
+  EXPECT_EQ(after.min_density, mr.density_after.min_density);
+  EXPECT_EQ(after.max_density, mr.density_after.max_density);
+  EXPECT_EQ(session.density_with({}).stats().min_density,
+            session.wires().stats().min_density);
+}
+
 TEST(Session, EditResolvesOnlyDirtyTiles) {
   FillSession session(small_layout(), small_config(1));
   session.solve({Method::kNormal});

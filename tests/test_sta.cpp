@@ -106,25 +106,24 @@ TEST(Sta, SlackDrivenBudgetedFlowEndToEnd) {
   // The conclusion's flow: STA -> slack allowances -> capacitance budgets ->
   // budgeted fill. Nets with no slack must receive no coupling.
   const Layout l = layout::make_testcase_t2();
-  const auto trees = rctree::build_all_trees(l);
-  const auto pieces = fill::flatten_pieces(trees);
+  pilfill::FlowConfig flow;
+  flow.window_um = 32;
+  flow.r = 4;
+  const pilfill::FillSession session(l, flow);  // its trees feed the STA
 
   TimingConstraints c;
   c.default_required_ps = 6.0;  // tight: slower nets have little/no slack
-  const TimingReport report = analyze_timing(trees, c);
+  const TimingReport report = analyze_timing(session.trees(), c);
   ASSERT_GT(report.failing_nets, 0);  // some nets are critical
   ASSERT_LT(report.failing_nets, static_cast<int>(l.num_nets()));
 
   pilfill::BudgetedConfig budgets;
   budgets.net_cap_budget_ff = pilfill::budgets_from_per_net_delay_ps(
-      pieces, static_cast<int>(l.num_nets()),
+      session.pieces(), static_cast<int>(l.num_nets()),
       delay_allowance_from_slack(report, 0.5));
 
-  pilfill::FlowConfig flow;
-  flow.window_um = 32;
-  flow.r = 4;
   const pilfill::BudgetedFlowResult res =
-      pilfill::run_budgeted_pil_fill_flow(l, flow, budgets);
+      pilfill::run_budgeted_pil_fill_flow(session, budgets);
 
   for (std::size_t n = 0; n < l.num_nets(); ++n) {
     EXPECT_LE(res.allocation.net_cap_used_ff[n],

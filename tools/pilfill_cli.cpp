@@ -246,19 +246,17 @@ class ObsScope {
   std::optional<obs::TraceSession> session_;
 };
 
-/// Replay a wire-edit script against a FillSession, re-solving after each
-/// `solve` line and once more at the end. Line grammar (\# = comment):
+/// Replay the wire-edit script `is` (read from `path`) against a
+/// FillSession, re-solving after each `solve` line and once more at the
+/// end. Line grammar (\# = comment):
 ///   add <net> <x1> <y1> <x2> <y2> <width>
 ///   remove <segment-id>
 ///   move <segment-id> <dx> <dy>
 ///   solve
-pilfill::FlowResult run_edit_script(const layout::Layout& l,
-                                    const pilfill::FlowConfig& config,
+pilfill::FlowResult run_edit_script(pilfill::FillSession& session,
                                     pilfill::Method method,
-                                    const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) throw Error("cannot open edit script '" + path + "'");
-  pilfill::FillSession session(l, config);
+                                    const std::string& path,
+                                    std::istream& is) {
   pilfill::FlowResult res = session.solve({method});
 
   std::string line;
@@ -316,17 +314,6 @@ pilfill::FlowResult run_edit_script(const layout::Layout& l,
   return res;
 }
 
-// Window-density stats of wires + a given fill placement.
-grid::DensityStats density_with_fill(const layout::Layout& l,
-                                     const pilfill::FlowConfig& config,
-                                     const std::vector<geom::Rect>& features) {
-  const grid::Dissection dis(l.die(), config.window_um, config.r);
-  grid::DensityMap m(dis);
-  m.add_layer_metal(l, config.layer);
-  for (const auto& f : features) m.add_rect(f);
-  return m.stats();
-}
-
 int cmd_gen(const Args& args) {
   if (args.positional.empty()) throw Error("gen: output path required");
   layout::SyntheticLayoutConfig cfg;
@@ -346,27 +333,21 @@ int cmd_gen(const Args& args) {
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) throw Error("analyze: layout path required");
   const layout::Layout l = load_layout(args.positional[0], args);
-  const pilfill::FlowConfig config = flow_from_args(args);
-  config.validate(l);
+  const pilfill::FillSession session(l, flow_from_args(args));
+  const pilfill::FlowConfig& config = session.config();
+  const grid::Dissection& dis = session.dissection();
+  const grid::DensityStats stats = session.wires().stats();
 
-  const grid::Dissection dis(l.die(), config.window_um, config.r);
-  grid::DensityMap density(dis);
-  density.add_layer_metal(l, config.layer);
-  const grid::DensityStats stats = density.stats();
-
-  const auto trees = rctree::build_all_trees(l);
   double worst_delay = 0, total_delay = 0;
   int sinks = 0;
-  for (const auto& t : trees) {
+  for (const auto& t : session.trees()) {
     for (int s = 0; s < t.num_sinks(); ++s) {
       worst_delay = std::max(worst_delay, t.sink_delay_ps(s));
       total_delay += t.sink_delay_ps(s);
       ++sinks;
     }
   }
-  const auto pieces = fill::flatten_pieces(trees);
-  const auto slack = fill::extract_slack_columns(
-      l, dis, pieces, config.layer, config.rules, config.solver_mode);
+  const fill::SlackColumns& slack = session.solver_slack();
 
   std::cout << "layout            : " << l.num_nets() << " nets, "
             << l.num_segments() << " segments, die " << l.die().width()
@@ -384,71 +365,77 @@ int cmd_analyze(const Args& args) {
             << to_string(config.solver_mode) << "), capacity "
             << slack.total_capacity() << " features\n";
   std::cout << "\nwindow density heatmap (' ' = min, '@' = max):\n"
-            << grid::render_density_ascii(density);
+            << grid::render_density_ascii(session.wires());
   return 0;
 }
 
 int cmd_fill(const Args& args) {
   if (args.positional.empty()) throw Error("fill: layout path required");
-  const layout::Layout l = load_layout(args.positional[0], args);
-  const pilfill::FlowConfig config = flow_from_args(args);
-  config.validate(l);  // fail fast, before any prep work
+  const layout::Layout input = load_layout(args.positional[0], args);
   const std::string method_name = args.get("method", "ilp2");
+  const bool anneal = method_name == "anneal";
+  const bool budgeted = !anneal && args.flag("allowance-ps");
+  // The method and the edit script are checked before the prep, so a bad
+  // name or path costs no work.
+  const pilfill::Method method =
+      anneal ? pilfill::Method::kConvex
+             : pilfill::method_from_wire(method_name);
+  const std::string script_path = args.get("edit-script", "");
+  std::ifstream script(script_path);
+  if (!script_path.empty() && !script.good())
+    throw Error("cannot open edit script '" + script_path + "'");
   ObsScope obs_scope(args);
+  pilfill::FillSession session(input, flow_from_args(args));
+  const pilfill::FlowConfig& config = session.config();
+  const layout::Layout& l = session.layout();  // as --edit-script left it
 
-  // The two extension flows have their own drivers; adapt their results to
-  // the common reporting shape.
+  // The two extension flows report under the session's header, with their
+  // placement as the one method row (labelled Convex: no Method names them).
   pilfill::FlowResult res;
-  if (method_name == "anneal") {
-    const pilfill::AnnealFlowResult ann =
-        pilfill::run_annealed_pil_fill_flow(l, config);
+  if (anneal || budgeted) {
+    res = session.solve({});
     pilfill::MethodResult mr;
     mr.method = pilfill::Method::kConvex;  // display only
-    mr.impact = ann.impact;
-    mr.solve_seconds = ann.solve_seconds;
-    mr.placed = static_cast<long long>(ann.features.size());
-    mr.placement.features = ann.features;
-    mr.placement.features_per_tile = ann.features_per_tile;
-    res.target = ann.target;
-    res.density_before = ann.target.before;
-    mr.density_after = density_with_fill(l, config, mr.placement.features);
+    if (anneal) {
+      const pilfill::AnnealFlowResult ann =
+          pilfill::run_annealed_pil_fill_flow(session);
+      mr.impact = ann.impact;
+      mr.solve_seconds = ann.solve_seconds;
+      mr.placed = static_cast<long long>(ann.features.size());
+      mr.placement.features = ann.features;
+      mr.placement.features_per_tile = ann.features_per_tile;
+      std::cout << "anneal: model cost "
+                << format_double(ann.initial_cost_ps, 4) << " -> "
+                << format_double(ann.final_cost_ps, 4) << " ps ("
+                << ann.moves_accepted << "/" << ann.moves_tried
+                << " moves)\n";
+    } else {
+      pilfill::BudgetedConfig budgets;
+      budgets.net_cap_budget_ff = pilfill::budgets_from_delay_ps(
+          session.pieces(), static_cast<int>(l.num_nets()),
+          args.num("allowance-ps", 0.0));
+      const pilfill::BudgetedFlowResult b =
+          pilfill::run_budgeted_pil_fill_flow(session, budgets);
+      mr.impact = b.impact;
+      mr.solve_seconds = b.solve_seconds;
+      mr.placed = b.allocation.placed;
+      mr.shortfall = b.allocation.shortfall;
+      mr.placement.features = b.features;
+      std::cout << "budgeted: max utilization "
+                << format_double(b.allocation.max_budget_utilization, 3)
+                << "\n";
+    }
+    mr.density_after = session.density_with(mr.placement.features).stats();
     res.methods.push_back(std::move(mr));
-    std::cout << "anneal: model cost " << format_double(ann.initial_cost_ps, 4)
-              << " -> " << format_double(ann.final_cost_ps, 4) << " ps ("
-              << ann.moves_accepted << "/" << ann.moves_tried
-              << " moves)\n";
-  } else if (args.flag("allowance-ps")) {
-    const auto pieces = fill::flatten_pieces(rctree::build_all_trees(l));
-    pilfill::BudgetedConfig budgets;
-    budgets.net_cap_budget_ff = pilfill::budgets_from_delay_ps(
-        pieces, static_cast<int>(l.num_nets()), args.num("allowance-ps", 0.0));
-    const pilfill::BudgetedFlowResult b =
-        pilfill::run_budgeted_pil_fill_flow(l, config, budgets);
-    pilfill::MethodResult mr;
-    mr.method = pilfill::Method::kConvex;  // display only
-    mr.impact = b.impact;
-    mr.solve_seconds = b.solve_seconds;
-    mr.placed = b.allocation.placed;
-    mr.shortfall = b.allocation.shortfall;
-    mr.placement.features = b.features;
-    res.target = b.target;
-    res.density_before = b.density_before;
-    mr.density_after = density_with_fill(l, config, mr.placement.features);
-    res.methods.push_back(std::move(mr));
-    std::cout << "budgeted: max utilization "
-              << format_double(b.allocation.max_budget_utilization, 3)
-              << "\n";
-  } else if (args.flag("edit-script")) {
-    res = run_edit_script(l, config, pilfill::method_from_wire(method_name),
-                          args.get("edit-script", ""));
+  } else if (!script_path.empty()) {
+    res = run_edit_script(session, method, script_path, script);
   } else {
-    res = pilfill::run_pil_fill_flow(
-        l, config, {pilfill::method_from_wire(method_name)});
+    res = session.solve({method});
   }
   const auto& mr = res.methods[0];
-  std::cout << method_name << ": placed " << mr.placed
-            << " features (shortfall " << mr.shortfall << ") in "
-            << mr.solve_seconds << " s\n"
+  std::cout << (budgeted ? "budgeted" : method_name) << ": placed "
+            << mr.placed << " features (shortfall " << mr.shortfall
+            << ") in " << mr.solve_seconds << " s\n"
             << "delay impact: +" << mr.impact.delay_ps << " ps (weighted +"
             << mr.impact.weighted_delay_ps << " ps)\n"
             << "density: [" << res.density_before.min_density << ", "
@@ -544,7 +531,6 @@ int cmd_score(const Args& args) {
   if (args.positional.size() < 2)
     throw Error("score: usage: score <layout> <fill.gds> [--fill-layer N]");
   const layout::Layout l = load_layout(args.positional[0], args);
-  const pilfill::FlowConfig config = flow_from_args(args);
   const int fill_layer = args.num("fill-layer", 100);
 
   const layout::GdsContents gds = layout::read_gds_file(args.positional[1]);
@@ -554,16 +540,10 @@ int cmd_score(const Args& args) {
   std::cout << "read " << features.size() << " fill rects (GDS layer "
             << fill_layer << ") from " << args.positional[1] << "\n";
 
-  const grid::Dissection dis(l.die(), config.window_um, config.r);
-  const auto trees = rctree::build_all_trees(l);
-  const auto pieces = fill::flatten_pieces(trees);
-  const auto slack = fill::extract_slack_columns(
-      l, dis, pieces, config.layer, config.rules, fill::SlackMode::kIII);
-  const cap::CouplingModel model(l.layer(config.layer).eps_r,
-                                 l.layer(config.layer).thickness_um);
-  const pilfill::DelayImpactEvaluator evaluator(slack, pieces, model,
-                                                config.rules);
-  const pilfill::DelayImpact impact = evaluator.evaluate_rects(features);
+  const pilfill::FillSession session(l, flow_from_args(args));
+  const pilfill::FlowConfig& config = session.config();
+  const pilfill::DelayImpact impact =
+      session.evaluator().evaluate_rects(features);
   std::cout << "delay impact : +" << impact.delay_ps << " ps (weighted +"
             << impact.weighted_delay_ps << " ps, exact sink +"
             << impact.exact_sink_delay_ps << " ps)\n"
@@ -576,7 +556,8 @@ int cmd_score(const Args& args) {
   check.layer = config.layer;
   check.max_window_density =
       args.num("max-density", check.max_window_density);
-  const fill::CheckReport report = fill::check_fill(l, features, check, &dis);
+  const fill::CheckReport report =
+      fill::check_fill(l, features, check, &session.dissection());
   std::cout << "legality     : "
             << (report.clean() ? "CLEAN" : "VIOLATIONS FOUND") << "\n";
   for (const auto& v : report.violations) std::cout << "  " << v.describe() << "\n";
