@@ -103,13 +103,14 @@ class SlackColumns {
 
   /// Total fill capacity of one tile (sites over all parts).
   int tile_capacity(int tile_flat) const;
-  /// Total capacity over the layout.
-  long long total_capacity() const;
+  /// Total capacity over the layout (summed once, at construction).
+  long long total_capacity() const { return total_capacity_; }
 
  private:
   std::vector<SlackColumn> columns_;
   std::vector<std::vector<TileColumnPart>> tile_parts_;
   bool transposed_ = false;
+  long long total_capacity_ = 0;
 };
 
 /// Extract slack columns for `layer` of the layout under the given mode.

@@ -41,14 +41,19 @@ struct EvaluatorOptions {
 class DelayImpactEvaluator {
  public:
   /// `global` must be a SlackColumn-III extraction; `pieces` the flattened
-  /// piece array it refers to.
+  /// piece array it refers to. The evaluator keeps pointers to both and
+  /// reads them on every call, so a caller that assigns either in place
+  /// (FillSession::apply_edit does) keeps the evaluator current.
   DelayImpactEvaluator(const fill::SlackColumns& global,
                        const std::vector<rctree::WirePiece>& pieces,
                        const cap::CouplingModel& model,
                        const fill::FillRules& rules,
                        const EvaluatorOptions& options = {});
 
-  /// Score a placement given as feature rectangles (universal path).
+  /// Score a placement given as feature rectangles (universal path). Each
+  /// call builds a site-column -> span lookup over every global column to
+  /// bin the rectangles; hot paths that already hold per-column counts
+  /// (FillSession::solve) call evaluate_counts instead.
   DelayImpact evaluate_rects(const std::vector<geom::Rect>& features) const;
 
   /// Score a placement given as per-global-column feature counts (fast
@@ -58,20 +63,16 @@ class DelayImpactEvaluator {
   /// Coupling capacitance (fF) charged to each net by a placement, indexed
   /// by NetId (vector sized `num_nets`). A column between two pieces of the
   /// same net charges that net twice, consistent with the budgeted
-  /// allocator's accounting.
+  /// allocator's accounting. Bins the rectangles as evaluate_rects does.
   std::vector<double> per_net_coupling_ff(
       const std::vector<geom::Rect>& features, int num_nets) const;
 
  private:
-  int find_column(const geom::Rect& feature) const;
-
   const fill::SlackColumns* global_;
   const std::vector<rctree::WirePiece>* pieces_;
   cap::CouplingModel model_;
   fill::FillRules rules_;
   EvaluatorOptions options_;
-  // col_index -> list of (span_lo, global column id), sorted by span_lo.
-  std::vector<std::vector<std::pair<double, int>>> spans_by_colindex_;
 };
 
 }  // namespace pil::pilfill

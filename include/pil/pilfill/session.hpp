@@ -12,7 +12,7 @@
 ///     actually touches.
 ///
 /// Results are bit-identical to a from-scratch run_pil_fill_flow on the
-/// edited layout. Three properties of the flow make that feasible:
+/// edited layout. Four properties of the flow make that feasible:
 ///
 ///   1. per-tile RNG streams: a tile's solve depends only on its instance
 ///      and (config.seed, method, tile id) -- never on which other tiles
@@ -23,7 +23,12 @@
 ///      full extraction;
 ///   3. density accumulation is re-run per affected tile in original
 ///      layout order (grid::DensityMap::recompute_tiles), sidestepping
-///      floating-point non-associativity.
+///      floating-point non-associativity;
+///   4. under SlackColumn-III a tile instance's columns are the global
+///      columns, so a method's cached per-tile counts, summed per column,
+///      are the global-column counts the evaluator scores
+///      (DelayImpactEvaluator::evaluate_counts) -- the same counts that
+///      binning the assembled placement's rectangles would produce.
 ///
 /// Dirty propagation (what one edit invalidates):
 ///
@@ -40,6 +45,11 @@
 ///   * instances: rebuilt for tiles touched by re-scanned columns or
 ///     requirement changes; a rebuilt instance that is solver-equivalent
 ///     to its predecessor keeps its cached per-method solve results.
+///   * RC trees and pieces: the edited net's tree is rebuilt and its range
+///     of the flattened piece array is replaced in place; later nets'
+///     piece indices shift by the size change.
+///   * evaluator: built once at prep over the slack snapshot and the piece
+///     array, both of which edits assign in place; never rebuilt.
 ///
 /// The one-shot flows (run_pil_fill_flow & friends) are thin wrappers over
 /// a FillSession: construct, solve, discard. The extension flows (budgeted,
@@ -187,8 +197,10 @@ class FillSession {
   const fill::SlackColumns& solver_slack() const;
   const std::vector<rctree::RcTree>& trees() const;  ///< one per net
   const std::vector<rctree::WirePiece>& pieces() const;
-  /// The session's one scorer, over global_slack() and pieces(). apply_edit
-  /// rebuilds it, so the reference is valid only until the next edit.
+  /// The session's one scorer, over global_slack() and pieces(). It is
+  /// built once at prep and apply_edit updates what it reads in place, so
+  /// the reference is valid for the session's life and always scores
+  /// against the current layout.
   const DelayImpactEvaluator& evaluator() const;
   /// Window densities of wires() (drawn wires and metal) plus `features`;
   /// solve() takes each method's density_after from it.

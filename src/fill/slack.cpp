@@ -166,7 +166,10 @@ SlackColumns::SlackColumns(std::vector<SlackColumn> columns,
                            bool transposed)
     : columns_(std::move(columns)),
       tile_parts_(std::move(tile_parts)),
-      transposed_(transposed) {}
+      transposed_(transposed) {
+  for (const auto& parts : tile_parts_)
+    for (const auto& part : parts) total_capacity_ += part.num_sites;
+}
 
 geom::Rect SlackColumns::site_rect(const SlackColumn& col, int site,
                                    const FillRules& rules) const {
@@ -195,13 +198,6 @@ const std::vector<TileColumnPart>& SlackColumns::tile_parts(
 int SlackColumns::tile_capacity(int tile_flat) const {
   int sum = 0;
   for (const auto& part : tile_parts(tile_flat)) sum += part.num_sites;
-  return sum;
-}
-
-long long SlackColumns::total_capacity() const {
-  long long sum = 0;
-  for (const auto& parts : tile_parts_)
-    for (const auto& part : parts) sum += part.num_sites;
   return sum;
 }
 
@@ -491,8 +487,13 @@ SlackColumns GlobalSlackScan::snapshot() const {
   const Impl& im = *impl_;
   std::vector<SlackColumn> columns;
   columns.reserve(im.offsets.empty() ? 0 : im.offsets.back());
+  std::vector<int> parts_per_tile(im.dissection->num_tiles(), 0);
+  for (const Impl::XcolGroup& grp : im.groups)
+    for (const Impl::Part& p : grp.parts) ++parts_per_tile[p.tile_flat];
   std::vector<std::vector<TileColumnPart>> tile_parts(
       im.dissection->num_tiles());
+  for (std::size_t t = 0; t < tile_parts.size(); ++t)
+    tile_parts[t].reserve(parts_per_tile[t]);
   for (int g = 0; g < im.num_xcols(); ++g) {
     const Impl::XcolGroup& grp = im.groups[g];
     columns.insert(columns.end(), grp.cols.begin(), grp.cols.end());

@@ -5,6 +5,76 @@
 
 namespace pil::pilfill {
 
+namespace {
+
+/// Per-global-column counts of `features`. A feature belongs to the column
+/// of its site column (recovered from its x center) whose span holds its y
+/// center; features in no column are counted in `unmapped`. The lookup is
+/// built here, from the columns as they are now.
+std::vector<int> bin_features(const fill::SlackColumns& global, double pitch,
+                              const std::vector<geom::Rect>& features,
+                              long long& unmapped) {
+  const auto& cols = global.columns();
+  // col_index -> list of (span_lo, global column id), sorted by span_lo.
+  int max_colindex = -1;
+  for (const auto& col : cols)
+    max_colindex = std::max(max_colindex, col.col_index);
+  std::vector<std::vector<std::pair<double, int>>> spans_of(max_colindex + 1);
+  for (std::size_t i = 0; i < cols.size(); ++i)
+    spans_of[cols[i].col_index].emplace_back(cols[i].span_lo,
+                                             static_cast<int>(i));
+  for (auto& v : spans_of) std::sort(v.begin(), v.end());
+  // Columns are at origin + c*pitch: the lowest one recovers the grid.
+  const fill::SlackColumn* c0 = nullptr;
+  for (const auto& v : spans_of)
+    if (!v.empty()) {
+      c0 = &cols[v.front().second];
+      break;
+    }
+
+  auto find = [&](const geom::Rect& feature_real) {
+    if (c0 == nullptr) return -1;
+    // Column coordinates live in the scan frame (transposed for vertical
+    // layers); move the query there first.
+    const geom::Rect feature =
+        global.transposed()
+            ? geom::Rect{feature_real.ylo, feature_real.xlo, feature_real.yhi,
+                         feature_real.xhi}
+            : feature_real;
+    // Recover the site-column index from the feature's x center. All
+    // shipped placements use the shared global x grid, so the nearest
+    // column is exact.
+    const double cx = (feature.xlo + feature.xhi) / 2;
+    const int guess =
+        c0->col_index + static_cast<int>(std::lround((cx - c0->x_center) /
+                                                     pitch));
+    if (guess < 0 || guess >= static_cast<int>(spans_of.size())) return -1;
+    const auto& spans = spans_of[guess];
+    const double cy = (feature.ylo + feature.yhi) / 2;
+    // Last span starting at or below cy.
+    auto it = std::upper_bound(
+        spans.begin(), spans.end(), std::make_pair(cy + geom::kEps, 1 << 30));
+    if (it == spans.begin()) return -1;
+    --it;
+    const auto& col = cols[it->second];
+    if (cy > col.span_hi + geom::kEps) return -1;
+    if (std::fabs(col.x_center - cx) > pitch / 2) return -1;
+    return it->second;
+  };
+
+  std::vector<int> counts(cols.size(), 0);
+  for (const auto& f : features) {
+    const int c = find(f);
+    if (c < 0)
+      ++unmapped;
+    else
+      counts[c] += 1;
+  }
+  return counts;
+}
+
+}  // namespace
+
 DelayImpactEvaluator::DelayImpactEvaluator(
     const fill::SlackColumns& global,
     const std::vector<rctree::WirePiece>& pieces,
@@ -16,68 +86,13 @@ DelayImpactEvaluator::DelayImpactEvaluator(
       rules_(rules),
       options_(options) {
   PIL_REQUIRE(options.switch_factor > 0, "switch factor must be positive");
-  int max_colindex = -1;
-  for (const auto& col : global.columns())
-    max_colindex = std::max(max_colindex, col.col_index);
-  spans_by_colindex_.resize(max_colindex + 1);
-  for (std::size_t i = 0; i < global.columns().size(); ++i) {
-    const auto& col = global.columns()[i];
-    spans_by_colindex_[col.col_index].emplace_back(col.span_lo,
-                                                   static_cast<int>(i));
-  }
-  for (auto& v : spans_by_colindex_) std::sort(v.begin(), v.end());
-}
-
-int DelayImpactEvaluator::find_column(const geom::Rect& feature_real) const {
-  if (spans_by_colindex_.empty()) return -1;
-  // Column coordinates live in the scan frame (transposed for vertical
-  // layers); move the query there first.
-  const geom::Rect feature =
-      global_->transposed()
-          ? geom::Rect{feature_real.ylo, feature_real.xlo, feature_real.yhi,
-                       feature_real.xhi}
-          : feature_real;
-  // Recover the site-column index from the feature's x center. All shipped
-  // placements use the shared global x grid, so the nearest column is exact.
-  const auto& cols = global_->columns();
-  const double cx = (feature.xlo + feature.xhi) / 2;
-  // Use any column to recover the grid: columns are at origin + c*pitch.
-  int guess = -1;
-  for (const auto& spans : spans_by_colindex_) {
-    if (spans.empty()) continue;
-    const auto& c0 = cols[spans.front().second];
-    const double rel = (cx - c0.x_center) / rules_.pitch();
-    guess = c0.col_index + static_cast<int>(std::lround(rel));
-    break;
-  }
-  if (guess < 0 || guess >= static_cast<int>(spans_by_colindex_.size()))
-    return -1;
-  const auto& spans = spans_by_colindex_[guess];
-  const double cy = (feature.ylo + feature.yhi) / 2;
-  // Last span starting at or below cy.
-  auto it = std::upper_bound(
-      spans.begin(), spans.end(), std::make_pair(cy + geom::kEps, 1 << 30));
-  if (it == spans.begin()) return -1;
-  --it;
-  const auto& col = cols[it->second];
-  if (cy > col.span_hi + geom::kEps) return -1;
-  if (std::fabs(col.x_center - cx) > rules_.pitch() / 2) return -1;
-  return it->second;
 }
 
 DelayImpact DelayImpactEvaluator::evaluate_rects(
     const std::vector<geom::Rect>& features) const {
-  std::vector<int> counts(global_->columns().size(), 0);
   long long unmapped = 0;
-  for (const auto& f : features) {
-    const int c = find_column(f);
-    if (c < 0) {
-      ++unmapped;
-      continue;
-    }
-    counts[c] += 1;
-  }
-  DelayImpact impact = evaluate_counts(counts);
+  DelayImpact impact = evaluate_counts(
+      bin_features(*global_, rules_.pitch(), features, unmapped));
   impact.unmapped = unmapped;
   impact.features = static_cast<long long>(features.size());
   return impact;
@@ -85,11 +100,9 @@ DelayImpact DelayImpactEvaluator::evaluate_rects(
 
 std::vector<double> DelayImpactEvaluator::per_net_coupling_ff(
     const std::vector<geom::Rect>& features, int num_nets) const {
-  std::vector<int> counts(global_->columns().size(), 0);
-  for (const auto& f : features) {
-    const int c = find_column(f);
-    if (c >= 0) counts[c] += 1;
-  }
+  long long unmapped = 0;
+  const std::vector<int> counts =
+      bin_features(*global_, rules_.pitch(), features, unmapped);
   std::vector<double> used(num_nets, 0.0);
   const auto& cols = global_->columns();
   for (std::size_t i = 0; i < cols.size(); ++i) {

@@ -147,7 +147,10 @@ struct FillSession::Impl {
   std::map<int, TileInstance> instances;  ///< tile_flat -> instance (req > 0)
   std::optional<cap::CouplingModel> model;
   std::optional<cap::ColumnCapLut> lut;  ///< shared single-thread LUT cache
-  std::unique_ptr<DelayImpactEvaluator> evaluator;
+  /// Built once at prep over *global and pieces; apply_edit assigns both in
+  /// place, so the evaluator (and a caller's reference to it) stays current
+  /// for the session's life.
+  std::optional<DelayImpactEvaluator> evaluator;
   /// Per-method, per-tile solve results; entries dropped when an edit
   /// changes the tile's solver inputs.
   std::map<Method, std::map<int, TileSolveResult>> cache;
@@ -156,20 +159,6 @@ struct FillSession::Impl {
   std::uint32_t journal_session_id = 0;  ///< correlation id for flight dumps
 
   const SlackColumns& solver_slack() const { return alt ? *alt : *global; }
-
-  void reflatten() {
-    pieces = fill::flatten_pieces(trees);
-    piece_offsets.assign(trees.size() + 1, 0);
-    for (std::size_t n = 0; n < trees.size(); ++n)
-      piece_offsets[n + 1] =
-          piece_offsets[n] + static_cast<int>(trees[n].pieces().size());
-  }
-
-  void rebuild_evaluator() {
-    evaluator = std::make_unique<DelayImpactEvaluator>(
-        *global, pieces, *model, config.rules,
-        EvaluatorOptions{config.style, config.switch_factor});
-  }
 
   /// Per-tile fill requirements from the current density map and capacity
   /// inventory -- the same computation for prep and re-targeting after an
@@ -231,7 +220,11 @@ struct FillSession::Impl {
     {
       obs::Stage stage("rctree.extraction", &stages.rc_extraction);
       trees = rctree::build_all_trees(layout);
-      reflatten();
+      pieces = fill::flatten_pieces(trees);
+      piece_offsets.assign(trees.size() + 1, 0);
+      for (std::size_t n = 0; n < trees.size(); ++n)
+        piece_offsets[n + 1] =
+            piece_offsets[n] + static_cast<int>(trees[n].pieces().size());
     }
     {
       obs::Stage stage("grid.density_map", &stages.density_map);
@@ -269,7 +262,8 @@ struct FillSession::Impl {
     const layout::Layer& layer = layout.layer(config.layer);
     model.emplace(layer.eps_r, layer.thickness_um);
     lut.emplace(*model, config.rules.feature_um);
-    rebuild_evaluator();
+    evaluator.emplace(*global, pieces, *model, config.rules,
+                      EvaluatorOptions{config.style, config.switch_factor});
 
     if (obs::metrics_enabled()) {
       auto& reg = obs::metrics();
@@ -383,18 +377,37 @@ struct FillSession::Impl {
       stats.tiles_resolved += static_cast<long long>(todo.size());
       stats.tiles_reused += reused;
 
+      // Every instance with its cached solve, in tile order.
+      std::vector<std::pair<const TileInstance*, const TileSolveResult*>>
+          tiles;
+      tiles.reserve(instances.size());
       for (const auto& [tile, inst] : instances) {
         const TileSolveResult& tsr = mcache.at(tile);
+        tiles.emplace_back(&inst, &tsr);
         flow_detail::accumulate_tile_stats(tsr, mr);
         mr.placement.features_per_tile[tile] = tsr.placed;
-        flow_detail::append_rects(inst, tsr.counts, solver_slack(),
-                                  cfg.rules, mr.placement.features);
       }
+      mr.placement.features.reserve(static_cast<std::size_t>(mr.placed));
+      for (const auto& [inst, tsr] : tiles)
+        flow_detail::append_rects(*inst, tsr->counts, solver_slack(),
+                                  cfg.rules, mr.placement.features);
 
       {
         obs::Stage stage("pilfill.evaluate", &mr.eval_seconds,
                          to_string(method));
-        mr.impact = evaluator->evaluate_rects(mr.placement.features);
+        if (alt) {
+          // Modes I/II: instance columns index the per-tile extraction, so
+          // the placement is binned back into the global columns.
+          mr.impact = evaluator->evaluate_rects(mr.placement.features);
+        } else {
+          // Mode III: instance columns are global columns; sum the cached
+          // counts of every tile part into their column.
+          std::vector<int> counts(global->columns().size(), 0);
+          for (const auto& [inst, tsr] : tiles)
+            for (std::size_t k = 0; k < inst->cols.size(); ++k)
+              counts[inst->cols[k].column] += tsr->counts[k];
+          mr.impact = evaluator->evaluate_counts(counts);
+        }
       }
 
       mr.density_after = density_with(mr.placement.features).stats();
@@ -455,7 +468,7 @@ struct FillSession::Impl {
     return es;
   }
 
-  /// apply_edit's work, steps 1-9: mutate the layout and refresh the prep
+  /// apply_edit's work, steps 1-8: mutate the layout and refresh the prep
   /// state, recording everything but the time in `es`.
   void edit_in_place(const WireEdit& edit, EditStats& es) {
     // -- 1. Resolve the edited net and validate the request. --------------
@@ -558,11 +571,24 @@ struct FillSession::Impl {
     }
     edited = true;
 
-    // -- 4. Renumber the flattened piece array; pieces of nets after the
-    //       edited one shift by a constant. ------------------------------
+    // -- 4. Splice the rebuilt tree's pieces over the net's range of the
+    //       flattened array; pieces of later nets shift by a constant. ----
+    const std::vector<rctree::WirePiece>& net_pieces = trees[net].pieces();
     const int old_net_end = piece_offsets[net + 1];
-    reflatten();
-    const int delta = piece_offsets[net + 1] - old_net_end;
+    const int old_size = old_net_end - piece_offsets[net];
+    const int new_size = static_cast<int>(net_pieces.size());
+    const int delta = new_size - old_size;
+    const int common = std::min(old_size, new_size);
+    std::copy(net_pieces.begin(), net_pieces.begin() + common,
+              pieces.begin() + piece_offsets[net]);
+    if (delta > 0)
+      pieces.insert(pieces.begin() + old_net_end, net_pieces.begin() + common,
+                    net_pieces.end());
+    else
+      pieces.erase(pieces.begin() + piece_offsets[net] + common,
+                   pieces.begin() + old_net_end);
+    for (std::size_t n = net + 1; n < piece_offsets.size(); ++n)
+      piece_offsets[n] += delta;
     if (delta != 0) scan->shift_piece_indices(old_net_end, delta);
 
     // Post-edit footprints of the net, plus the drawn rects for safety.
@@ -656,9 +682,6 @@ struct FillSession::Impl {
         ++dirty;
       }
     }
-
-    // -- 9. The evaluator binds the snapshot and pieces; rebuild it. ------
-    rebuild_evaluator();
 
     ++stats.edits;
     stats.columns_rescanned += rr.xcols_rescanned;

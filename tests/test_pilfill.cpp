@@ -427,9 +427,10 @@ TEST(Evaluator, CountsAndRectsAgree) {
   const DelayImpact a = eval.evaluate_counts(counts);
   const DelayImpact b = eval.evaluate_rects(rects);
   EXPECT_EQ(b.unmapped, 0);
-  EXPECT_NEAR(a.delay_ps, b.delay_ps, 1e-12);
-  EXPECT_NEAR(a.weighted_delay_ps, b.weighted_delay_ps, 1e-12);
-  EXPECT_NEAR(a.exact_sink_delay_ps, b.exact_sink_delay_ps, 1e-12);
+  EXPECT_EQ(a.features, b.features);
+  EXPECT_EQ(a.delay_ps, b.delay_ps);
+  EXPECT_EQ(a.weighted_delay_ps, b.weighted_delay_ps);
+  EXPECT_EQ(a.exact_sink_delay_ps, b.exact_sink_delay_ps);
 }
 
 TEST(Evaluator, EmptyPlacementCostsNothing) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <tuple>
 
+#include "paper_shape.hpp"
 #include "pil/pil.hpp"
 
 namespace pil::pilfill {
@@ -223,24 +224,109 @@ TEST(Session, RepeatedSolvesServeFromCache) {
   EXPECT_EQ(session.stats().tiles_resolved, 2 * resolved_once);
 }
 
+TEST(Session, CountScoringMatchesRectScoring) {
+  // Under SlackColumn-III solve() scores each method from its cached
+  // per-column counts; binning the assembled rectangles back into the
+  // global columns must give the same impact, bit for bit. T2, T2 with
+  // macro blockages, and T2's vertical branch layer (the transposed scan),
+  // on every table row and both objectives.
+  layout::SyntheticLayoutConfig macros = layout::testcase_t2_config();
+  macros.num_macros = 2;
+  layout::SyntheticLayoutConfig branch = layout::testcase_t2_config();
+  branch.separate_branch_layer = true;
+  const Layout branch_layout = layout::generate_synthetic_layout(branch);
+  const std::vector<std::pair<Layout, layout::LayerId>> inputs = {
+      {layout::make_testcase_t2(), 0},
+      {layout::generate_synthetic_layout(macros), 0},
+      {branch_layout, branch_layout.find_layer("m4")}};
+  ASSERT_EQ(inputs[2].second, 1);
+  ASSERT_FALSE(inputs[1].first.blockages().empty());
+
+  int cases = 0;
+  for (const auto& [l, layer] : inputs)
+    for (const Objective obj : paper_shape::kObjectives)
+      for (const double window : paper_shape::kWindows)
+        for (const int r : paper_shape::kRs) {
+          FlowConfig config;
+          config.window_um = window;
+          config.r = r;
+          config.objective = obj;
+          config.layer = layer;
+          FillSession session(l, config);
+          const FlowResult res = session.solve(paper_shape::kAllMethods);
+          for (const MethodResult& mr : res.methods) {
+            const std::string row = paper_shape::row_name(obj, window, r) +
+                                    " layer " + std::to_string(layer) + " " +
+                                    to_string(mr.method);
+            const DelayImpact binned =
+                session.evaluator().evaluate_rects(mr.placement.features);
+            EXPECT_EQ(mr.impact.delay_ps, binned.delay_ps) << row;
+            EXPECT_EQ(mr.impact.weighted_delay_ps, binned.weighted_delay_ps)
+                << row;
+            EXPECT_EQ(mr.impact.exact_sink_delay_ps,
+                      binned.exact_sink_delay_ps)
+                << row;
+            EXPECT_EQ(mr.impact.features, binned.features) << row;
+            EXPECT_EQ(mr.impact.features,
+                      static_cast<long long>(mr.placement.features.size()))
+                << row;
+            EXPECT_EQ(mr.impact.unmapped, 0) << row;
+            EXPECT_EQ(binned.unmapped, 0) << row;
+            ++cases;
+          }
+        }
+  EXPECT_EQ(cases, 180);
+}
+
 TEST(Session, ScorerTreesAndDensityFollowEdits) {
-  // evaluator(), trees() and density_with() read the session's current
-  // state: after an edit they agree with a fresh session on the edited
-  // layout, and density_with(placement) is the method's density_after.
+  // evaluator(), trees(), pieces() and density_with() read the session's
+  // current state: after edits they agree with a fresh session on the
+  // edited layout, and density_with(placement) is the method's
+  // density_after. The evaluator is built once, so a reference taken
+  // before the first edit still scores against the edited layout.
   FillSession session(small_layout(), small_config(1));
+  const DelayImpactEvaluator& scorer = session.evaluator();
   EditScript script(session.layout(), session.config().layer, 11);
-  session.apply_edit(script.next(0));
+  const WireEdit add = script.next(0);
+  ASSERT_EQ(add.kind, WireEdit::Kind::kAddSegment);
+  const EditStats added = session.apply_edit(add);
+  script.stub_added(added.segment);
+  const WireEdit remove = script.next(3);
+  ASSERT_EQ(remove.kind, WireEdit::Kind::kRemoveSegment);
+  session.apply_edit(remove);
+  session.apply_edit(script.next(5));  // a second stub stays in the layout
   const FlowResult res = session.solve({Method::kIlp2});
   const MethodResult& mr = res.methods[0];
   const FillSession fresh(session.layout(), session.config());
 
-  const DelayImpact scored =
-      session.evaluator().evaluate_rects(mr.placement.features);
+  EXPECT_EQ(&scorer, &session.evaluator());
+  const DelayImpact scored = scorer.evaluate_rects(mr.placement.features);
   const DelayImpact fresh_scored =
       fresh.evaluator().evaluate_rects(mr.placement.features);
   EXPECT_EQ(scored.delay_ps, mr.impact.delay_ps);
   EXPECT_EQ(scored.delay_ps, fresh_scored.delay_ps);
   EXPECT_EQ(scored.weighted_delay_ps, fresh_scored.weighted_delay_ps);
+  EXPECT_EQ(scored.exact_sink_delay_ps, fresh_scored.exact_sink_delay_ps);
+  EXPECT_EQ(scored.unmapped, 0);
+  const int nets = static_cast<int>(session.layout().num_nets());
+  EXPECT_EQ(scorer.per_net_coupling_ff(mr.placement.features, nets),
+            fresh.evaluator().per_net_coupling_ff(mr.placement.features,
+                                                  nets));
+
+  // The edited net's pieces were spliced in place: the flattened array
+  // equals a fresh flatten of the edited layout's trees.
+  ASSERT_EQ(session.pieces().size(), fresh.pieces().size());
+  for (std::size_t i = 0; i < session.pieces().size(); ++i) {
+    const rctree::WirePiece& a = session.pieces()[i];
+    const rctree::WirePiece& b = fresh.pieces()[i];
+    EXPECT_EQ(a.segment, b.segment) << "piece " << i;
+    EXPECT_EQ(a.net, b.net) << "piece " << i;
+    EXPECT_EQ(a.up, b.up) << "piece " << i;
+    EXPECT_EQ(a.down, b.down) << "piece " << i;
+    EXPECT_EQ(a.upstream_res, b.upstream_res) << "piece " << i;
+    EXPECT_EQ(a.downstream_sinks, b.downstream_sinks) << "piece " << i;
+    EXPECT_EQ(a.offpath_res_sum, b.offpath_res_sum) << "piece " << i;
+  }
 
   ASSERT_EQ(session.trees().size(), session.layout().num_nets());
   ASSERT_EQ(fresh.trees().size(), session.layout().num_nets());

@@ -376,11 +376,16 @@ int cmd_fill(const Args& args) {
   const bool anneal = method_name == "anneal";
   const bool budgeted = !anneal && args.flag("allowance-ps");
   // The method and the edit script are checked before the prep, so a bad
-  // name or path costs no work.
+  // name or path costs no work. An edit script re-solves one method on the
+  // session; the anneal and budgeted flows would fill the unedited layout.
   const pilfill::Method method =
       anneal ? pilfill::Method::kConvex
              : pilfill::method_from_wire(method_name);
   const std::string script_path = args.get("edit-script", "");
+  if (!script_path.empty() && (anneal || budgeted))
+    throw util::UsageError(
+        std::string("--edit-script cannot be combined with ") +
+        (anneal ? "--method anneal" : "--allowance-ps"));
   std::ifstream script(script_path);
   if (!script_path.empty() && !script.good())
     throw Error("cannot open edit script '" + script_path + "'");
@@ -597,7 +602,8 @@ int usage() {
       "                     [--allowance-ps X] (budgeted) | --method anneal\n"
       "                     [--lef tech.lef] [--edit-script FILE]\n"
       "  (edit script ops: add <net> <x1> <y1> <x2> <y2> <w> | remove <sid>\n"
-      "   | move <sid> <dx> <dy> | solve; '#' starts a comment)\n"
+      "   | move <sid> <dx> <dy> | solve; '#' starts a comment; not with\n"
+      "   --method anneal or --allowance-ps)\n"
       "  table <layout>     [--window W] [--r R] [--weighted]\n"
       "  check <filled.pld> [--max-density D] [--window W] [--r R]\n"
       "  score <layout> <fill.gds> [--fill-layer N] [--max-density D]\n"
