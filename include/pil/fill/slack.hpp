@@ -107,6 +107,8 @@ class SlackColumns {
   long long total_capacity() const { return total_capacity_; }
 
  private:
+  friend class GlobalSlackScan;  // builds and updates its columns in place
+
   std::vector<SlackColumn> columns_;
   std::vector<std::vector<TileColumnPart>> tile_parts_;
   bool transposed_ = false;
@@ -125,16 +127,16 @@ SlackColumns extract_slack_columns(const layout::Layout& layout,
 /// Incremental SlackColumn-III scanner. The mode-III scan decomposes
 /// exactly per x-site-column: the state machine that walks up one column
 /// depends only on the pieces whose (buffer-inflated) footprint overlaps
-/// that column. This class keeps the per-column scan results and can
-/// re-scan just the columns overlapping a set of changed rectangles,
-/// producing snapshots that are value-identical to a from-scratch
-/// extraction of the same layout (extract_slack_columns mode kIII is
-/// itself implemented as build() + snapshot(), so there is one code path).
+/// that column. The scanner owns one SlackColumns, which build() fills and
+/// rescan() updates in place: it re-scans just the x-columns overlapping a
+/// set of changed rectangles, rewrites their columns and the part lists of
+/// the tiles they touch, and leaves the result value-identical to a
+/// from-scratch extraction of the same layout (extract_slack_columns mode
+/// kIII builds a scanner and takes its columns, so there is one code path).
 ///
-/// Column order in snapshots is canonical: ascending x column, then
-/// ascending span within the column -- independent of piece insertion
-/// order, which is what makes incremental and full extraction comparable
-/// bit-for-bit.
+/// Column order is canonical: ascending x column, then ascending span
+/// within the column -- independent of piece insertion order, which is what
+/// makes incremental and full extraction comparable bit-for-bit.
 ///
 /// Blockages are cached at construction (the incremental edit model covers
 /// wires only); the layout and dissection must outlive the scanner.
@@ -155,8 +157,13 @@ class GlobalSlackScan {
     /// Real (dissection-frame) flat tile ids whose column parts existed in
     /// a rescanned column before or after the rescan; sorted, unique.
     std::vector<int> touched_tiles;
-    /// Maps flat column indices of the previous snapshot to the current
-    /// one; -1 for columns that belonged to a rescanned x-column (their
+    /// The touched tiles whose sites in the rescanned x-columns moved or
+    /// split differently: every other tile's k-th part covers the same site
+    /// rectangles (same x column, span_lo, first_site and num_sites) as
+    /// before, so equal counts place equal rectangles. Sorted, unique.
+    std::vector<int> sites_changed;
+    /// Maps flat column indices before the rescan to the current ones; -1
+    /// for columns that belonged to a rescanned x-column (their
     /// replacements are new entries). Indices of untouched columns only
     /// shift by their x-column group offset, so remapped columns are
     /// value-identical to their old selves apart from piece-index shifts
@@ -168,7 +175,9 @@ class GlobalSlackScan {
   /// criterion the scan itself uses) overlaps one of `changed_real`
   /// (given in real layout coordinates). `pieces` is the post-edit piece
   /// array; callers must pass the union of pre- and post-edit footprints
-  /// of every piece whose geometry or electrical values changed.
+  /// of every piece whose geometry or electrical values changed. Columns
+  /// of later x-columns move once, in place, and part lists are renumbered
+  /// to match.
   RescanResult rescan(const std::vector<rctree::WirePiece>& pieces,
                       const std::vector<geom::Rect>& changed_real);
 
@@ -177,11 +186,12 @@ class GlobalSlackScan {
   /// piece array (pieces of nets after the edited one move by a constant).
   void shift_piece_indices(int first_old_index, int delta);
 
-  /// Flat canonical snapshot of the current state.
-  SlackColumns snapshot() const;
+  /// The current columns: the scanner's own storage, so the reference stays
+  /// valid -- and current across rescans -- for the scanner's life.
+  const SlackColumns& columns() const;
 
-  /// Columns in the current state (size of the snapshot's columns()).
-  int num_columns() const;
+  /// Move the columns out, leaving the scanner empty.
+  SlackColumns take_columns() &&;
 
  private:
   struct Impl;

@@ -39,6 +39,15 @@ class DensityMap {
   /// Accumulate one rectangle of feature area (wire or fill).
   void add_rect(const geom::Rect& r);
 
+  /// add_rect restricted to the tiles flagged in `only` (one flag per flat
+  /// tile): a flagged tile gains exactly what add_rect would add to it, and
+  /// every other tile is left untouched.
+  void add_rect(const geom::Rect& r, const std::vector<char>& only);
+
+  /// Set the tiles flagged in `only` to `base`'s areas (`base` must be over
+  /// the same dissection); every other tile is left untouched.
+  void reset_tiles(const DensityMap& base, const std::vector<char>& only);
+
   /// Recompute the wire + metal-blockage area of a subset of tiles from
   /// scratch, leaving every other tile untouched. The affected tiles are
   /// re-accumulated in the exact order add_layer_metal uses, so the result
@@ -66,6 +75,11 @@ class DensityMap {
   DensityStats stats() const;
 
  private:
+  /// The one rect-to-tile loop: add `r`'s overlap to every tile it covers
+  /// with positive area for which `keep(flat)` holds, in (iy, ix) order.
+  template <typename Keep>
+  void add_rect_if(const geom::Rect& r, Keep&& keep);
+
   const Dissection* dis_;
   std::vector<double> tile_area_;
 };

@@ -12,15 +12,15 @@
 ///     actually touches.
 ///
 /// Results are bit-identical to a from-scratch run_pil_fill_flow on the
-/// edited layout. Four properties of the flow make that feasible:
+/// edited layout. Five properties of the flow make that feasible:
 ///
 ///   1. per-tile RNG streams: a tile's solve depends only on its instance
 ///      and (config.seed, method, tile id) -- never on which other tiles
 ///      are solved, or on threads;
 ///   2. the mode-III slack scan decomposes exactly per x-site-column with a
 ///      canonical output order (fill::GlobalSlackScan), so re-scanning the
-///      columns an edit overlaps splices into a snapshot value-identical to
-///      full extraction;
+///      columns an edit overlaps and rewriting them in place leaves the
+///      columns value-identical to full extraction;
 ///   3. density accumulation is re-run per affected tile in original
 ///      layout order (grid::DensityMap::recompute_tiles), sidestepping
 ///      floating-point non-associativity;
@@ -28,7 +28,11 @@
 ///      columns, so a method's cached per-tile counts, summed per column,
 ///      are the global-column counts the evaluator scores
 ///      (DelayImpactEvaluator::evaluate_counts) -- the same counts that
-///      binning the assembled placement's rectangles would produce.
+///      binning the assembled placement's rectangles would produce;
+///   5. a tile's area after fill is its wire area plus the overlaps of the
+///      features that reach it, added in placement order, so recomputing
+///      only the tiles whose area can have changed gives the bits
+///      density_with(placement) gives.
 ///
 /// Dirty propagation (what one edit invalidates):
 ///
@@ -41,15 +45,26 @@
 ///     post-edit piece of the edited net is re-scanned. This includes
 ///     pieces far from the edit: an edit changes upstream resistance /
 ///     sink weights of the whole net, so every column the net bounds gets
-///     fresh resistance factors.
+///     fresh resistance factors. The scanner rewrites those columns and
+///     the part lists of the tiles they touch in its one copy (which
+///     global_slack() is); later columns move once, in place.
 ///   * instances: rebuilt for tiles touched by re-scanned columns or
 ///     requirement changes; a rebuilt instance that is solver-equivalent
 ///     to its predecessor keeps its cached per-method solve results.
+///   * density_after: each method keeps the tile areas of its last
+///     placement and a mask of stale tiles. The edit marks the tiles whose
+///     wire area it recomputed, and the reach of every removed instance
+///     and of every kept instance whose sites moved; solve() marks the
+///     reach of every tile it re-solves, then recomputes only the stale
+///     tiles. A feature is centred in its tile, so its reach is
+///     ceil(feature_um / (2 * tile side)) tiles past it (one more when
+///     that ratio is whole): 1 at every shipped window, 2 on a 0.2 um
+///     tile. A method's first solve has every tile stale.
 ///   * RC trees and pieces: the edited net's tree is rebuilt and its range
 ///     of the flattened piece array is replaced in place; later nets'
 ///     piece indices shift by the size change.
-///   * evaluator: built once at prep over the slack snapshot and the piece
-///     array, both of which edits assign in place; never rebuilt.
+///   * evaluator: built once at prep over global_slack() and the piece
+///     array, both of which edits update in place; never rebuilt.
 ///
 /// The one-shot flows (run_pil_fill_flow & friends) are thin wrappers over
 /// a FillSession: construct, solve, discard. The extension flows (budgeted,
@@ -193,6 +208,9 @@ class FillSession {
   // of prepping again.
   const grid::DensityMap& wires() const;
   const density::FillTargetResult& target() const;
+  /// The mode-III columns: the slack scanner's own storage, which each
+  /// edit updates in place, so the reference is valid -- and current --
+  /// for the session's life.
   const fill::SlackColumns& global_slack() const;
   const fill::SlackColumns& solver_slack() const;
   const std::vector<rctree::RcTree>& trees() const;  ///< one per net
@@ -202,8 +220,10 @@ class FillSession {
   /// the reference is valid for the session's life and always scores
   /// against the current layout.
   const DelayImpactEvaluator& evaluator() const;
-  /// Window densities of wires() (drawn wires and metal) plus `features`;
-  /// solve() takes each method's density_after from it.
+  /// Window densities of wires() (drawn wires and metal) plus `features`,
+  /// built from scratch. A method's density_after is
+  /// density_with(placement).stats() bit for bit, though solve() keeps it
+  /// per tile and recomputes only the tiles whose area can have changed.
   grid::DensityMap density_with(const std::vector<geom::Rect>& features) const;
   /// Instances of all tiles with a non-zero requirement, in tile order.
   std::vector<TileInstance> instances_snapshot() const;

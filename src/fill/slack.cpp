@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "pil/geom/interval.hpp"
 #include "pil/util/log.hpp"
@@ -212,19 +213,17 @@ std::vector<rctree::WirePiece> flatten_pieces(
   return out;
 }
 
-/// One x-site-column's scan state: its columns in ascending-y order plus
-/// the tile split of every column. Column references inside parts are
-/// ordinals into `cols`; flat indices are assigned at snapshot time.
+/// The scanner's state: one SlackColumns in canonical order plus, per
+/// x-site-column group g (site column c_begin + g), the flat index of its
+/// first column.
 struct GlobalSlackScan::Impl {
+  /// One tile's share of a column, as a fresh scan emits it; `column`
+  /// indexes the vector the scan appended its columns to.
   struct Part {
     int tile_flat;  ///< real (dissection-frame) flat tile id
-    int col_ordinal;
+    int column;
     int first_site;
     int num_sites;
-  };
-  struct XcolGroup {
-    std::vector<SlackColumn> cols;
-    std::vector<Part> parts;
   };
 
   const grid::Dissection* dissection;  // real frame
@@ -239,8 +238,8 @@ struct GlobalSlackScan::Impl {
   /// Blockage-only intervals per global column (blockages are not part of
   /// the edit model, so these never change after construction).
   std::vector<geom::IntervalSet> blocked_static;
-  std::vector<XcolGroup> groups;  // index g = column - c_begin
-  std::vector<int> offsets;       // flat column offset per group (+1 total)
+  SlackColumns slack;        // the one copy, canonical order
+  std::vector<int> offsets;  // flat column offset per group (+1 total)
 
   Impl(const layout::Layout& layout, const grid::Dissection& dis,
        layout::LayerId layer_in, const FillRules& rules_in)
@@ -253,12 +252,13 @@ struct GlobalSlackScan::Impl {
         scan_dis(transposed
                      ? grid::Dissection(die, dis.window_um(), dis.r())
                      : dis),
-        grid(die, rules_in) {
+        grid(die, rules_in),
+        slack({}, std::vector<std::vector<TileColumnPart>>(dis.num_tiles()),
+              transposed) {
     rules.validate();
     routing_dir = transposed ? Orientation::kVertical
                              : Orientation::kHorizontal;
     grid.inside(die.xlo, die.xhi, c_begin, c_end);
-    const int n = num_xcols();
     blocked_static.assign(grid.count, {});
     const double b = rules.buffer_um;
     for (const Rect& v0 : layout.blockages_on_layer(layer)) {
@@ -268,8 +268,7 @@ struct GlobalSlackScan::Impl {
       for (int c = c0; c <= c1; ++c)
         blocked_static[c].insert(v.ylo - b, v.yhi + b);
     }
-    groups.assign(n, {});
-    offsets.assign(n + 1, 0);
+    offsets.assign(num_xcols() + 1, 0);
   }
 
   Rect xf(const Rect& r) const {
@@ -295,12 +294,14 @@ struct GlobalSlackScan::Impl {
   }
 
   /// Run the column state machine for site column `c` over `pidx` (piece
-  /// indices sorted by piece_before) and recompute the group's tile parts.
+  /// indices sorted by piece_before), appending its columns in ascending-y
+  /// order to `cols` and their tile split to `parts`.
   void scan_one_column(int c, const std::vector<int>& pidx,
                        const std::vector<WirePiece>& pieces,
-                       const geom::IntervalSet& blocked, XcolGroup& out) {
-    out.cols.clear();
-    out.parts.clear();
+                       const geom::IntervalSet& blocked,
+                       std::vector<SlackColumn>& cols,
+                       std::vector<Part>& parts) {
+    const std::size_t first = cols.size();
     const double b = rules.buffer_um;
     ColumnState s;
     s.start = die.ylo;
@@ -314,7 +315,7 @@ struct GlobalSlackScan::Impl {
       if (c < c0 || c > c1) continue;
       if (clipped.ylo > s.start + geom::kEps)
         emit_gap(grid, c, s, BoundKind::kLine, idx, clipped.ylo, blocked,
-                 rules, SlackMode::kIII, out.cols);
+                 rules, SlackMode::kIII, cols);
       if (clipped.yhi > s.start) {
         s.start = clipped.yhi;
         s.kind = BoundKind::kLine;
@@ -323,11 +324,11 @@ struct GlobalSlackScan::Impl {
     }
     if (die.yhi > s.start + geom::kEps)
       emit_gap(grid, c, s, BoundKind::kDieEdge, -1, die.yhi, blocked, rules,
-               SlackMode::kIII, out.cols);
+               SlackMode::kIII, cols);
 
     // Split each column's site stack across the tile rows it crosses.
-    for (std::size_t ci = 0; ci < out.cols.size(); ++ci) {
-      const SlackColumn& col = out.cols[ci];
+    for (std::size_t ci = first; ci < cols.size(); ++ci) {
+      const SlackColumn& col = cols[ci];
       int run_first = 0;
       int run_tile = -1;
       for (int i = 0; i < col.capacity; ++i) {
@@ -337,15 +338,15 @@ struct GlobalSlackScan::Impl {
         const int flat = real_flat(scan_dis.tile_flat(t));
         if (flat != run_tile) {
           if (run_tile >= 0)
-            out.parts.push_back(Part{run_tile, static_cast<int>(ci),
-                                     run_first, i - run_first});
+            parts.push_back(Part{run_tile, static_cast<int>(ci), run_first,
+                                 i - run_first});
           run_tile = flat;
           run_first = i;
         }
       }
       if (run_tile >= 0)
-        out.parts.push_back(Part{run_tile, static_cast<int>(ci), run_first,
-                                 col.capacity - run_first});
+        parts.push_back(Part{run_tile, static_cast<int>(ci), run_first,
+                             col.capacity - run_first});
     }
   }
 
@@ -390,12 +391,6 @@ struct GlobalSlackScan::Impl {
       if (!mark || (*mark)[g])
         std::sort(hbucket[g].begin(), hbucket[g].end(), cmp);
   }
-
-  void refresh_offsets() {
-    offsets.assign(num_xcols() + 1, 0);
-    for (int g = 0; g < num_xcols(); ++g)
-      offsets[g + 1] = offsets[g] + static_cast<int>(groups[g].cols.size());
-  }
 };
 
 GlobalSlackScan::GlobalSlackScan(const layout::Layout& layout,
@@ -415,10 +410,32 @@ void GlobalSlackScan::build(const std::vector<rctree::WirePiece>& pieces) {
   std::vector<geom::IntervalSet> blocked(n);
   for (int g = 0; g < n; ++g) blocked[g] = im.blocked_static[im.c_begin + g];
   im.bucket_pieces(pieces, nullptr, hbucket, blocked);
-  for (int g = 0; g < n; ++g)
+
+  std::vector<SlackColumn>& columns = im.slack.columns_;
+  std::vector<Impl::Part> parts;
+  columns.clear();
+  for (int g = 0; g < n; ++g) {
+    im.offsets[g] = static_cast<int>(columns.size());
     im.scan_one_column(im.c_begin + g, hbucket[g], pieces, blocked[g],
-                       im.groups[g]);
-  im.refresh_offsets();
+                       columns, parts);
+  }
+  im.offsets[n] = static_cast<int>(columns.size());
+
+  // Parts come out in canonical column order, so each tile's list does too.
+  std::vector<std::vector<TileColumnPart>>& tile_parts = im.slack.tile_parts_;
+  std::vector<int> parts_per_tile(tile_parts.size(), 0);
+  for (const Impl::Part& p : parts) ++parts_per_tile[p.tile_flat];
+  long long capacity = 0;
+  for (std::size_t t = 0; t < tile_parts.size(); ++t) {
+    tile_parts[t].clear();
+    tile_parts[t].reserve(parts_per_tile[t]);
+  }
+  for (const Impl::Part& p : parts) {
+    tile_parts[p.tile_flat].push_back(
+        TileColumnPart{p.column, p.first_site, p.num_sites});
+    capacity += p.num_sites;
+  }
+  im.slack.total_capacity_ = capacity;
 }
 
 GlobalSlackScan::RescanResult GlobalSlackScan::rescan(
@@ -438,75 +455,147 @@ GlobalSlackScan::RescanResult GlobalSlackScan::rescan(
       mark[c - im.c_begin] = 1;
   }
 
-  std::vector<int> touched;
   std::vector<std::vector<int>> hbucket(n);
   std::vector<geom::IntervalSet> blocked(n);
-  for (int g = 0; g < n; ++g) {
-    if (!mark[g]) continue;
-    ++res.xcols_rescanned;
-    blocked[g] = im.blocked_static[im.c_begin + g];
-    for (const Impl::Part& p : im.groups[g].parts)
-      touched.push_back(p.tile_flat);
-  }
+  for (int g = 0; g < n; ++g)
+    if (mark[g]) blocked[g] = im.blocked_static[im.c_begin + g];
   im.bucket_pieces(pieces, &mark, hbucket, blocked);
 
-  const std::vector<int> old_offsets = im.offsets;
+  // Scan the marked x-columns into fresh storage and lay out the new
+  // offsets; the old columns stay in place until every part is compared.
+  std::vector<SlackColumn>& columns = im.slack.columns_;
+  std::vector<SlackColumn> fresh;
+  std::vector<Impl::Part> fresh_parts;
+  std::vector<int> fresh_begin(n, 0);
+  std::vector<int> new_offsets(n + 1, 0);
+  long long capacity_delta = 0;
   for (int g = 0; g < n; ++g) {
-    if (!mark[g]) continue;
-    im.scan_one_column(im.c_begin + g, hbucket[g], pieces, blocked[g],
-                       im.groups[g]);
-    for (const Impl::Part& p : im.groups[g].parts)
-      touched.push_back(p.tile_flat);
+    int size = im.offsets[g + 1] - im.offsets[g];
+    if (mark[g]) {
+      ++res.xcols_rescanned;
+      for (int f = im.offsets[g]; f < im.offsets[g + 1]; ++f)
+        capacity_delta -= columns[f].capacity;
+      fresh_begin[g] = static_cast<int>(fresh.size());
+      im.scan_one_column(im.c_begin + g, hbucket[g], pieces, blocked[g],
+                         fresh, fresh_parts);
+      size = static_cast<int>(fresh.size()) - fresh_begin[g];
+      for (int f = fresh_begin[g]; f < fresh_begin[g] + size; ++f)
+        capacity_delta += fresh[f].capacity;
+    }
+    new_offsets[g + 1] = new_offsets[g] + size;
   }
-  im.refresh_offsets();
 
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  res.touched_tiles = std::move(touched);
-
-  res.column_remap.assign(old_offsets.back(), -1);
+  res.column_remap.assign(im.offsets[n], -1);
   for (int g = 0; g < n; ++g) {
     if (mark[g]) continue;
-    const int delta = im.offsets[g] - old_offsets[g];
-    for (int f = old_offsets[g]; f < old_offsets[g + 1]; ++f)
+    const int delta = new_offsets[g] - im.offsets[g];
+    for (int f = im.offsets[g]; f < im.offsets[g + 1]; ++f)
       res.column_remap[f] = f + delta;
   }
+  auto fresh_index = [&](const Impl::Part& p) {
+    const int g = fresh[p.column].col_index - im.c_begin;
+    return new_offsets[g] + p.column - fresh_begin[g];
+  };
+  // Part k of a tile covers the same sites before and after when it keeps
+  // its x column, span_lo (bitwise), first_site and num_sites.
+  auto same_sites = [&](const TileColumnPart& old_part,
+                        const Impl::Part& p) {
+    const SlackColumn& a = columns[old_part.column];
+    const SlackColumn& c = fresh[p.column];
+    return a.col_index == c.col_index &&
+           std::memcmp(&a.span_lo, &c.span_lo, sizeof a.span_lo) == 0 &&
+           old_part.first_site == p.first_site &&
+           old_part.num_sites == p.num_sites;
+  };
+
+  // Rewrite the part lists: a tile with parts in a rescanned x-column
+  // swaps them for the fresh ones; every other part is renumbered. Fresh
+  // parts are in canonical order, so a stable sort by tile keeps each
+  // tile's in that order.
+  std::stable_sort(fresh_parts.begin(), fresh_parts.end(),
+                   [](const Impl::Part& a, const Impl::Part& c) {
+                     return a.tile_flat < c.tile_flat;
+                   });
+  const int first_changed = im.offsets[static_cast<int>(
+      std::find(mark.begin(), mark.end(), 1) - mark.begin())];
+  std::vector<TileColumnPart> merged;
+  auto merge_fresh = [&](const Impl::Part& p) {
+    merged.push_back(TileColumnPart{fresh_index(p), p.first_site,
+                                    p.num_sites});
+  };
+  std::size_t fi = 0;
+  for (int t = 0; t < im.slack.num_tiles(); ++t) {
+    std::size_t fj = fi;
+    while (fj < fresh_parts.size() && fresh_parts[fj].tile_flat == t) ++fj;
+    std::vector<TileColumnPart>& parts = im.slack.tile_parts_[t];
+    if (fj == fi && (parts.empty() || parts.back().column < first_changed))
+      continue;
+    merged.clear();
+    bool touched = fj > fi;
+    bool changed = false;
+    std::size_t k = fi;  // next fresh part of t
+    std::size_t matched = fi;  // next fresh part to compare an old one with
+    for (const TileColumnPart& p : parts) {
+      const int to = res.column_remap[p.column];
+      if (to < 0) {
+        touched = true;
+        if (matched >= fj || !same_sites(p, fresh_parts[matched]))
+          changed = true;
+        ++matched;
+        continue;
+      }
+      for (; k < fj && fresh_index(fresh_parts[k]) < to; ++k)
+        merge_fresh(fresh_parts[k]);
+      merged.push_back(TileColumnPart{to, p.first_site, p.num_sites});
+    }
+    for (; k < fj; ++k) merge_fresh(fresh_parts[k]);
+    if (matched != fj) changed = true;
+    parts.assign(merged.begin(), merged.end());
+    if (touched) res.touched_tiles.push_back(t);
+    if (changed) res.sites_changed.push_back(t);
+    fi = fj;
+  }
+
+  // Move every untouched x-column's columns to its new offset, once: left
+  // shifts front to back, then right shifts back to front, so no move
+  // overwrites a column that has yet to move. Then drop in the fresh ones.
+  const int old_total = im.offsets[n];
+  const int new_total = new_offsets[n];
+  if (new_total > old_total) columns.resize(new_total);
+  for (int g = 0; g < n; ++g)
+    if (!mark[g] && new_offsets[g] < im.offsets[g])
+      std::move(columns.begin() + im.offsets[g],
+                columns.begin() + im.offsets[g + 1],
+                columns.begin() + new_offsets[g]);
+  for (int g = n - 1; g >= 0; --g)
+    if (!mark[g] && new_offsets[g] > im.offsets[g])
+      std::move_backward(columns.begin() + im.offsets[g],
+                         columns.begin() + im.offsets[g + 1],
+                         columns.begin() + new_offsets[g + 1]);
+  columns.resize(new_total);
+  for (int g = 0; g < n; ++g)
+    if (mark[g])
+      std::copy(fresh.begin() + fresh_begin[g],
+                fresh.begin() + fresh_begin[g] +
+                    (new_offsets[g + 1] - new_offsets[g]),
+                columns.begin() + new_offsets[g]);
+  im.offsets = std::move(new_offsets);
+  im.slack.total_capacity_ += capacity_delta;
   return res;
 }
 
 void GlobalSlackScan::shift_piece_indices(int first_old_index, int delta) {
   if (delta == 0) return;
-  for (auto& g : impl_->groups)
-    for (SlackColumn& col : g.cols) {
-      if (col.below_piece >= first_old_index) col.below_piece += delta;
-      if (col.above_piece >= first_old_index) col.above_piece += delta;
-    }
-}
-
-SlackColumns GlobalSlackScan::snapshot() const {
-  const Impl& im = *impl_;
-  std::vector<SlackColumn> columns;
-  columns.reserve(im.offsets.empty() ? 0 : im.offsets.back());
-  std::vector<int> parts_per_tile(im.dissection->num_tiles(), 0);
-  for (const Impl::XcolGroup& grp : im.groups)
-    for (const Impl::Part& p : grp.parts) ++parts_per_tile[p.tile_flat];
-  std::vector<std::vector<TileColumnPart>> tile_parts(
-      im.dissection->num_tiles());
-  for (std::size_t t = 0; t < tile_parts.size(); ++t)
-    tile_parts[t].reserve(parts_per_tile[t]);
-  for (int g = 0; g < im.num_xcols(); ++g) {
-    const Impl::XcolGroup& grp = im.groups[g];
-    columns.insert(columns.end(), grp.cols.begin(), grp.cols.end());
-    for (const Impl::Part& p : grp.parts)
-      tile_parts[p.tile_flat].push_back(TileColumnPart{
-          im.offsets[g] + p.col_ordinal, p.first_site, p.num_sites});
+  for (SlackColumn& col : impl_->slack.columns_) {
+    if (col.below_piece >= first_old_index) col.below_piece += delta;
+    if (col.above_piece >= first_old_index) col.above_piece += delta;
   }
-  return SlackColumns(std::move(columns), std::move(tile_parts),
-                      im.transposed);
 }
 
-int GlobalSlackScan::num_columns() const {
-  return impl_->offsets.empty() ? 0 : impl_->offsets.back();
+const SlackColumns& GlobalSlackScan::columns() const { return impl_->slack; }
+
+SlackColumns GlobalSlackScan::take_columns() && {
+  return std::move(impl_->slack);
 }
 
 SlackColumns extract_slack_columns(const layout::Layout& layout,
@@ -520,7 +609,7 @@ SlackColumns extract_slack_columns(const layout::Layout& layout,
     // full and incremental extraction on one code path (bit-identical).
     GlobalSlackScan scan(layout, dissection, layer, rules);
     scan.build(pieces);
-    SlackColumns out = scan.snapshot();
+    SlackColumns out = std::move(scan).take_columns();
     PIL_INFO(to_string(mode) << ": " << out.columns().size()
                              << " slack columns");
     return out;

@@ -25,16 +25,37 @@ void DensityMap::add_layer_metal(const layout::Layout& layout,
                       [this](const geom::Rect& r) { add_rect(r); });
 }
 
-void DensityMap::add_rect(const geom::Rect& r) {
+template <typename Keep>
+void DensityMap::add_rect_if(const geom::Rect& r, Keep&& keep) {
   TileIndex lo, hi;
   if (!dis_->tiles_overlapping(r, lo, hi)) return;
   for (int iy = lo.iy; iy <= hi.iy; ++iy) {
     for (int ix = lo.ix; ix <= hi.ix; ++ix) {
       const TileIndex t{ix, iy};
+      const int flat = dis_->tile_flat(t);
+      if (!keep(flat)) continue;
       const double a = geom::overlap_area(r, dis_->tile_rect(t));
-      if (a > 0) tile_area_[dis_->tile_flat(t)] += a;
+      if (a > 0) tile_area_[flat] += a;
     }
   }
+}
+
+void DensityMap::add_rect(const geom::Rect& r) {
+  add_rect_if(r, [](int) { return true; });
+}
+
+void DensityMap::add_rect(const geom::Rect& r, const std::vector<char>& only) {
+  PIL_REQUIRE(only.size() == tile_area_.size(), "tile mask size mismatch");
+  add_rect_if(r, [&only](int flat) { return only[flat] != 0; });
+}
+
+void DensityMap::reset_tiles(const DensityMap& base,
+                             const std::vector<char>& only) {
+  PIL_REQUIRE(base.tile_area_.size() == tile_area_.size() &&
+                  only.size() == tile_area_.size(),
+              "tile mask size mismatch");
+  for (std::size_t f = 0; f < tile_area_.size(); ++f)
+    if (only[f]) tile_area_[f] = base.tile_area_[f];
 }
 
 void DensityMap::recompute_tiles(const layout::Layout& layout,
@@ -47,22 +68,11 @@ void DensityMap::recompute_tiles(const layout::Layout& layout,
     affected[f] = 1;
     tile_area_[f] = 0.0;
   }
-  // Mirror of add_rect restricted to the affected tiles; the per-tile
+  // Each affected tile sees the rects in add_layer_metal's order, so its
   // accumulation sequence matches a full rebuild exactly.
-  auto add_masked = [&](const geom::Rect& r) {
-    TileIndex lo, hi;
-    if (!dis_->tiles_overlapping(r, lo, hi)) return;
-    for (int iy = lo.iy; iy <= hi.iy; ++iy) {
-      for (int ix = lo.ix; ix <= hi.ix; ++ix) {
-        const TileIndex t{ix, iy};
-        const int flat = dis_->tile_flat(t);
-        if (!affected[flat]) continue;
-        const double a = geom::overlap_area(r, dis_->tile_rect(t));
-        if (a > 0) tile_area_[flat] += a;
-      }
-    }
-  };
-  for_each_metal_rect(layout, layer, add_masked);
+  for_each_metal_rect(layout, layer, [&](const geom::Rect& r) {
+    add_rect(r, affected);
+  });
 }
 
 void DensityMap::add_area(TileIndex t, double area) {

@@ -1,6 +1,7 @@
 #include "pil/pilfill/session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -140,25 +141,42 @@ struct FillSession::Impl {
   std::vector<rctree::RcTree> trees;  ///< one per net, net-id order
   std::vector<int> piece_offsets;     ///< net n's pieces: [off[n], off[n+1])
   std::vector<rctree::WirePiece> pieces;
+  /// Owns the mode-III columns (global_slack()); rescans update them in
+  /// place.
   std::optional<fill::GlobalSlackScan> scan;
-  std::optional<SlackColumns> global;  ///< current mode-III snapshot
-  std::optional<SlackColumns> alt;     ///< solver columns when mode != kIII
+  std::optional<SlackColumns> alt;  ///< solver columns when mode != kIII
   density::FillTargetResult target;
   std::map<int, TileInstance> instances;  ///< tile_flat -> instance (req > 0)
   std::optional<cap::CouplingModel> model;
   std::optional<cap::ColumnCapLut> lut;  ///< shared single-thread LUT cache
-  /// Built once at prep over *global and pieces; apply_edit assigns both in
-  /// place, so the evaluator (and a caller's reference to it) stays current
-  /// for the session's life.
+  /// Built once at prep over global() and pieces; apply_edit updates both
+  /// in place, so the evaluator (and a caller's reference to it) stays
+  /// current for the session's life.
   std::optional<DelayImpactEvaluator> evaluator;
   /// Per-method, per-tile solve results; entries dropped when an edit
   /// changes the tile's solver inputs.
   std::map<Method, std::map<int, TileSolveResult>> cache;
+  /// One method's density_after state: the tile areas of wires() plus the
+  /// method's last placement, and the tiles whose area can have changed
+  /// since (all of them until the method's first solve).
+  struct DensityAfter {
+    explicit DensityAfter(const grid::Dissection& dissection)
+        : map(dissection), stale(dissection.num_tiles(), 1) {}
+    grid::DensityMap map;
+    std::vector<char> stale;
+  };
+  std::map<Method, DensityAfter> density_after;
+  /// Tiles past its own that a fill feature can overlap. A feature is
+  /// centred in its instance's tile, so it reaches feature_um / 2 past the
+  /// tile's edge: ceil(feature_um / (2 * tile side)) tiles, and one more
+  /// when that ratio is whole (a centre rounded onto a tile edge).
+  int reach = 1;
   SessionStats stats;
   bool edited = false;  ///< gates pilfill.session.* publication in solve()
   std::uint32_t journal_session_id = 0;  ///< correlation id for flight dumps
 
-  const SlackColumns& solver_slack() const { return alt ? *alt : *global; }
+  const SlackColumns& global() const { return scan->columns(); }
+  const SlackColumns& solver_slack() const { return alt ? *alt : global(); }
 
   /// Per-tile fill requirements from the current density map and capacity
   /// inventory -- the same computation for prep and re-targeting after an
@@ -166,7 +184,7 @@ struct FillSession::Impl {
   density::FillTargetResult compute_target() const {
     std::vector<int> capacity(dissection->num_tiles());
     for (int t = 0; t < dissection->num_tiles(); ++t)
-      capacity[t] = global->tile_capacity(t);
+      capacity[t] = global().tile_capacity(t);
     if (config.required_per_tile.empty()) {
       switch (config.target_engine) {
         case TargetEngine::kMonteCarlo:
@@ -234,7 +252,6 @@ struct FillSession::Impl {
       obs::Stage stage("fill.slack_scan", &stages.slack_extraction);
       scan.emplace(layout, *dissection, config.layer, config.rules);
       scan->build(pieces);
-      global = scan->snapshot();
       if (config.solver_mode != SlackMode::kIII)
         alt = fill::extract_slack_columns(layout, *dissection, pieces,
                                           config.layer, config.rules,
@@ -262,8 +279,11 @@ struct FillSession::Impl {
     const layout::Layer& layer = layout.layer(config.layer);
     model.emplace(layer.eps_r, layer.thickness_um);
     lut.emplace(*model, config.rules.feature_um);
-    evaluator.emplace(*global, pieces, *model, config.rules,
+    evaluator.emplace(global(), pieces, *model, config.rules,
                       EvaluatorOptions{config.style, config.switch_factor});
+    reach = static_cast<int>(std::floor(config.rules.feature_um /
+                                        (2 * dissection->tile_um()))) +
+            1;
 
     if (obs::metrics_enabled()) {
       auto& reg = obs::metrics();
@@ -278,6 +298,42 @@ struct FillSession::Impl {
     grid::DensityMap map = *wires;
     for (const auto& rect : features) map.add_rect(rect);
     return map;
+  }
+
+  /// Flag `tile` and every tile within `reach` of it.
+  void mark_reach(std::vector<char>& flags, int tile) const {
+    const grid::TileIndex t = dissection->tile_unflat(tile);
+    const int x1 = std::min(t.ix + reach, dissection->tiles_x() - 1);
+    const int y1 = std::min(t.iy + reach, dissection->tiles_y() - 1);
+    for (int iy = std::max(t.iy - reach, 0); iy <= y1; ++iy)
+      for (int ix = std::max(t.ix - reach, 0); ix <= x1; ++ix)
+        flags[dissection->tile_flat({ix, iy})] = 1;
+  }
+
+  /// Bring a method's density_after state up to date with the placement
+  /// just assembled (`ends[i]`: end of tiles[i]'s features). Each stale
+  /// tile is reset to its wire area and then gains, in placement order, the
+  /// overlap of every feature of each instance that can reach it -- the sum
+  /// density_with(features) forms for that tile, in the same order. Other
+  /// tiles already hold that sum. Marks are cleared only once it is done.
+  void refresh_density_after(
+      DensityAfter& da,
+      const std::vector<std::pair<const TileInstance*,
+                                  const TileSolveResult*>>& tiles,
+      const std::vector<std::size_t>& ends,
+      const std::vector<geom::Rect>& features) const {
+    std::vector<char> near(da.stale.size(), 0);
+    for (std::size_t t = 0; t < da.stale.size(); ++t)
+      if (da.stale[t]) mark_reach(near, static_cast<int>(t));
+    da.map.reset_tiles(*wires, da.stale);
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < tiles.size(); ++i) {
+      if (near[tiles[i].first->tile_flat])
+        for (std::size_t f = begin; f < ends[i]; ++f)
+          da.map.add_rect(features[f], da.stale);
+      begin = ends[i];
+    }
+    std::fill(da.stale.begin(), da.stale.end(), 0);
   }
 
   FlowResult solve(const std::vector<Method>& methods,
@@ -308,7 +364,7 @@ struct FillSession::Impl {
     flow_detail::require_methods_supported(cfg, methods);
     FlowResult result;
     result.density_before = wires->stats();
-    result.total_capacity = global->total_capacity();
+    result.total_capacity = global().total_capacity();
     result.target = target;
     result.prep_stages = stages;
 
@@ -347,6 +403,8 @@ struct FillSession::Impl {
       mr.placement.features_per_tile.assign(dissection->num_tiles(), 0);
 
       std::map<int, TileSolveResult>& mcache = cache[method];
+      DensityAfter& da =
+          density_after.try_emplace(method, *dissection).first->second;
       std::vector<const TileInstance*> todo;
       {
         obs::Stage stage("pilfill.solve.tiles", &mr.solve_seconds,
@@ -357,6 +415,8 @@ struct FillSession::Impl {
           if (mcache.count(tile)) continue;
           todo.push_back(&inst);
           todo_tiles.push_back(tile);
+          // Marked before the solve: a solve that throws leaves it set.
+          mark_reach(da.stale, tile);
         }
         obs::journal_record(obs::JournalEventKind::kMethodBegin,
                             static_cast<std::uint16_t>(method), 0,
@@ -388,9 +448,13 @@ struct FillSession::Impl {
         mr.placement.features_per_tile[tile] = tsr.placed;
       }
       mr.placement.features.reserve(static_cast<std::size_t>(mr.placed));
-      for (const auto& [inst, tsr] : tiles)
+      std::vector<std::size_t> ends;
+      ends.reserve(tiles.size());
+      for (const auto& [inst, tsr] : tiles) {
         flow_detail::append_rects(*inst, tsr->counts, solver_slack(),
                                   cfg.rules, mr.placement.features);
+        ends.push_back(mr.placement.features.size());
+      }
 
       {
         obs::Stage stage("pilfill.evaluate", &mr.eval_seconds,
@@ -402,7 +466,7 @@ struct FillSession::Impl {
         } else {
           // Mode III: instance columns are global columns; sum the cached
           // counts of every tile part into their column.
-          std::vector<int> counts(global->columns().size(), 0);
+          std::vector<int> counts(global().columns().size(), 0);
           for (const auto& [inst, tsr] : tiles)
             for (std::size_t k = 0; k < inst->cols.size(); ++k)
               counts[inst->cols[k].column] += tsr->counts[k];
@@ -410,7 +474,8 @@ struct FillSession::Impl {
         }
       }
 
-      mr.density_after = density_with(mr.placement.features).stats();
+      refresh_density_after(da, tiles, ends, mr.placement.features);
+      mr.density_after = da.map.stats();
 
       flow_detail::publish_method_metrics(mr, todo.size());
       // Session counters are only published once the session is used as a
@@ -612,6 +677,8 @@ struct FillSession::Impl {
         density_tiles.end());
     if (!density_tiles.empty())
       wires->recompute_tiles(layout, config.layer, density_tiles);
+    for (auto& [m, da] : density_after)
+      for (const int t : density_tiles) da.stale[t] = 1;
 
     // -- 6. Re-scan the slack columns the edit can see. -------------------
     const fill::GlobalSlackScan::RescanResult rr =
@@ -620,8 +687,8 @@ struct FillSession::Impl {
                              rr.touched_tiles.end());
 
     if (!alt) {
-      // Untouched tiles keep their instances; only the stored snapshot-flat
-      // column indices shift with the rescanned groups.
+      // Untouched tiles keep their instances; only the stored flat column
+      // indices shift with the rescanned groups.
       for (auto& [tile, inst] : instances) {
         if (candidates.count(tile)) continue;  // rebuilt below
         for (InstanceColumn& ic : inst.cols) {
@@ -631,7 +698,6 @@ struct FillSession::Impl {
         }
       }
     }
-    global = scan->snapshot();
     if (alt)
       // Modes I/II have no incremental scanner; re-extract and rebuild all
       // instances (cached solves still survive via solver-equivalence).
@@ -656,7 +722,11 @@ struct FillSession::Impl {
     }
 
     // -- 8. Rebuild candidate instances; drop cached solves only when the
-    //       solver inputs actually changed. ------------------------------
+    //       solver inputs actually changed. Density goes stale around a
+    //       removed instance and around a kept one whose sites moved (its
+    //       cached counts now place other rectangles); solve() marks the
+    //       tiles it re-solves. Modes I/II re-extract every tile's columns,
+    //       so there every tile goes stale. ------------------------------
     int dirty = 0;
     for (const int t : candidates) {
       const int required = target.features_per_tile[t];
@@ -665,6 +735,7 @@ struct FillSession::Impl {
         if (it != instances.end()) {
           instances.erase(it);
           for (auto& [m, mcache] : cache) mcache.erase(t);
+          for (auto& [m, da] : density_after) mark_reach(da.stale, t);
           ++dirty;
         }
         continue;
@@ -680,8 +751,14 @@ struct FillSession::Impl {
       if (!reusable) {
         for (auto& [m, mcache] : cache) mcache.erase(t);
         ++dirty;
+      } else if (std::binary_search(rr.sites_changed.begin(),
+                                    rr.sites_changed.end(), t)) {
+        for (auto& [m, da] : density_after) mark_reach(da.stale, t);
       }
     }
+    if (alt)
+      for (auto& [m, da] : density_after)
+        std::fill(da.stale.begin(), da.stale.end(), 1);
 
     ++stats.edits;
     stats.columns_rescanned += rr.xcols_rescanned;
@@ -730,7 +807,7 @@ const density::FillTargetResult& FillSession::target() const {
   return impl_->target;
 }
 const fill::SlackColumns& FillSession::global_slack() const {
-  return *impl_->global;
+  return impl_->global();
 }
 const fill::SlackColumns& FillSession::solver_slack() const {
   return impl_->solver_slack();

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <random>
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -341,6 +343,267 @@ TEST(Session, ScorerTreesAndDensityFollowEdits) {
   EXPECT_EQ(after.max_density, mr.density_after.max_density);
   EXPECT_EQ(session.density_with({}).stats().min_density,
             session.wires().stats().min_density);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Edits, each followed by a solve of the methods `plan` names for it (none
+/// for an empty entry), so each method sits out runs of edits; the first
+/// entry solves the pristine session. After every solve, each method's
+/// density_after equals density_with(its placement) bit for bit, and the
+/// result equals a fresh flow's.
+void check_density_after(const Layout& l, const FlowConfig& config,
+                         std::uint64_t seed) {
+  const std::vector<std::vector<Method>> plan = {
+      {Method::kGreedy, Method::kIlp2},
+      {Method::kIlp2},
+      {},
+      {Method::kGreedy},
+      {},
+      {},
+      {Method::kGreedy, Method::kIlp2}};
+  FillSession session(l, config);
+  EditScript script(session.layout(), config.layer, seed);
+  ASSERT_TRUE(script.can_add());
+  for (std::size_t step = 0; step < plan.size(); ++step) {
+    if (step > 0) {
+      const WireEdit edit = script.next(static_cast<int>(step) - 1);
+      const EditStats es = session.apply_edit(edit);
+      if (edit.kind == WireEdit::Kind::kAddSegment)
+        script.stub_added(es.segment);
+    }
+    if (plan[step].empty()) continue;
+    const FlowResult res = session.solve(plan[step]);
+    for (const MethodResult& mr : res.methods) {
+      const grid::DensityStats full =
+          session.density_with(mr.placement.features).stats();
+      EXPECT_TRUE(same_bits(mr.density_after.min_density, full.min_density) &&
+                  same_bits(mr.density_after.max_density, full.max_density) &&
+                  same_bits(mr.density_after.mean_density, full.mean_density))
+          << "step " << step << " " << to_string(mr.method);
+    }
+    EXPECT_TRUE(flow_results_equivalent(
+        res, run_pil_fill_flow(session.layout(), config, plan[step])))
+        << "step " << step;
+  }
+}
+
+TEST(Session, DensityAfterFollowsSkippedMethods) {
+  // A solve recomputes a method's window density only on the tiles whose
+  // area can have changed since that method's last solve. At W 32, r 2 a
+  // feature reaches one tile past its own; on a 0.2 um tile (W 0.8, r 4),
+  // under feature_um / 2, it reaches two.
+  check_density_after(small_layout(), small_config(1), 17);
+
+  layout::SyntheticLayoutConfig tiny;
+  tiny.die_um = 24;
+  tiny.num_nets = 6;
+  tiny.min_trunk_um = 8;
+  tiny.max_trunk_um = 16;
+  tiny.max_stub_um = 4;
+  tiny.seed = 5;
+  FlowConfig fine = small_config(1);
+  fine.window_um = 0.8;
+  fine.r = 4;
+  ASSERT_LT(fine.window_um / fine.r, fine.rules.feature_um / 2);
+  check_density_after(layout::generate_synthetic_layout(tiny), fine, 17);
+}
+
+void expect_same_columns(const fill::SlackColumns& got,
+                         const fill::SlackColumns& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.columns().size(), want.columns().size()) << where;
+  for (std::size_t k = 0; k < got.columns().size(); ++k) {
+    const fill::SlackColumn& a = got.columns()[k];
+    const fill::SlackColumn& b = want.columns()[k];
+    EXPECT_TRUE(a.col_index == b.col_index && same_bits(a.x_lo, b.x_lo) &&
+                same_bits(a.x_center, b.x_center) && a.below == b.below &&
+                a.above == b.above && a.below_piece == b.below_piece &&
+                a.above_piece == b.above_piece &&
+                same_bits(a.gap_um, b.gap_um) &&
+                same_bits(a.span_lo, b.span_lo) &&
+                same_bits(a.span_hi, b.span_hi) && a.capacity == b.capacity)
+        << where << ", column " << k;
+  }
+  ASSERT_EQ(got.num_tiles(), want.num_tiles()) << where;
+  for (int t = 0; t < got.num_tiles(); ++t) {
+    const auto& pa = got.tile_parts(t);
+    const auto& pb = want.tile_parts(t);
+    ASSERT_EQ(pa.size(), pb.size()) << where << ", tile " << t;
+    for (std::size_t i = 0; i < pa.size(); ++i)
+      EXPECT_TRUE(pa[i].column == pb[i].column &&
+                  pa[i].first_site == pb[i].first_site &&
+                  pa[i].num_sites == pb[i].num_sites)
+          << where << ", tile " << t << " part " << i;
+  }
+  EXPECT_EQ(got.total_capacity(), want.total_capacity()) << where;
+  EXPECT_EQ(got.transposed(), want.transposed()) << where;
+}
+
+void check_columns_follow_edits(const Layout& l, const FlowConfig& config,
+                                int num_edits, std::uint64_t seed) {
+  FillSession session(l, config);
+  const fill::SlackColumns& held = session.global_slack();
+  EditScript script(session.layout(), config.layer, seed);
+  ASSERT_TRUE(script.can_add());
+  for (int step = 0; step < num_edits; ++step) {
+    const WireEdit edit = script.next(step);
+    const EditStats es = session.apply_edit(edit);
+    if (edit.kind == WireEdit::Kind::kAddSegment) script.stub_added(es.segment);
+    ASSERT_EQ(&held, &session.global_slack());
+    const fill::SlackColumns full = fill::extract_slack_columns(
+        session.layout(), session.dissection(),
+        fill::flatten_pieces(rctree::build_all_trees(session.layout())),
+        config.layer, config.rules, fill::SlackMode::kIII);
+    expect_same_columns(held, full, "edit " + std::to_string(step));
+  }
+}
+
+TEST(Session, SlackColumnsMatchFullExtraction) {
+  // The session's mode-III columns are the scanner's one copy, rewritten in
+  // place by each rescan: the reference taken before the first edit stays
+  // global_slack(), and after every edit it equals a full extraction of the
+  // edited layout -- every column field bitwise, every tile part, the
+  // capacity.
+  check_columns_follow_edits(small_layout(), small_config(1), 20, 29);
+
+  layout::SyntheticLayoutConfig cfg;
+  cfg.die_um = 96;
+  cfg.num_nets = 30;
+  cfg.seed = 9;
+  cfg.separate_branch_layer = true;
+  const Layout branch = layout::generate_synthetic_layout(cfg);
+  FlowConfig config = small_config(1);
+  config.layer = branch.find_layer("m4");
+  ASSERT_NE(config.layer, layout::kInvalidLayer);
+  check_columns_follow_edits(branch, config, 8, 31);
+}
+
+TEST(Session, RescanReportsEveryTileWhoseSitesMoved) {
+  // A kept instance keeps its cached counts, so a solve re-adds its
+  // features to density_after only when its sites moved. That rests on the
+  // rescan's contract: a tile outside sites_changed covers, part by part,
+  // the same site rectangles as before. Random moves of single pieces,
+  // across and along their direction, checked against the columns held
+  // before each rescan and against a full extraction after it.
+  const Layout l = small_layout();
+  const FlowConfig config = small_config(1);
+  const grid::Dissection dis(l.die(), config.window_um, config.r);
+  std::vector<rctree::WirePiece> pieces =
+      fill::flatten_pieces(rctree::build_all_trees(l));
+  std::vector<std::size_t> on_layer;
+  for (std::size_t i = 0; i < pieces.size(); ++i)
+    if (pieces[i].layer == config.layer) on_layer.push_back(i);
+  fill::GlobalSlackScan scan(l, dis, config.layer, config.rules);
+  scan.build(pieces);
+  std::mt19937_64 rng(7);
+  int kept = 0, moved = 0;
+  for (int step = 0; step < 40; ++step) {
+    const fill::SlackColumns before = scan.columns();
+    rctree::WirePiece& p = pieces[on_layer[rng() % on_layer.size()]];
+    const geom::Rect old_rect = p.rect();
+    const double d =
+        std::uniform_real_distribution<double>(-0.8, 0.8)(rng);
+    const bool across = rng() % 2 == 0;
+    if ((p.orientation == layout::Orientation::kHorizontal) == across) {
+      p.up.y += d;
+      p.down.y += d;
+    } else {
+      p.up.x += d;
+      p.down.x += d;
+    }
+    const fill::GlobalSlackScan::RescanResult rr =
+        scan.rescan(pieces, {old_rect, p.rect()});
+    const std::string where = "move " + std::to_string(step);
+    expect_same_columns(scan.columns(),
+                        fill::extract_slack_columns(l, dis, pieces,
+                                                    config.layer, config.rules,
+                                                    fill::SlackMode::kIII),
+                        where);
+    const fill::SlackColumns& after = scan.columns();
+    for (int t = 0; t < after.num_tiles(); ++t) {
+      if (std::binary_search(rr.sites_changed.begin(), rr.sites_changed.end(),
+                             t)) {
+        ++moved;
+        continue;
+      }
+      if (std::binary_search(rr.touched_tiles.begin(), rr.touched_tiles.end(),
+                             t))
+        ++kept;
+      const auto& old_parts = before.tile_parts(t);
+      const auto& new_parts = after.tile_parts(t);
+      ASSERT_EQ(old_parts.size(), new_parts.size()) << where << ", tile " << t;
+      for (std::size_t k = 0; k < old_parts.size(); ++k) {
+        ASSERT_EQ(old_parts[k].first_site, new_parts[k].first_site) << where;
+        ASSERT_EQ(old_parts[k].num_sites, new_parts[k].num_sites) << where;
+        const fill::SlackColumn& a = before.columns()[old_parts[k].column];
+        const fill::SlackColumn& b = after.columns()[new_parts[k].column];
+        for (int i = 0; i < old_parts[k].num_sites; ++i) {
+          const int site = old_parts[k].first_site + i;
+          const geom::Rect ra = before.site_rect(a, site, config.rules);
+          const geom::Rect rb = after.site_rect(b, site, config.rules);
+          EXPECT_TRUE(same_bits(ra.xlo, rb.xlo) && same_bits(ra.ylo, rb.ylo) &&
+                      same_bits(ra.xhi, rb.xhi) && same_bits(ra.yhi, rb.yhi))
+              << where << ", tile " << t << " part " << k << " site " << site;
+        }
+      }
+    }
+  }
+  // Both outcomes occur, so the check above discriminates.
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(moved, 0);
+}
+
+TEST(Session, KeptInstanceWhoseSitesMovedRefreshesDensity) {
+  // A 0.3 um stub on net a's end pierces the bottom of the one column at
+  // its x: the column's sites shift up 0.05 um but keep their split, so
+  // both tiles it crosses keep solver-equivalent instances and their
+  // cached counts -- yet the site straddling y = 16 moves area from tile
+  // row 0 into row 1. Every site is filled, so the session must refresh
+  // row 1's density although no tile there is re-solved or re-wired.
+  std::istringstream pld(
+      "PLD 1\n"
+      "DIE 0 0 96 96\n"
+      "LAYER m3 H WIDTH 0.5 SHEETRES 0.08 THICKNESS 0.5 EPSR 3.9\n"
+      "NET a SOURCE 20 8 RDRV 200\n"
+      "  SEG m3 20 8 75.5 8 0.5\n"
+      "  SINK 75.5 8 CLOAD 2\n"
+      "END\n"
+      "NET b SOURCE 20 28.6 RDRV 200\n"
+      "  SEG m3 20 28.6 80 28.6 0.5\n"
+      "  SINK 80 28.6 CLOAD 2\n"
+      "END\n");
+  const Layout l = layout::read_pld(pld);
+  FlowConfig config = small_config(1);
+  const FillSession probe(l, config);
+  config.required_per_tile.assign(probe.tiles_total(), 0);
+  for (int t = 0; t < probe.tiles_total(); ++t)
+    config.required_per_tile[t] = probe.global_slack().tile_capacity(t);
+
+  FillSession session(l, config);
+  const std::vector<Method> methods = {Method::kGreedy};
+  const FlowResult before = session.solve(methods);
+  const EditStats es = session.apply_edit(
+      WireEdit::add_segment(0, {75.5, 8}, {75.5, 8.3}, 0.4));
+  EXPECT_EQ(es.tiles_dirty, 0);
+  const FlowResult res = session.solve(methods);
+  const MethodResult& mr = res.methods[0];
+  const std::vector<geom::Rect>& was = before.methods[0].placement.features;
+  ASSERT_EQ(mr.placement.features.size(), was.size());
+  EXPECT_FALSE(std::equal(was.begin(), was.end(),
+                          mr.placement.features.begin(),
+                          [](const geom::Rect& a, const geom::Rect& b) {
+                            return same_bits(a.ylo, b.ylo);
+                          }));
+  const grid::DensityStats full =
+      session.density_with(mr.placement.features).stats();
+  EXPECT_TRUE(same_bits(mr.density_after.min_density, full.min_density) &&
+              same_bits(mr.density_after.max_density, full.max_density) &&
+              same_bits(mr.density_after.mean_density, full.mean_density));
+  EXPECT_TRUE(flow_results_equivalent(
+      res, run_pil_fill_flow(session.layout(), config, methods)));
 }
 
 TEST(Session, EditResolvesOnlyDirtyTiles) {
