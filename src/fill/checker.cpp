@@ -20,23 +20,62 @@ double rect_gap(const geom::Rect& a, const geom::Rect& b) {
   return std::max(dx, dy);
 }
 
-/// Uniform-grid spatial hash over rectangle indices.
+/// Rectangle ids bucketed by square cells anchored at the die's lower-left
+/// corner. The cells covering the die are one flat array (each cell's ids
+/// ascending, in one vector); the few outside it -- a wire's buffer at the
+/// die edge, a feature placed off the die -- live in a sparse map. The flat
+/// array covers the die, not the rectangles' bounding box, which one
+/// feature placed far off the die would stretch without bound.
 class BucketGrid {
  public:
-  BucketGrid(const geom::Rect& extent, double cell)
-      : x0_(extent.xlo), y0_(extent.ylo), cell_(cell) {}
-
-  void insert(int id, const geom::Rect& r) {
-    visit_cells(r, [&](long long key) { cells_[key].push_back(id); });
+  BucketGrid(const geom::Rect& die, double cell,
+             const std::vector<geom::Rect>& rects)
+      : x0_(die.xlo),
+        y0_(die.ylo),
+        cell_(cell),
+        nx_(static_cast<int>(std::floor(die.width() / cell)) + 1),
+        ny_(static_cast<int>(std::floor(die.height() / cell)) + 1),
+        start_(static_cast<std::size_t>(nx_) * ny_ + 1, 0),
+        stamp_(rects.size(), 0) {
+    // Count, prefix-sum, then fill in id order: ids ascend within a cell.
+    for (const geom::Rect& r : rects)
+      visit_cells(r, [&](int cx, int cy) {
+        if (inside(cx, cy)) ++start_[flat(cx, cy) + 1];
+      });
+    for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
+    ids_.resize(static_cast<std::size_t>(start_.back()));
+    std::vector<int> next(start_.begin(), start_.end() - 1);
+    for (int id = 0; id < static_cast<int>(rects.size()); ++id)
+      visit_cells(rects[id], [&](int cx, int cy) {
+        if (inside(cx, cy))
+          ids_[next[flat(cx, cy)]++] = id;
+        else
+          outside_[key(cx, cy)].push_back(id);
+      });
   }
 
-  /// Visit candidate ids whose cells intersect r (may repeat ids).
+  /// Calls fn(id) once for each id whose cells intersect r: cells row by
+  /// row (cy, then cx), ids ascending within a cell, each id at its first
+  /// cell. A query stamps the ids it visits, so each grid serves one query
+  /// at a time.
   template <typename F>
-  void candidates(const geom::Rect& r, F&& fn) const {
-    visit_cells(r, [&](long long key) {
-      const auto it = cells_.find(key);
-      if (it == cells_.end()) return;
-      for (const int id : it->second) fn(id);
+  void candidates(const geom::Rect& r, F&& fn) {
+    ++query_;
+    auto visit = [&](const int* first, const int* last) {
+      for (; first != last; ++first) {
+        if (stamp_[*first] == query_) continue;
+        stamp_[*first] = query_;
+        fn(*first);
+      }
+    };
+    visit_cells(r, [&](int cx, int cy) {
+      if (inside(cx, cy)) {
+        const std::size_t c = flat(cx, cy);
+        visit(ids_.data() + start_[c], ids_.data() + start_[c + 1]);
+      } else if (const auto it = outside_.find(key(cx, cy));
+                 it != outside_.end()) {
+        visit(it->second.data(), it->second.data() + it->second.size());
+      }
     });
   }
 
@@ -48,13 +87,28 @@ class BucketGrid {
     const int cy0 = static_cast<int>(std::floor((r.ylo - y0_) / cell_));
     const int cy1 = static_cast<int>(std::floor((r.yhi - y0_) / cell_));
     for (int cy = cy0; cy <= cy1; ++cy)
-      for (int cx = cx0; cx <= cx1; ++cx)
-        fn((static_cast<long long>(cy) << 32) ^
-           static_cast<long long>(static_cast<unsigned>(cx)));
+      for (int cx = cx0; cx <= cx1; ++cx) fn(cx, cy);
+  }
+
+  bool inside(int cx, int cy) const {
+    return cx >= 0 && cx < nx_ && cy >= 0 && cy < ny_;
+  }
+  std::size_t flat(int cx, int cy) const {
+    return static_cast<std::size_t>(cy) * nx_ + cx;
+  }
+  static long long key(int cx, int cy) {
+    return (static_cast<long long>(cy) << 32) ^
+           static_cast<long long>(static_cast<unsigned>(cx));
   }
 
   double x0_, y0_, cell_;
-  std::unordered_map<long long, std::vector<int>> cells_;
+  int nx_, ny_;  ///< cells covering the die
+  /// Flat cell c holds ids_[start_[c], start_[c + 1]).
+  std::vector<int> start_;
+  std::vector<int> ids_;
+  std::unordered_map<long long, std::vector<int>> outside_;
+  std::vector<unsigned> stamp_;  ///< per id, the last query that visited it
+  unsigned query_ = 0;
 };
 
 }  // namespace
@@ -86,6 +140,7 @@ CheckReport check_fill(const layout::Layout& layout,
   options.rules.validate();
   CheckReport report;
   auto add = [&](Violation v) {
+    ++report.violations_found;
     if (report.violations.size() < options.max_violations)
       report.violations.push_back(std::move(v));
   };
@@ -97,20 +152,17 @@ CheckReport check_fill(const layout::Layout& layout,
   const double cell = std::max(4 * options.rules.pitch(), 2.0);
 
   // Wires on the layer, bucketed with the buffer margin.
-  BucketGrid wires(die, cell);
-  std::vector<geom::Rect> wire_rects;
+  std::vector<geom::Rect> wire_rects, wire_zones;
   for (const auto& seg : layout.segments()) {
     if (seg.layer != options.layer) continue;
-    wires.insert(static_cast<int>(wire_rects.size()), seg.rect().inflated(buf));
     wire_rects.push_back(seg.rect());
+    wire_zones.push_back(seg.rect().inflated(buf));
   }
+  BucketGrid wires(die, cell, wire_zones);
+  BucketGrid fills(die, cell, features);
 
   const std::vector<geom::Rect> keepouts =
       layout.blockages_on_layer(options.layer);
-
-  BucketGrid fills(die, cell);
-  for (std::size_t i = 0; i < features.size(); ++i)
-    fills.insert(static_cast<int>(i), features[i]);
 
   for (std::size_t i = 0; i < features.size(); ++i) {
     const geom::Rect& r = features[i];
@@ -127,24 +179,14 @@ CheckReport check_fill(const layout::Layout& layout,
       if (g < buf - 1e-9) add({ViolationKind::kInsideBlockage, r, ko, g});
     }
 
-    // Bucket visits can repeat an id (one rect, many cells): dedupe.
-    std::vector<int> seen;
-    auto once = [&](int id) {
-      if (std::find(seen.begin(), seen.end(), id) != seen.end()) return false;
-      seen.push_back(id);
-      return true;
-    };
-
     wires.candidates(r.inflated(buf), [&](int w) {
-      if (!once(w)) return;
       const double g = rect_gap(r, wire_rects[w]);
       if (g < buf - 1e-9)
         add({ViolationKind::kBufferToWire, r, wire_rects[w], g});
     });
 
-    seen.clear();
     fills.candidates(r.inflated(gap), [&](int j) {
-      if (static_cast<std::size_t>(j) <= i || !once(j)) return;
+      if (static_cast<std::size_t>(j) <= i) return;
       const double g = rect_gap(r, features[j]);
       if (g < gap - 1e-9)
         add({ViolationKind::kFillSpacing, r, features[j], g});

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -11,6 +15,7 @@
 #include "pil/layout/synthetic.hpp"
 #include "pil/pilfill/driver.hpp"
 #include "pil/util/rng.hpp"
+#include "pil/util/strings.hpp"
 
 namespace pil::fill {
 namespace {
@@ -531,6 +536,22 @@ TEST(Checker, ViolationCapBoundsOutput) {
   EXPECT_EQ(r.violations.size(), 7u);
 }
 
+// The cap bounds the list, not the verdict: three stacked squares are three
+// violations at any cap, 0 included.
+TEST(Checker, CleanIgnoresTheCap) {
+  const Layout l = two_line_layout();
+  const std::vector<geom::Rect> feats(3, geom::Rect{5, 5, 5.5, 5.5});
+  for (const std::size_t cap : {0u, 1u, 7u}) {
+    CheckOptions opt;
+    opt.max_violations = cap;
+    const CheckReport r = check_fill(l, feats, opt);
+    EXPECT_FALSE(r.clean()) << "cap " << cap;
+    EXPECT_EQ(r.violations_found, 3) << "cap " << cap;
+    EXPECT_EQ(r.violations.size(), std::min<std::size_t>(cap, 3))
+        << "cap " << cap;
+  }
+}
+
 TEST(Checker, DescribeIsHumanReadable) {
   Violation v;
   v.kind = ViolationKind::kFillSpacing;
@@ -563,6 +584,282 @@ TEST(Checker, AllFlowPlacementsAreClean) {
         << " violations, first: "
         << (r.violations.empty() ? "" : r.violations[0].describe());
   }
+}
+
+// ---------------------------------------------------- checker report lock ----
+
+/// Max-norm gap between two rectangles, the checker's spacing measure.
+double max_norm_gap(const geom::Rect& a, const geom::Rect& b) {
+  const double dx = std::max({a.xlo - b.xhi, b.xlo - a.xhi, 0.0});
+  const double dy = std::max({a.ylo - b.yhi, b.ylo - a.yhi, 0.0});
+  return std::max(dx, dy);
+}
+
+/// The checker's geometric rules with no spatial index: each feature
+/// against the die, its shape, every keep-out, every wire on the layer and
+/// every later feature.
+std::vector<Violation> brute_force_violations(
+    const Layout& l, const std::vector<geom::Rect>& feats,
+    const CheckOptions& opt) {
+  const FillRules& rules = opt.rules;
+  const std::vector<geom::Rect> keepouts = l.blockages_on_layer(opt.layer);
+  std::vector<geom::Rect> wires;
+  for (const auto& seg : l.segments())
+    if (seg.layer == opt.layer) wires.push_back(seg.rect());
+  std::vector<Violation> out;
+  for (std::size_t i = 0; i < feats.size(); ++i) {
+    const geom::Rect& r = feats[i];
+    if (!l.die().contains(r))
+      out.push_back({ViolationKind::kOutsideDie, r, {}, 0.0});
+    if (!geom::nearly_equal(r.width(), rules.feature_um, 1e-9) ||
+        !geom::nearly_equal(r.height(), rules.feature_um, 1e-9))
+      out.push_back({ViolationKind::kNotSquare, r, {}, r.width()});
+    for (const geom::Rect& ko : keepouts) {
+      const double g = max_norm_gap(r, ko);
+      if (g < rules.buffer_um - 1e-9)
+        out.push_back({ViolationKind::kInsideBlockage, r, ko, g});
+    }
+    for (const geom::Rect& w : wires) {
+      const double g = max_norm_gap(r, w);
+      if (g < rules.buffer_um - 1e-9)
+        out.push_back({ViolationKind::kBufferToWire, r, w, g});
+    }
+    for (std::size_t j = i + 1; j < feats.size(); ++j) {
+      const double g = max_norm_gap(r, feats[j]);
+      if (g < rules.gap_um - 1e-9)
+        out.push_back({ViolationKind::kFillSpacing, r, feats[j], g});
+    }
+  }
+  return out;
+}
+
+/// A violation as ten words: its kind, both rectangles' bits and its
+/// measure's bits.
+std::array<std::uint64_t, 10> violation_words(const Violation& v) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return {static_cast<std::uint64_t>(v.kind),
+          bits(v.a.xlo), bits(v.a.ylo), bits(v.a.xhi), bits(v.a.yhi),
+          bits(v.b.xlo), bits(v.b.ylo), bits(v.b.xhi), bits(v.b.yhi),
+          bits(v.measure)};
+}
+
+/// FNV-1a 64 over the report's violations in order, each word
+/// little-endian.
+std::uint64_t report_hash(const CheckReport& report) {
+  std::uint64_t h = kFnv1a64Offset;
+  for (const Violation& v : report.violations) {
+    for (const std::uint64_t w : violation_words(v)) {
+      char le[8];
+      for (int b = 0; b < 8; ++b) le[b] = static_cast<char>(w >> (8 * b));
+      h = fnv1a64(std::string_view(le, sizeof(le)), h);
+    }
+  }
+  return h;
+}
+
+struct CheckCase {
+  std::string name;
+  const Layout* layout;
+  std::vector<geom::Rect> features;
+};
+
+/// A flow placement under the perturbations that move features across
+/// cell boundaries, off the die, onto each other and out of input order.
+void add_perturbed_cases(const std::string& prefix, const Layout& l,
+                         const std::vector<geom::Rect>& placed,
+                         std::vector<CheckCase>& out) {
+  const geom::Rect die = l.die();
+  Rng rng(0x5eedc4ecull);
+  auto add = [&](const char* name, std::vector<geom::Rect> feats) {
+    out.push_back({prefix + "/" + name, &l, std::move(feats)});
+  };
+  auto shifted = [](geom::Rect r, double dx, double dy) {
+    return geom::Rect{r.xlo + dx, r.ylo + dy, r.xhi + dx, r.yhi + dy};
+  };
+  add("placed", placed);
+
+  std::vector<geom::Rect> jitter = placed;
+  for (auto& r : jitter)
+    if (rng.bernoulli(0.05))
+      r = shifted(r, rng.uniform_real(-0.8, 0.8), rng.uniform_real(-0.8, 0.8));
+  add("jitter", std::move(jitter));
+
+  // The order-only perturbations start from a dirty list, so that their
+  // reports have an order to pin.
+  std::vector<geom::Rect> dup;
+  for (const auto& r : out.back().features) {
+    dup.push_back(r);
+    if (rng.bernoulli(0.05)) dup.push_back(r);
+  }
+  add("duplicated", dup);
+
+  std::vector<geom::Rect> thin;
+  for (const auto& r : dup)
+    if (rng.bernoulli(0.5)) thin.push_back(r);
+  add("thinned", std::move(thin));
+  add("reversed", std::vector<geom::Rect>(dup.rbegin(), dup.rend()));
+  std::vector<geom::Rect> shuffled = dup;
+  for (std::size_t i = shuffled.size(); i > 1; --i)
+    std::swap(shuffled[i - 1],
+              shuffled[rng.uniform_int(0, static_cast<long long>(i) - 1)]);
+  add("shuffled", std::move(shuffled));
+
+  // Off the die by up to 20 um past one side, chosen per feature.
+  std::vector<geom::Rect> off = placed;
+  for (auto& r : off) {
+    if (!rng.bernoulli(0.05)) continue;
+    const double d = rng.uniform_real(0.0, 20.0);
+    switch (rng.uniform_int(0, 3)) {
+      case 0: r = shifted(r, die.xlo - r.xhi - d, 0); break;
+      case 1: r = shifted(r, die.xhi - r.xlo + d, 0); break;
+      case 2: r = shifted(r, 0, die.ylo - r.yhi - d); break;
+      default: r = shifted(r, 0, die.yhi - r.ylo + d); break;
+    }
+  }
+  add("off_die", std::move(off));
+
+  std::vector<geom::Rect> straddle = placed;
+  for (auto& r : straddle) {
+    if (!rng.bernoulli(0.05)) continue;
+    const double hw = r.width() / 2, hh = r.height() / 2;
+    switch (rng.uniform_int(0, 3)) {
+      case 0: r = shifted(r, die.xlo - r.xlo - hw, 0); break;
+      case 1: r = shifted(r, die.xhi - r.xhi + hw, 0); break;
+      case 2: r = shifted(r, 0, die.ylo - r.ylo - hh); break;
+      default: r = shifted(r, 0, die.yhi - r.yhi + hh); break;
+    }
+  }
+  add("straddling", std::move(straddle));
+
+  std::vector<geom::Rect> nonsq = placed;
+  for (auto& r : nonsq) {
+    if (!rng.bernoulli(0.05)) continue;
+    (rng.bernoulli(0.5) ? r.xhi : r.yhi) += rng.uniform_real(0.05, 0.6);
+  }
+  add("non_square", std::move(nonsq));
+
+  const double half = kRules.pitch() / 2;
+  std::vector<geom::Rect> half_pitch = placed;
+  for (auto& r : half_pitch) r = shifted(r, half, half);
+  add("half_pitch", std::move(half_pitch));
+
+  std::vector<geom::Rect> big = placed;
+  const geom::Point c = die.center();
+  big.insert(big.begin() + static_cast<std::ptrdiff_t>(big.size() / 2),
+             geom::Rect{c.x - 25, c.y - 25, c.x + 25, c.y + 25});
+  add("big_rect", std::move(big));
+}
+
+/// Greedy placements on T2 and on T2 with two metal macros, each under
+/// every perturbation.
+const std::vector<CheckCase>& checker_cases() {
+  static const Layout t2 = layout::make_testcase_t2();
+  static const Layout t2_macros = [] {
+    layout::SyntheticLayoutConfig cfg = layout::testcase_t2_config();
+    cfg.num_macros = 2;
+    return layout::generate_synthetic_layout(cfg);
+  }();
+  static const std::vector<CheckCase> cases = [] {
+    std::vector<CheckCase> out;
+    for (const auto& [name, l] :
+         {std::pair<const char*, const Layout*>{"T2", &t2},
+          {"T2+2macros", &t2_macros}}) {
+      const pilfill::FlowResult res =
+          pilfill::run_pil_fill_flow(*l, {}, {pilfill::Method::kGreedy});
+      add_perturbed_cases(name, *l, res.methods[0].placement.features, out);
+    }
+    return out;
+  }();
+  return cases;
+}
+
+// The grid finds exactly what the brute-force reference finds.
+TEST(Checker, GridMatchesBruteForce) {
+  CheckOptions opt;
+  opt.max_violations = std::numeric_limits<std::size_t>::max();
+  int dirty = 0;
+  for (const CheckCase& c : checker_cases()) {
+    const CheckReport r = check_fill(*c.layout, c.features, opt);
+    std::vector<std::array<std::uint64_t, 10>> got, want;
+    for (const Violation& v : r.violations) got.push_back(violation_words(v));
+    for (const Violation& v :
+         brute_force_violations(*c.layout, c.features, opt))
+      want.push_back(violation_words(v));
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_TRUE(got == want) << c.name << ": " << got.size() << " vs "
+                             << want.size() << " violations";
+    EXPECT_EQ(r.features_checked, static_cast<long long>(c.features.size()))
+        << c.name;
+    dirty += !want.empty();
+  }
+  // Every perturbation but the identity breaks some rule.
+  EXPECT_EQ(dirty, static_cast<int>(checker_cases().size()) - 2);
+}
+
+// The report's order is part of its contract: features in input order, and
+// per feature its neighbours in row-major cell order, ascending id within a
+// cell. The constants pin that order: a grid change that moves one changes
+// what the checker reports.
+TEST(Checker, ReportOrderIsPinned) {
+  struct Pinned {
+    const char* name;
+    std::uint64_t capped;     ///< max_violations = 100
+    std::uint64_t unlimited;  ///< max_violations unbounded
+  };
+  const Pinned kPinned[] = {
+      {"T2/placed", 0x14650fb0739d0383ull, 0x14650fb0739d0383ull},
+      {"T2/jitter", 0xcc58f96e330503e3ull, 0x47c420c6fea118f3ull},
+      {"T2/duplicated", 0xb4582904f40b8bccull, 0x00734cdeabdc0a5cull},
+      {"T2/thinned", 0x6b55e14c343e5d34ull, 0x17ab159188f06dc4ull},
+      {"T2/reversed", 0xcee524041f11a6aaull, 0x053caca1cfb94d88ull},
+      {"T2/shuffled", 0x5ae56af2018902e9ull, 0xbadb84621044d0e8ull},
+      {"T2/off_die", 0x9006925bdd1e7782ull, 0x3a52f85ddffb1dadull},
+      {"T2/straddling", 0xbe343f62422a486full, 0x85282e5eb066677full},
+      {"T2/non_square", 0x45b944f86f593fcdull, 0x89a255cfd1ae8b4full},
+      {"T2/half_pitch", 0x91bef4aa036b3ec6ull, 0x7b63904889723233ull},
+      {"T2/big_rect", 0x64fd252dc735c69eull, 0x2423cc055995ff1bull},
+      {"T2+2macros/placed", 0x14650fb0739d0383ull, 0x14650fb0739d0383ull},
+      {"T2+2macros/jitter", 0xcc2893d6f63ecdafull, 0x37282a2edb42ec16ull},
+      {"T2+2macros/duplicated", 0xd2772e7dc2f0dad1ull, 0xe098163e4701e22aull},
+      {"T2+2macros/thinned", 0x0b0775518c0bdc99ull, 0xe9d6d057693f4fb4ull},
+      {"T2+2macros/reversed", 0xea2a41944d65b81cull, 0xc33637ec0d606352ull},
+      {"T2+2macros/shuffled", 0xdca73e9ee2bdff1aull, 0x3b5b76d1553093f6ull},
+      {"T2+2macros/off_die", 0xbd3c21f59764bab3ull, 0x9fb5f90c7dbe9dfeull},
+      {"T2+2macros/straddling", 0x632e68681255ea8full, 0x82ac627dedd815b1ull},
+      {"T2+2macros/non_square", 0xa01d034df5951be4ull, 0x9b0f7332fa26c7afull},
+      {"T2+2macros/half_pitch", 0x1806839061c7ca4eull, 0xc6522876052993a0ull},
+      {"T2+2macros/big_rect", 0x13944ce0c6150b67ull, 0xef668eec13a29339ull},
+  };
+  const std::vector<CheckCase>& cases = checker_cases();
+  ASSERT_EQ(std::size(kPinned), cases.size());
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    ASSERT_EQ(cases[k].name, kPinned[k].name);
+    CheckOptions capped;
+    CheckOptions unlimited;
+    unlimited.max_violations = std::numeric_limits<std::size_t>::max();
+    const std::uint64_t hc =
+        report_hash(check_fill(*cases[k].layout, cases[k].features, capped));
+    const std::uint64_t hu = report_hash(
+        check_fill(*cases[k].layout, cases[k].features, unlimited));
+    EXPECT_EQ(hc, kPinned[k].capped) << cases[k].name;
+    EXPECT_EQ(hu, kPinned[k].unlimited) << cases[k].name;
+  }
+
+  // Cell order, not id order: A straddles the cell boundary at x = 8 um
+  // (cells are 4 um at the default rules). Its later neighbour C in the
+  // left cell has a higher id than its neighbour B in the right cell, and
+  // is reported first.
+  const Layout l = two_line_layout();
+  const geom::Rect a{7.75, 5, 8.25, 5.5};
+  const geom::Rect b{8.5, 5, 9.0, 5.5};
+  const geom::Rect c{7.0, 5, 7.5, 5.5};
+  const CheckReport r = check_fill(l, {a, b, c}, CheckOptions{});
+  ASSERT_EQ(r.violations.size(), 2u);
+  EXPECT_EQ(r.violations[0].a, a);
+  EXPECT_EQ(r.violations[0].b, c);
+  EXPECT_EQ(r.violations[1].a, a);
+  EXPECT_EQ(r.violations[1].b, b);
 }
 
 TEST(Slack, ToStringNames) {

@@ -103,6 +103,18 @@ pilfill::FlowConfig flow_from_args(const Args& args) {
   return config;
 }
 
+/// A session for a command that reads only its prep (analyze, score): it
+/// requires no fill, so the prep skips targeting and instance build. The
+/// config is validated first, so a bad option fails as it would in fill.
+pilfill::FillSession prep_only_session(const layout::Layout& l,
+                                       const Args& args) {
+  pilfill::FlowConfig config = flow_from_args(args);
+  config.validate(l);
+  config.required_per_tile.assign(
+      grid::Dissection(l.die(), config.window_um, config.r).num_tiles(), 0);
+  return pilfill::FillSession(l, config);
+}
+
 /// --flight-dump target, staged where both the normal exit paths and the
 /// async-signal handler can reach it. The handler may only call async-
 /// signal-safe functions, so the path lives in a fixed char buffer and is
@@ -333,7 +345,7 @@ int cmd_gen(const Args& args) {
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) throw Error("analyze: layout path required");
   const layout::Layout l = load_layout(args.positional[0], args);
-  const pilfill::FillSession session(l, flow_from_args(args));
+  const pilfill::FillSession session = prep_only_session(l, args);
   const pilfill::FlowConfig& config = session.config();
   const grid::Dissection& dis = session.dissection();
   const grid::DensityStats stats = session.wires().stats();
@@ -545,7 +557,7 @@ int cmd_score(const Args& args) {
   std::cout << "read " << features.size() << " fill rects (GDS layer "
             << fill_layer << ") from " << args.positional[1] << "\n";
 
-  const pilfill::FillSession session(l, flow_from_args(args));
+  const pilfill::FillSession session = prep_only_session(l, args);
   const pilfill::FlowConfig& config = session.config();
   const pilfill::DelayImpact impact =
       session.evaluator().evaluate_rects(features);
