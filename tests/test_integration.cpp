@@ -572,5 +572,67 @@ TEST(Certificate, Ilp2MatchesConvexOnEveryT2Tile) {
   EXPECT_GT(tiles, 0);
 }
 
+/// Every ILP-I and ILP-II tile search on T2, pinned: per tile, the counts
+/// and the branch-and-bound effort (nodes, LP solves, simplex iterations)
+/// hash to the value recorded for each table row, both objectives folded
+/// in. A change to the simplex or the search that moves any pivot moves
+/// an iteration count, and with it the hash.
+TEST(Solvers, TileSearchIsPinned) {
+  struct Row {
+    double window;
+    int r;
+    std::uint64_t ilp1, ilp2;
+  };
+  const Row rows[] = {
+      {32, 2, 0x278e98cbfd9e6633ull, 0xf2167faf90815617ull},
+      {32, 4, 0x287326f81d603b9aull, 0x1597e22d2cc000d3ull},
+      {32, 8, 0x96b109c377d9cd0aull, 0x3512fa5555b9843bull},
+      {20, 2, 0x82a12c784c2b677dull, 0xe5a3268c3742476cull},
+      {20, 4, 0xd128b98de8819f08ull, 0xb50c981b66756760ull},
+      {20, 8, 0x1b70750064191425ull, 0x62812eb245b0fa0eull}};
+  const Layout l = layout::make_testcase_t2();
+  const cap::CouplingModel model(l.layer(0).eps_r, l.layer(0).thickness_um);
+  for (const Row& row : rows) {
+    std::uint64_t got[2] = {kFnv1a64Offset, kFnv1a64Offset};
+    for (const Objective obj :
+         {Objective::kNonWeighted, Objective::kWeighted}) {
+      FlowConfig config;
+      config.window_um = row.window;
+      config.r = row.r;
+      config.objective = obj;
+      const FillSession session(l, config);
+      cap::ColumnCapLut lut(model, config.rules.feature_um);
+      SolverContext ctx;
+      ctx.model = &model;
+      ctx.lut = &lut;
+      ctx.rules = config.rules;
+      ctx.objective = obj;
+      ctx.ilp = config.ilp;
+      ctx.switch_factor = config.switch_factor;
+      Rng rng(1);
+      for (const TileInstance& inst : session.instances_snapshot()) {
+        for (int k = 0; k < 2; ++k) {
+          const TileSolveResult res = solve_tile(
+              k == 0 ? Method::kIlp1 : Method::kIlp2, inst, ctx, rng);
+          const long long effort[] = {inst.tile_flat, res.bb_nodes,
+                                      res.lp_solves, res.simplex_iterations};
+          got[k] = fnv1a64(
+              std::string_view(reinterpret_cast<const char*>(effort),
+                               sizeof effort),
+              got[k]);
+          got[k] = fnv1a64(
+              std::string_view(reinterpret_cast<const char*>(res.counts.data()),
+                               res.counts.size() * sizeof(int)),
+              got[k]);
+        }
+      }
+    }
+    EXPECT_EQ(got[0], row.ilp1) << "ILP-I W=" << row.window << " r=" << row.r
+                                << ": 0x" << std::hex << got[0];
+    EXPECT_EQ(got[1], row.ilp2) << "ILP-II W=" << row.window << " r=" << row.r
+                                << ": 0x" << std::hex << got[1];
+  }
+}
+
 }  // namespace
 }  // namespace pil::pilfill

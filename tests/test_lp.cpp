@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string_view>
 
+#include "lp_corpus.hpp"
+#include "pil/layout/synthetic.hpp"
 #include "pil/lp/problem.hpp"
 #include "pil/lp/simplex.hpp"
+#include "pil/pilfill/session.hpp"
 #include "pil/util/rng.hpp"
+#include "pil/util/strings.hpp"
 
 namespace pil::lp {
 namespace {
@@ -503,6 +509,172 @@ TEST(Simplex, FreeVariablesInEqualities) {
   const int v = q.add_var(-kInf, kInf, -1.0);
   q.add_row(Sense::kLe, 5, {{u, 1.0}, {v, 1.0}});
   EXPECT_EQ(solve_lp(q).status, SolveStatus::kUnbounded);
+}
+
+
+// ---------------------------------------------------- pinned pivot path ----
+
+/// FNV-1a over everything a solve reports: status, the three iteration
+/// counts, and the bits of the objective and of every x. Two kernels that
+/// take the same pivots in the same floating-point order hash alike.
+std::uint64_t fold(std::uint64_t h, const LpSolution& s) {
+  const auto mix = [&h](const void* p, std::size_t n) {
+    h = fnv1a64(std::string_view(static_cast<const char*>(p), n), h);
+  };
+  const int counts[] = {static_cast<int>(s.status), s.iterations,
+                        s.phase1_iterations, s.bound_flips};
+  mix(counts, sizeof counts);
+  mix(&s.objective, sizeof s.objective);
+  if (!s.x.empty()) mix(s.x.data(), s.x.size() * sizeof(double));
+  return h;
+}
+
+/// The window LPs of src/density/fill_target.cpp on T2: one variable per
+/// tile (its fill area, capped by its slack capacity), min-var's M, and a
+/// >= and a <= row per window, with the targeter's automatic L and U.
+struct WindowLps {
+  LpProblem min_var, min_fill;
+};
+
+WindowLps t2_window_lps(double window_um, int r) {
+  const layout::Layout l = layout::make_testcase_t2();
+  pilfill::FlowConfig config;
+  config.window_um = window_um;
+  config.r = r;
+  config.required_per_tile.assign(
+      grid::Dissection(l.die(), window_um, r).num_tiles(), 0);
+  const pilfill::FillSession session(l, config);
+  const grid::Dissection& dis = session.dissection();
+  const grid::DensityMap& wires = session.wires();
+  const double fa = config.rules.feature_area();
+  const double L = wires.stats().max_density;
+  const double U = L + 2 * fa / (window_um * window_um);
+
+  WindowLps out;
+  for (const bool min_fill : {false, true}) {
+    LpProblem& p = min_fill ? out.min_fill : out.min_var;
+    for (int t = 0; t < dis.num_tiles(); ++t)
+      p.add_var(0.0, session.global_slack().tile_capacity(t) * fa,
+                min_fill ? 1.0 : 0.0);
+    const int m_var = min_fill ? -1 : p.add_var(0.0, L, -1.0);
+    for (int wy = 0; wy < dis.windows_y(); ++wy) {
+      for (int wx = 0; wx < dis.windows_x(); ++wx) {
+        const double area = dis.window_rect(wx, wy).area();
+        const double wire = wires.window_area(wx, wy);
+        std::vector<RowEntry> le;
+        for (int iy = wy; iy < wy + r; ++iy)
+          for (int ix = wx; ix < wx + r; ++ix)
+            le.push_back({dis.tile_flat({ix, iy}), 1.0});
+        std::vector<RowEntry> ge = le;
+        if (!min_fill) ge.push_back({m_var, -area});
+        p.add_row(Sense::kGe, (min_fill ? L * area : 0.0) - wire,
+                  std::move(ge));
+        p.add_row(Sense::kLe, U * area - wire, std::move(le));
+      }
+    }
+  }
+  return out;
+}
+
+/// Boxed variables, rows of a random sense with dense random coefficients:
+/// <= rows start feasible at the slack basis, >= and == rows need phase 1.
+LpProblem random_lp(Rng& rng, Sense sense) {
+  LpProblem p;
+  const int n = 2 + static_cast<int>(rng.uniform_int(0, 6));
+  // Fewer equality rows, or most of those LPs are infeasible.
+  const int m =
+      1 + static_cast<int>(rng.uniform_int(0, sense == Sense::kEq ? 2 : 5));
+  for (int j = 0; j < n; ++j) {
+    const double lo = rng.uniform_real(-3, 1);
+    p.add_var(lo, lo + rng.uniform_real(0.5, 5), rng.uniform_real(-2, 2));
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<RowEntry> entries;
+    for (int j = 0; j < n; ++j)
+      if (rng.bernoulli(0.7)) entries.push_back({j, rng.uniform_real(-2, 2)});
+    if (entries.empty()) entries.push_back({0, 1.0});
+    p.add_row(sense, rng.uniform_real(-2, 4), std::move(entries));
+  }
+  return p;
+}
+
+/// Free variables (both bounds infinite) next to boxed ones, tied by
+/// equality and <= rows: they start at zero, may enter in either direction
+/// and never leave, and some of these LPs are unbounded.
+LpProblem free_variable_lp(Rng& rng) {
+  LpProblem p;
+  const int n = 3 + static_cast<int>(rng.uniform_int(0, 4));
+  for (int j = 0; j < n; ++j) {
+    if (rng.bernoulli(0.4))
+      p.add_var(-kInf, kInf, rng.uniform_real(-1, 1));
+    else
+      p.add_var(0.0, rng.uniform_real(1, 4), rng.uniform_real(-2, 2));
+  }
+  const int m = 2 + static_cast<int>(rng.uniform_int(0, 3));
+  for (int i = 0; i < m; ++i) {
+    std::vector<RowEntry> entries;
+    for (int j = 0; j < n; ++j)
+      if (rng.bernoulli(0.6)) entries.push_back({j, rng.uniform_real(-2, 2)});
+    if (entries.empty()) entries.push_back({i % n, 1.0});
+    p.add_row(rng.bernoulli(0.5) ? Sense::kEq : Sense::kLe,
+              rng.uniform_real(-2, 2), std::move(entries));
+  }
+  return p;
+}
+
+/// Every pivot the kernel takes, pinned: each corpus's solutions hash to
+/// the value recorded for it. A kernel that prices, ratio-tests or updates
+/// in a different order moves some iteration count or some bit of x, and
+/// with it the hash.
+TEST(Simplex, PivotPathIsPinned) {
+  const auto check = [](const char* corpus, std::uint64_t got,
+                        std::uint64_t want) {
+    EXPECT_EQ(got, want) << corpus << ": 0x" << std::hex << got;
+  };
+
+  // The targeters' dense window LPs. Min-fill at 32/8 is left out: it
+  // alone takes ~14 s.
+  const WindowLps w4 = t2_window_lps(32, 4);
+  check("min-var window LP 32/4", fold(kFnv1a64Offset, solve_lp(w4.min_var)),
+        0x1a8a9e319a2b5d24ull);
+  check("min-fill window LP 32/4",
+        fold(kFnv1a64Offset, solve_lp(w4.min_fill)), 0x9390a7d40006e13full);
+  check("min-var window LP 32/8",
+        fold(kFnv1a64Offset, solve_lp(t2_window_lps(32, 8).min_var)),
+        0x925d8ecd1fbca8c5ull);
+
+  // The generated corpora: 200 LPs each from one stream.
+  Rng rng(4711);
+  const auto corpus_hash = [&](auto&& make) {
+    std::uint64_t h = kFnv1a64Offset;
+    for (int trial = 0; trial < 200; ++trial) h = fold(h, solve_lp(make()));
+    return h;
+  };
+  check("random <= LPs",
+        corpus_hash([&] { return random_lp(rng, Sense::kLe); }),
+        0x454f6a291d7bbab2ull);
+  check("random >= LPs",
+        corpus_hash([&] { return random_lp(rng, Sense::kGe); }),
+        0xb0f2e633ad84e338ull);
+  check("random == LPs",
+        corpus_hash([&] { return random_lp(rng, Sense::kEq); }),
+        0x54477a5b803fe2cdull);
+  check("free-variable LPs",
+        corpus_hash([&] { return free_variable_lp(rng); }),
+        0x995fdddef70b387full);
+
+  // Beale's LP and the primal-degenerate family, with the automatic Bland
+  // switch and with Bland's rule from the first pivot.
+  SimplexOptions bland;
+  bland.degenerate_switch = 0;
+  std::uint64_t h = kFnv1a64Offset;
+  for (const SimplexOptions& opt : {SimplexOptions{}, bland}) {
+    h = fold(h, solve_lp(corpus::beale_lp(), opt));
+    Rng drng(201);
+    for (int trial = 0; trial < 200; ++trial)
+      h = fold(h, solve_lp(corpus::random_degenerate_lp(drng), opt));
+  }
+  check("degenerate LPs", h, 0xbb402626f3fc70bcull);
 }
 
 }  // namespace
