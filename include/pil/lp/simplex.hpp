@@ -1,6 +1,6 @@
 #pragma once
 /// \file simplex.hpp
-/// Dense bounded-variable simplex: the classic two-phase primal.
+/// Bounded-variable simplex: the classic two-phase primal.
 ///
 /// Phase 1 installs slack variables as the starting basis and adds
 /// artificial variables only for rows whose slack cannot absorb the
@@ -11,6 +11,16 @@
 ///
 /// Anti-cycling: Dantzig pricing with an automatic switch to Bland's rule
 /// after a run of degenerate pivots, in both phases.
+///
+/// Cost: B^{-1} is held as a dense m x m array, but a pivot touches only
+/// the non-zeros it needs. Pricing runs over CSR columns (2 non-zeros per
+/// ILP-II binary); btran and the B^{-1} update read each row through a
+/// short list of its non-zero columns, and a row that fills in past m / 8
+/// entries goes back to the contiguous loop. So a sparse tile LP pays
+/// O(m + nnz) per pivot and the dense window LPs of the fill targeters pay
+/// what a dense kernel pays. Every term that can be non-zero is computed in
+/// the dense loops' order and every skipped term is an exact zero, so x,
+/// the objective and every count are bit-identical to a dense kernel's.
 
 #include <vector>
 

@@ -83,8 +83,10 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
   const bool faulty = util::faults_armed();
   const bool journaling = obs::journal_armed();
 
-  // The problem is copied once per LP solve with node bounds applied. The
-  // LpProblem is cheap to copy for our sizes; correctness over cleverness.
+  // One copy of the problem per search: each node restores the bounds the
+  // previous node moved, then applies its own branch path on top.
+  lp::LpProblem sub = problem;
+  std::vector<int> moved;
   std::priority_queue<std::shared_ptr<Node>, std::vector<std::shared_ptr<Node>>,
                       NodeOrder>
       open;
@@ -114,18 +116,22 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
     ++explored;
     best.max_depth = std::max(best.max_depth, node->depth);
 
-    lp::LpProblem sub = problem;
+    for (const int j : moved)
+      sub.set_var_bounds(j, problem.var(j).lo, problem.var(j).hi);
+    moved.clear();
     bool empty_interval = false;
     for (const auto& [j, lo] : node->lo_over) {
       const double nlo = std::max(sub.var(j).lo, lo);
       if (nlo > sub.var(j).hi) { empty_interval = true; break; }
       sub.set_var_bounds(j, nlo, sub.var(j).hi);
+      moved.push_back(j);
     }
     for (const auto& [j, hi] : node->hi_over) {
       if (empty_interval) break;
       const double nhi = std::min(sub.var(j).hi, hi);
       if (nhi < sub.var(j).lo) { empty_interval = true; break; }
       sub.set_var_bounds(j, sub.var(j).lo, nhi);
+      moved.push_back(j);
     }
     if (empty_interval) continue;  // branch emptied a variable's interval
 

@@ -229,38 +229,38 @@ TileSolveResult solve_tile_ilp2(const TileInstance& inst,
   }
 
   // Binary expansion (Eqs. 16-23): y_{k,n} = 1 iff column k holds exactly n
-  // features. Costs come from the pre-built lookup table f(n, d_k).
-  // First pass: collect costs and the normalization scale.
-  struct ColVars {
-    int first_var = -1;  // vars first_var .. first_var + num_sites - 1
-  };
-  std::vector<ColVars> cv(inst.cols.size());
+  // features. Costs come from the pre-built lookup table f(n, d_k), read in
+  // place. First pass: the costs, flat in variable order, and the
+  // normalization scale.
+  std::vector<double> cost;
+  cost.reserve(inst.capacity());
   double max_cost = 0.0;
-  std::vector<std::vector<double>> costs(inst.cols.size());
-  for (std::size_t k = 0; k < inst.cols.size(); ++k) {
-    const InstanceColumn& c = inst.cols[k];
-    costs[k].assign(c.num_sites + 1, 0.0);
-    if (c.two_sided && c.num_sites > 0) {
-      const std::vector<double> table =
-          column_cost_table(ctx, c.d, c.num_sites);
-      const double rf = res_factor(c, ctx.objective);
-      for (int n = 1; n <= c.num_sites; ++n) {
-        costs[k][n] = table[n] * rf;
-        max_cost = std::max(max_cost, costs[k][n]);
-      }
+  for (const InstanceColumn& c : inst.cols) {
+    if (c.num_sites == 0) continue;
+    if (!c.two_sided) {
+      cost.insert(cost.end(), c.num_sites, 0.0);
+      continue;
+    }
+    const std::vector<double>& lut = ctx.lut->table(c.d, c.num_sites);
+    const double rf = res_factor(c, ctx.objective);
+    for (int n = 1; n <= c.num_sites; ++n) {
+      cost.push_back(lut[n] * ctx.switch_factor * rf);
+      max_cost = std::max(max_cost, cost.back());
     }
   }
   const double scale = max_cost > 0 ? 1.0 / max_cost : 1.0;
 
   lp::LpProblem prob;
+  std::vector<int> first_var(inst.cols.size(), -1);  // y_{k,1}; y_{k,n} follow
   std::vector<lp::RowEntry> sum_row;
   for (std::size_t k = 0; k < inst.cols.size(); ++k) {
     const InstanceColumn& c = inst.cols[k];
     if (c.num_sites == 0) continue;
     std::vector<lp::RowEntry> sos_row;
+    first_var[k] = prob.num_vars();
     for (int n = 1; n <= c.num_sites; ++n) {
-      const int var = prob.add_var(0.0, 1.0, costs[k][n] * scale);
-      if (cv[k].first_var < 0) cv[k].first_var = var;
+      const int var = prob.num_vars();
+      prob.add_var(0.0, 1.0, cost[var] * scale);
       sum_row.push_back({var, static_cast<double>(n)});
       sos_row.push_back({var, 1.0});
     }
@@ -274,9 +274,9 @@ TileSolveResult solve_tile_ilp2(const TileInstance& inst,
   record_ilp_stats(sol, r);
   if (has_usable_solution(sol)) {
     for (std::size_t k = 0; k < inst.cols.size(); ++k) {
-      if (cv[k].first_var < 0) continue;
+      if (first_var[k] < 0) continue;
       for (int n = 1; n <= inst.cols[k].num_sites; ++n)
-        if (sol.x[cv[k].first_var + n - 1] > 0.5) r.counts[k] = n;
+        if (sol.x[first_var[k] + n - 1] > 0.5) r.counts[k] = n;
     }
   } else {
     PIL_WARN("ILP-II tile " << inst.tile_flat << " unsolved ("

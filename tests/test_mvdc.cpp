@@ -16,6 +16,15 @@ FlowConfig base_flow() {
   return flow;
 }
 
+/// A session that only feeds run_mvdc_fill. MVDC targets and builds its
+/// own tile pools, so all-zero requirements let prep skip targeting and
+/// the instance build.
+FillSession mvdc_session(const Layout& l, FlowConfig flow = base_flow()) {
+  flow.required_per_tile.assign(
+      grid::Dissection(l.die(), flow.window_um, flow.r).num_tiles(), 0);
+  return FillSession(l, flow);
+}
+
 TEST(Mvdc, UnlimitedBudgetMatchesPureMinVarQuality) {
   const Layout l = layout::make_testcase_t2();
   FillSession session(l, base_flow());
@@ -38,7 +47,7 @@ TEST(Mvdc, UnlimitedBudgetMatchesPureMinVarQuality) {
 
 TEST(Mvdc, ZeroBudgetSpendsOnlyFreeColumns) {
   const Layout l = layout::make_testcase_t2();
-  const FillSession session(l, base_flow());
+  const FillSession session = mvdc_session(l);
   MvdcConfig cfg;
   cfg.delay_budget_ps = 0.0;
   const MvdcResult r = run_mvdc_fill(session, cfg);
@@ -53,7 +62,7 @@ TEST(Mvdc, ZeroBudgetSpendsOnlyFreeColumns) {
 
 TEST(Mvdc, BudgetIsRespected) {
   const Layout l = layout::make_testcase_t2();
-  const FillSession session(l, base_flow());
+  const FillSession session = mvdc_session(l);
   for (const double budget : {0.01, 0.05, 0.2}) {
     MvdcConfig cfg;
     cfg.delay_budget_ps = budget;
@@ -64,7 +73,7 @@ TEST(Mvdc, BudgetIsRespected) {
 
 TEST(Mvdc, DensityMonotoneInBudget) {
   const Layout l = layout::make_testcase_t2();
-  const FillSession session(l, base_flow());
+  const FillSession session = mvdc_session(l);
   double prev_min = -1;
   long long prev_placed = -1;
   for (const double budget : {0.0, 0.02, 0.1, 1.0}) {
@@ -84,7 +93,7 @@ TEST(Mvdc, ExplicitTargetsHonored) {
   FlowConfig flow = base_flow();
   flow.target.lower_target = 0.12;
   flow.target.upper_bound = 0.2;
-  const MvdcResult r = run_mvdc_fill(FillSession(l, flow), MvdcConfig{});
+  const MvdcResult r = run_mvdc_fill(mvdc_session(l, flow), MvdcConfig{});
   const double straddle_tol =
       15 * fill::FillRules{}.feature_area() / (32.0 * 32.0);
   EXPECT_DOUBLE_EQ(r.lower_target_used, 0.12);
@@ -140,7 +149,7 @@ TEST(Mvdc, WeightedBudgetHonoursNetCriticality) {
   FlowConfig flow = base_flow();
   flow.objective = Objective::kWeighted;
   flow.net_criticality.assign(l.num_nets(), 0.0);
-  const FillSession session(l, flow);
+  const FillSession session = mvdc_session(l, flow);
   MvdcConfig zero;
   zero.delay_budget_ps = 0.0;
   const MvdcResult none = run_mvdc_fill(session, zero);
@@ -156,7 +165,7 @@ TEST(Mvdc, SpentEstimateTracksExactScore) {
   const Layout l = layout::make_testcase_t2();
   MvdcConfig cfg;
   cfg.delay_budget_ps = 0.1;
-  const MvdcResult r = run_mvdc_fill(FillSession(l, base_flow()), cfg);
+  const MvdcResult r = run_mvdc_fill(mvdc_session(l), cfg);
   if (r.delay_spent_ps > 0) {
     EXPECT_GT(r.impact.delay_ps, 0.5 * r.delay_spent_ps);
     EXPECT_LT(r.impact.delay_ps, 2.0 * r.delay_spent_ps);
@@ -165,14 +174,14 @@ TEST(Mvdc, SpentEstimateTracksExactScore) {
 
 TEST(Mvdc, RejectsBadConfig) {
   const Layout l = layout::make_testcase_t2();
-  const FillSession session(l, base_flow());
+  const FillSession session = mvdc_session(l);
   MvdcConfig cfg;
   cfg.delay_budget_ps = -1;
   EXPECT_THROW(run_mvdc_fill(session, cfg), Error);
   // A grounded-fill session preps fine; MVDC refuses it.
   FlowConfig grounded = base_flow();
   grounded.style = cap::FillStyle::kGrounded;
-  const FillSession grounded_session(l, grounded);
+  const FillSession grounded_session = mvdc_session(l, grounded);
   EXPECT_THROW(run_mvdc_fill(grounded_session, MvdcConfig{}), Error);
 }
 
