@@ -117,8 +117,8 @@ struct SolverContext {
 };
 
 /// Total delay-relevant capacitance cost of a column holding n features
-/// (n = 0..capacity), per unit resistance factor -- the table ILP-II,
-/// Greedy, and the evaluator all share. For floating fill this is the
+/// (n = 0..capacity), per unit resistance factor -- the costs ILP-II,
+/// Greedy, and the evaluator all charge. For floating fill this is the
 /// coupling increment dC(n) (charged once, to the facing-line resistance
 /// sum); for grounded fill it is the per-line load (charged per line; the
 /// caller's resistance factor already sums the lines).
