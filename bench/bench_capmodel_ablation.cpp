@@ -54,8 +54,8 @@ int main() {
     if (!col.two_sided() || col.capacity == 0) continue;
     const auto& below = pieces[col.below_piece];
     const auto& above = pieces[col.above_piece];
-    const double res = pilfill::piece_res_at_x(below, col.x_center) +
-                       pilfill::piece_res_at_x(above, col.x_center);
+    const double res =
+        slack.line_res_at(col, below) + slack.line_res_at(col, above);
     costs.push_back(
         {model.column_delta_cap_ff(col.capacity, w, col.gap_um) * res,
          model.column_delta_cap_linear_ff(col.capacity, w, col.gap_um) * res});

@@ -19,6 +19,7 @@
 /// (conservative -- the parallel-plate model cannot price a conductor inside
 /// the gap).
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -75,8 +76,9 @@ struct TileColumnPart {
 /// Vertical-preference layers are handled by transposition: the scan runs
 /// in a coordinate frame where the routing direction is horizontal, and
 /// `transposed()` reports whether column coordinates live in that swapped
-/// frame. Use site_rect() / column_cross_point() to stay in real layout
-/// coordinates; tile part indices always refer to the real dissection.
+/// frame. Use site_rect() / column_cross_point() / line_res_at() /
+/// count_features() to stay in real layout coordinates; tile part indices
+/// always refer to the real dissection.
 class SlackColumns {
  public:
   SlackColumns(std::vector<SlackColumn> columns,
@@ -100,6 +102,26 @@ class SlackColumns {
   /// onto the line.
   geom::Point column_cross_point(const SlackColumn& col,
                                  const rctree::WirePiece& piece) const;
+
+  /// Resistance factor of active line `piece` where the column crosses it,
+  /// R_l + r_l * (distance along the line from its upstream end): bit for
+  /// bit piece.res_at(column_cross_point(col, piece)), whose Manhattan
+  /// distance is this one difference plus an exact 0. Inline, because the
+  /// evaluator calls it twice per filled column.
+  double line_res_at(const SlackColumn& col,
+                     const rctree::WirePiece& piece) const {
+    const double along = transposed_ ? piece.up.y : piece.up.x;
+    return piece.upstream_res +
+           piece.res_per_um * std::fabs(along - col.x_center);
+  }
+
+  /// Per-column feature counts of a placement given as real-space
+  /// rectangles (the inverse of site_rect): a feature belongs to the column
+  /// of its site column (recovered from its center) whose span holds its
+  /// center. Features in no column are counted in `unmapped`.
+  std::vector<int> count_features(const std::vector<geom::Rect>& features,
+                                  const FillRules& rules,
+                                  long long& unmapped) const;
 
   /// Total fill capacity of one tile (sites over all parts).
   int tile_capacity(int tile_flat) const;

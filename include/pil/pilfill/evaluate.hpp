@@ -68,6 +68,10 @@ class DelayImpactEvaluator {
       const std::vector<geom::Rect>& features, int num_nets) const;
 
  private:
+  /// Coupling added to each facing line by m features in a two-sided
+  /// column of gap `gap_um`, under the configured style and switch factor.
+  double coupling_increment_ff(int m, double gap_um) const;
+
   const fill::SlackColumns* global_;
   const std::vector<rctree::WirePiece>* pieces_;
   cap::CouplingModel model_;

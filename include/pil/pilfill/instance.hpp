@@ -3,8 +3,9 @@
 /// Per-tile MDFC (Minimum Delay, Fill-Constrained) problem instances
 /// (Section 4). A tile instance carries, for every slack-column part in the
 /// tile: the column position, capacity, the line separation d, and the
-/// resistance factors of the facing active lines evaluated at the column's
-/// x position -- everything the solvers need, with no further geometry.
+/// resistance factors of the facing active lines where the column crosses
+/// them (SlackColumns::line_res_at) -- everything the solvers need, with
+/// no further geometry.
 
 #include <vector>
 
@@ -23,7 +24,7 @@ struct InstanceColumn {
   bool two_sided = false;
   layout::NetId below_net = layout::kInvalidNet;  ///< net of the facing lines
   layout::NetId above_net = layout::kInvalidNet;  ///< (two_sided only)
-  /// sum over facing lines of (R_l + r_l * dist(x)) -- Eq. (13).
+  /// sum over facing lines of (R_l + r_l * dist(crossing)) -- Eq. (13).
   double res_nonweighted = 0.0;
   /// same with each term multiplied by W_l (downstream sinks) -- Eq. (21).
   double res_weighted = 0.0;
@@ -54,9 +55,5 @@ TileInstance build_tile_instance(
     int tile_flat, int required, const fill::SlackColumns& slack,
     const std::vector<rctree::WirePiece>& pieces,
     const std::vector<double>& net_criticality = {});
-
-/// Resistance factor of a piece (facing line) at x position `x`:
-/// R_l + r_l * distance from the piece's upstream end.
-double piece_res_at_x(const rctree::WirePiece& piece, double x);
 
 }  // namespace pil::pilfill

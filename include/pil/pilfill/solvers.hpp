@@ -16,8 +16,11 @@
 ///                because the column cost is convex in the feature count.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <string>
+#include <utility>
 
 #include "pil/cap/coupling.hpp"
 #include "pil/fill/rules.hpp"
@@ -124,6 +127,47 @@ struct SolverContext {
 /// caller's resistance factor already sums the lines).
 std::vector<double> column_cost_table(const SolverContext& ctx, double d_um,
                                       int capacity);
+
+/// The resistance factor `objective` charges column `c`: Eq. 13's sum over
+/// its facing lines, or Eq. 21's sink-weighted sum.
+inline double res_factor(const InstanceColumn& c, Objective objective) {
+  return objective == Objective::kWeighted ? c.res_weighted
+                                           : c.res_nonweighted;
+}
+
+/// Coupling increment (fF) of the n-th feature (1-based) in column `c`
+/// under the floating LUT model (`ctx.lut`), switch factor included; 0 for
+/// a one-sided column. The feature's delay cost is this times res_factor.
+double marginal_cap_ff(const SolverContext& ctx, const InstanceColumn& c,
+                       int n);
+
+/// One tile's next fill sites, cheapest first: per column with room, the
+/// delay cost (ohm*fF) of its next feature, marginal_cap_ff * res_factor,
+/// ties to the lower column. The floating model is convex in the count, so
+/// taking the top repeatedly is optimal for the tile (Convex), and the top
+/// is the tile's cheapest next site (MVDC's pick). Keeps pointers to `inst`
+/// and `ctx`, which must outlive it.
+class CheapestSites {
+ public:
+  CheapestSites(const TileInstance& inst, const SolverContext& ctx);
+
+  bool empty() const { return heap_.empty(); }
+  /// Delay cost (ohm*fF) of the cheapest next site; requires !empty().
+  double cheapest() const { return heap_.top().first; }
+  /// Place one feature on the cheapest next site; requires !empty().
+  void take();
+  /// Features placed so far, per instance column.
+  const std::vector<int>& counts() const { return counts_; }
+
+ private:
+  void push_next(int k);  // queue column k's next feature
+
+  using Entry = std::pair<double, int>;  // (cost, instance column)
+  const TileInstance* inst_;
+  const SolverContext* ctx_;
+  std::vector<int> counts_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+};
 
 TileSolveResult solve_tile_normal(const TileInstance& inst, Rng& rng);
 TileSolveResult solve_tile_greedy(const TileInstance& inst,

@@ -57,6 +57,12 @@ struct ColumnGrid {
   }
 };
 
+/// `r` in the other frame: the x/y swap of a vertical-preference layer's
+/// scan frame (its own inverse) when `transposed`.
+Rect to_frame(bool transposed, const Rect& r) {
+  return transposed ? Rect{r.ylo, r.xlo, r.yhi, r.xhi} : r;
+}
+
 struct ColumnState {
   double start = 0.0;       ///< top edge of the previous boundary
   BoundKind kind = BoundKind::kDieEdge;
@@ -101,56 +107,6 @@ void emit_gap(const ColumnGrid& grid, int c, const ColumnState& below,
   }
 }
 
-/// Scan one rectangular region and append the slack columns found. Piece
-/// rects are clipped to the region. `edge_kind` labels the region's own
-/// y-boundaries. `blocked` holds, per global column, the y-intervals made
-/// unusable by vertical wires (already buffer-inflated). Used by modes
-/// I/II (per-tile regions); mode III goes through GlobalSlackScan.
-void scan_region(const Rect& region, const ColumnGrid& grid,
-                 const std::vector<std::pair<int, Rect>>& hpieces_sorted,
-                 const std::vector<geom::IntervalSet>& blocked,
-                 const FillRules& rules, SlackMode mode, BoundKind edge_kind,
-                 std::vector<SlackColumn>& out) {
-  int c_begin, c_end;
-  grid.inside(region.xlo, region.xhi, c_begin, c_end);
-  if (c_begin > c_end) return;
-
-  std::vector<ColumnState> state(c_end - c_begin + 1);
-  for (auto& s : state) {
-    s.start = region.ylo;
-    s.kind = edge_kind;
-    s.piece = -1;
-  }
-
-  const double b = rules.buffer_um;
-
-  for (const auto& [piece_idx, rect] : hpieces_sorted) {
-    const Rect clipped = geom::intersect(rect, region);
-    if (clipped.empty() || clipped.width() <= 0) continue;
-    int c0, c1;
-    grid.overlapping(clipped.xlo - b, clipped.xhi + b, c0, c1);
-    c0 = std::max(c0, c_begin);
-    c1 = std::min(c1, c_end);
-    for (int c = c0; c <= c1; ++c) {
-      ColumnState& s = state[c - c_begin];
-      if (clipped.ylo > s.start + geom::kEps)
-        emit_gap(grid, c, s, BoundKind::kLine, piece_idx, clipped.ylo,
-                 blocked[c], rules, mode, out);
-      if (clipped.yhi > s.start) {
-        s.start = clipped.yhi;
-        s.kind = BoundKind::kLine;
-        s.piece = piece_idx;
-      }
-    }
-  }
-  for (int c = c_begin; c <= c_end; ++c) {
-    const ColumnState& s = state[c - c_begin];
-    if (region.yhi > s.start + geom::kEps)
-      emit_gap(grid, c, s, edge_kind, -1, region.yhi, blocked[c], rules, mode,
-               out);
-  }
-}
-
 }  // namespace
 
 const char* to_string(SlackMode m) {
@@ -175,10 +131,8 @@ SlackColumns::SlackColumns(std::vector<SlackColumn> columns,
 geom::Rect SlackColumns::site_rect(const SlackColumn& col, int site,
                                    const FillRules& rules) const {
   const double y = col.site_y(site, rules);
-  const geom::Rect r{col.x_lo, y, col.x_lo + rules.feature_um,
-                     y + rules.feature_um};
-  if (!transposed_) return r;
-  return geom::Rect{r.ylo, r.xlo, r.yhi, r.xhi};
+  return to_frame(transposed_, Rect{col.x_lo, y, col.x_lo + rules.feature_um,
+                                    y + rules.feature_um});
 }
 
 geom::Point SlackColumns::column_cross_point(
@@ -187,6 +141,62 @@ geom::Point SlackColumns::column_cross_point(
   // it onto the line in real coordinates.
   return transposed_ ? geom::Point{piece.up.x, col.x_center}
                      : geom::Point{col.x_center, piece.up.y};
+}
+
+std::vector<int> SlackColumns::count_features(
+    const std::vector<geom::Rect>& features, const FillRules& rules,
+    long long& unmapped) const {
+  const double pitch = rules.pitch();
+  // col_index -> list of (span_lo, column id), sorted by span_lo.
+  int max_colindex = -1;
+  for (const auto& col : columns_)
+    max_colindex = std::max(max_colindex, col.col_index);
+  std::vector<std::vector<std::pair<double, int>>> spans_of(max_colindex + 1);
+  for (std::size_t i = 0; i < columns_.size(); ++i)
+    spans_of[columns_[i].col_index].emplace_back(columns_[i].span_lo,
+                                                 static_cast<int>(i));
+  for (auto& v : spans_of) std::sort(v.begin(), v.end());
+  // Columns are at origin + c*pitch: the lowest one recovers the grid.
+  const SlackColumn* c0 = nullptr;
+  for (const auto& v : spans_of)
+    if (!v.empty()) {
+      c0 = &columns_[v.front().second];
+      break;
+    }
+
+  auto find = [&](const geom::Rect& feature_real) {
+    if (c0 == nullptr) return -1;
+    const Rect feature = to_frame(transposed_, feature_real);
+    // Recover the site-column index from the feature's x center. All
+    // shipped placements use the shared global x grid, so the nearest
+    // column is exact.
+    const double cx = (feature.xlo + feature.xhi) / 2;
+    const int guess =
+        c0->col_index + static_cast<int>(std::lround((cx - c0->x_center) /
+                                                     pitch));
+    if (guess < 0 || guess >= static_cast<int>(spans_of.size())) return -1;
+    const auto& spans = spans_of[guess];
+    const double cy = (feature.ylo + feature.yhi) / 2;
+    // Last span starting at or below cy.
+    auto it = std::upper_bound(
+        spans.begin(), spans.end(), std::make_pair(cy + geom::kEps, 1 << 30));
+    if (it == spans.begin()) return -1;
+    --it;
+    const auto& col = columns_[it->second];
+    if (cy > col.span_hi + geom::kEps) return -1;
+    if (std::fabs(col.x_center - cx) > pitch / 2) return -1;
+    return it->second;
+  };
+
+  std::vector<int> counts(columns_.size(), 0);
+  for (const auto& f : features) {
+    const int c = find(f);
+    if (c < 0)
+      ++unmapped;
+    else
+      counts[c] += 1;
+  }
+  return counts;
 }
 
 const std::vector<TileColumnPart>& SlackColumns::tile_parts(
@@ -213,18 +223,14 @@ std::vector<rctree::WirePiece> flatten_pieces(
   return out;
 }
 
-/// The scanner's state: one SlackColumns in canonical order plus, per
-/// x-site-column group g (site column c_begin + g), the flat index of its
-/// first column.
-struct GlobalSlackScan::Impl {
-  /// One tile's share of a column, as a fresh scan emits it; `column`
-  /// indexes the vector the scan appended its columns to.
-  struct Part {
-    int tile_flat;  ///< real (dissection-frame) flat tile id
-    int column;
-    int first_site;
-    int num_sites;
-  };
+namespace {
+
+/// One layer's scan frame, shared by the per-tile scan of modes I/II and
+/// GlobalSlackScan (mode III): a vertical-preference layer is scanned
+/// transposed, so its routing direction is horizontal, and scan-frame tile
+/// ids map back to the real dissection.
+struct ScanFrame {
+  using Line = std::pair<int, Rect>;  ///< piece index, scan-frame rect
 
   const grid::Dissection* dissection;  // real frame
   layout::LayerId layer;
@@ -235,14 +241,13 @@ struct GlobalSlackScan::Impl {
   ColumnGrid grid;
   int c_begin = 0, c_end = -1;  // site columns fully inside the die
   Orientation routing_dir = Orientation::kHorizontal;
-  /// Blockage-only intervals per global column (blockages are not part of
-  /// the edit model, so these never change after construction).
+  /// Blockage-only intervals per site column group g (site column
+  /// c_begin + g); blockages are not part of the edit model, so these
+  /// never change after construction.
   std::vector<geom::IntervalSet> blocked_static;
-  SlackColumns slack;        // the one copy, canonical order
-  std::vector<int> offsets;  // flat column offset per group (+1 total)
 
-  Impl(const layout::Layout& layout, const grid::Dissection& dis,
-       layout::LayerId layer_in, const FillRules& rules_in)
+  ScanFrame(const layout::Layout& layout, const grid::Dissection& dis,
+            layout::LayerId layer_in, const FillRules& rules_in)
       : dissection(&dis),
         layer(layer_in),
         rules(rules_in),
@@ -252,28 +257,17 @@ struct GlobalSlackScan::Impl {
         scan_dis(transposed
                      ? grid::Dissection(die, dis.window_um(), dis.r())
                      : dis),
-        grid(die, rules_in),
-        slack({}, std::vector<std::vector<TileColumnPart>>(dis.num_tiles()),
-              transposed) {
+        grid(die, rules_in) {
     rules.validate();
     routing_dir = transposed ? Orientation::kVertical
                              : Orientation::kHorizontal;
     grid.inside(die.xlo, die.xhi, c_begin, c_end);
-    blocked_static.assign(grid.count, {});
-    const double b = rules.buffer_um;
-    for (const Rect& v0 : layout.blockages_on_layer(layer)) {
-      const Rect v = xf(v0);
-      int c0, c1;
-      grid.overlapping(v.xlo - b, v.xhi + b, c0, c1);
-      for (int c = c0; c <= c1; ++c)
-        blocked_static[c].insert(v.ylo - b, v.yhi + b);
-    }
-    offsets.assign(num_xcols() + 1, 0);
+    blocked_static.assign(num_xcols(), {});
+    for (const Rect& v : layout.blockages_on_layer(layer))
+      block(xf(v), nullptr, blocked_static);
   }
 
-  Rect xf(const Rect& r) const {
-    return transposed ? Rect{r.ylo, r.xlo, r.yhi, r.xhi} : r;
-  }
+  Rect xf(const Rect& r) const { return to_frame(transposed, r); }
   int num_xcols() const { return c_begin > c_end ? 0 : c_end - c_begin + 1; }
 
   int real_flat(int scan_flat) const {
@@ -282,19 +276,137 @@ struct GlobalSlackScan::Impl {
     return dissection->tile_flat(grid::TileIndex{t.iy, t.ix});
   }
 
-  /// Sort key of a routing-direction piece: (scan-frame ylo, net, index).
-  /// The net/index tie-break keeps the processing order -- and therefore
-  /// which of two co-track pieces bounds a gap -- stable when edits to one
-  /// net renumber the flattened piece array of the others.
-  static bool piece_before(double ylo_a, const WirePiece& a, int ia,
-                           double ylo_b, const WirePiece& b, int ib) {
-    if (ylo_a != ylo_b) return ylo_a < ylo_b;
-    if (a.net != b.net) return a.net < b.net;
-    return ia < ib;
+  /// Site column groups [g0, g1] whose footprint a scan-frame x-extent
+  /// reaches once inflated by the buffer (empty when g0 > g1).
+  void reach(double xlo, double xhi, int& g0, int& g1) const {
+    const double b = rules.buffer_um;
+    grid.overlapping(xlo - b, xhi + b, g0, g1);
+    g0 = std::max(g0, c_begin) - c_begin;
+    g1 = std::min(g1, c_end) - c_begin;
+  }
+
+  /// Block the buffer-inflated y-extent of `v` (a cross-direction piece or
+  /// a blockage) in the marked groups it reaches (all when `mark` is null).
+  void block(const Rect& v, const std::vector<char>* mark,
+             std::vector<geom::IntervalSet>& blocked) const {
+    const double b = rules.buffer_um;
+    int g0, g1;
+    reach(v.xlo, v.xhi, g0, g1);
+    for (int g = g0; g <= g1; ++g)
+      if (!mark || (*mark)[g]) blocked[g].insert(v.ylo - b, v.yhi + b);
+  }
+
+  /// The layer's routing-direction pieces (active lines) that reach a
+  /// marked group (any group when `mark` is null), sorted by scan-frame
+  /// ylo, then net, then index. The net/index tie-break keeps the order --
+  /// and so which of two co-track pieces bounds a gap -- stable when edits
+  /// to one net renumber the flattened piece array of the others.
+  /// Cross-direction pieces go into `blocked` instead.
+  std::vector<Line> lines(const std::vector<WirePiece>& pieces,
+                          const std::vector<char>* mark,
+                          std::vector<geom::IntervalSet>& blocked) const {
+    std::vector<Line> out;
+    for (std::size_t i = 0; i < pieces.size(); ++i) {
+      if (pieces[i].layer != layer) continue;
+      const Rect r = xf(pieces[i].rect());
+      if (pieces[i].orientation != routing_dir) {
+        block(r, mark, blocked);
+        continue;
+      }
+      const Rect clipped = geom::intersect(r, die);
+      if (clipped.empty() || clipped.width() <= 0) continue;
+      int g0, g1;
+      reach(clipped.xlo, clipped.xhi, g0, g1);
+      for (int g = g0; g <= g1; ++g)
+        if (!mark || (*mark)[g]) {
+          out.emplace_back(static_cast<int>(i), r);
+          break;
+        }
+    }
+    std::sort(out.begin(), out.end(), [&](const Line& a, const Line& c) {
+      if (a.second.ylo != c.second.ylo) return a.second.ylo < c.second.ylo;
+      if (pieces[a.first].net != pieces[c.first].net)
+        return pieces[a.first].net < pieces[c.first].net;
+      return a.first < c.first;
+    });
+    return out;
+  }
+
+  /// Modes I/II (Fig. 7 per tile): scan one tile region bottom-up over the
+  /// lines intersecting it, clipped to it, and append the slack columns
+  /// found. The region's own y-boundaries bound as kTileEdge.
+  void scan_region(const Rect& region, const std::vector<Line>& lines_sorted,
+                   const std::vector<geom::IntervalSet>& blocked,
+                   SlackMode mode, std::vector<SlackColumn>& out) const {
+    int c_lo, c_hi;
+    grid.inside(region.xlo, region.xhi, c_lo, c_hi);
+    if (c_lo > c_hi) return;
+
+    std::vector<ColumnState> state(c_hi - c_lo + 1);
+    for (auto& s : state) {
+      s.start = region.ylo;
+      s.kind = BoundKind::kTileEdge;
+      s.piece = -1;
+    }
+
+    const double b = rules.buffer_um;
+    for (const auto& [piece_idx, rect] : lines_sorted) {
+      // Only lines intersecting the tile are scanned (per the paper), so a
+      // line just outside it in x does not bound its columns.
+      const Rect clipped = geom::intersect(rect, region);
+      if (clipped.width() <= 0 || clipped.height() <= 0) continue;
+      int c0, c1;
+      grid.overlapping(clipped.xlo - b, clipped.xhi + b, c0, c1);
+      c0 = std::max(c0, c_lo);
+      c1 = std::min(c1, c_hi);
+      for (int c = c0; c <= c1; ++c) {
+        ColumnState& s = state[c - c_lo];
+        if (clipped.ylo > s.start + geom::kEps)
+          emit_gap(grid, c, s, BoundKind::kLine, piece_idx, clipped.ylo,
+                   blocked[c - c_begin], rules, mode, out);
+        if (clipped.yhi > s.start) {
+          s.start = clipped.yhi;
+          s.kind = BoundKind::kLine;
+          s.piece = piece_idx;
+        }
+      }
+    }
+    for (int c = c_lo; c <= c_hi; ++c) {
+      const ColumnState& s = state[c - c_lo];
+      if (region.yhi > s.start + geom::kEps)
+        emit_gap(grid, c, s, BoundKind::kTileEdge, -1, region.yhi,
+                 blocked[c - c_begin], rules, mode, out);
+    }
+  }
+};
+
+}  // namespace
+
+/// The scanner's state: its frame, one SlackColumns in canonical order
+/// and, per site column group g, the flat index of its first column.
+struct GlobalSlackScan::Impl : ScanFrame {
+  /// One tile's share of a column, as a fresh scan emits it; `column`
+  /// indexes the vector the scan appended its columns to.
+  struct Part {
+    int tile_flat;  ///< real (dissection-frame) flat tile id
+    int column;
+    int first_site;
+    int num_sites;
+  };
+
+  SlackColumns slack;        // the one copy, canonical order
+  std::vector<int> offsets;  // flat column offset per group (+1 total)
+
+  Impl(const layout::Layout& layout, const grid::Dissection& dis,
+       layout::LayerId layer_in, const FillRules& rules_in)
+      : ScanFrame(layout, dis, layer_in, rules_in),
+        slack({}, std::vector<std::vector<TileColumnPart>>(dis.num_tiles()),
+              transposed) {
+    offsets.assign(num_xcols() + 1, 0);
   }
 
   /// Run the column state machine for site column `c` over `pidx` (piece
-  /// indices sorted by piece_before), appending its columns in ascending-y
+  /// indices in lines() order), appending its columns in ascending-y
   /// order to `cols` and their tile split to `parts`.
   void scan_one_column(int c, const std::vector<int>& pidx,
                        const std::vector<WirePiece>& pieces,
@@ -350,46 +462,19 @@ struct GlobalSlackScan::Impl {
     }
   }
 
-  /// Bucket routing-direction pieces into the marked columns (all when
-  /// `mark` is null) and collect blockage intervals from cross-direction
-  /// pieces. Buckets come out sorted by piece_before.
+  /// Bucket the lines into the marked groups they reach (all when `mark`
+  /// is null), in lines() order, and block the cross-direction pieces.
   void bucket_pieces(const std::vector<WirePiece>& pieces,
                      const std::vector<char>* mark,
                      std::vector<std::vector<int>>& hbucket,
-                     std::vector<geom::IntervalSet>& blocked) {
-    const double b = rules.buffer_um;
-    std::vector<double> key_ylo(pieces.size(), 0.0);
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      if (pieces[i].layer != layer) continue;
-      const Rect r = xf(pieces[i].rect());
-      key_ylo[i] = r.ylo;
-      int c0, c1;
-      if (pieces[i].orientation == routing_dir) {
-        const Rect clipped = geom::intersect(r, die);
-        if (clipped.empty() || clipped.width() <= 0) continue;
-        grid.overlapping(clipped.xlo - b, clipped.xhi + b, c0, c1);
-        c0 = std::max(c0, c_begin);
-        c1 = std::min(c1, c_end);
-        for (int c = c0; c <= c1; ++c) {
-          const int g = c - c_begin;
-          if (!mark || (*mark)[g]) hbucket[g].push_back(static_cast<int>(i));
-        }
-      } else {
-        grid.overlapping(r.xlo - b, r.xhi + b, c0, c1);
-        for (int c = std::max(c0, c_begin); c <= std::min(c1, c_end); ++c) {
-          const int g = c - c_begin;
-          if (!mark || (*mark)[g])
-            blocked[g].insert(r.ylo - b, r.yhi + b);
-        }
-      }
+                     std::vector<geom::IntervalSet>& blocked) const {
+    for (const auto& [idx, r] : lines(pieces, mark, blocked)) {
+      const Rect clipped = geom::intersect(r, die);
+      int g0, g1;
+      reach(clipped.xlo, clipped.xhi, g0, g1);
+      for (int g = g0; g <= g1; ++g)
+        if (!mark || (*mark)[g]) hbucket[g].push_back(idx);
     }
-    auto cmp = [&](int a, int b2) {
-      return piece_before(key_ylo[a], pieces[a], a, key_ylo[b2], pieces[b2],
-                          b2);
-    };
-    for (int g = 0; g < num_xcols(); ++g)
-      if (!mark || (*mark)[g])
-        std::sort(hbucket[g].begin(), hbucket[g].end(), cmp);
   }
 };
 
@@ -407,8 +492,7 @@ void GlobalSlackScan::build(const std::vector<rctree::WirePiece>& pieces) {
   Impl& im = *impl_;
   const int n = im.num_xcols();
   std::vector<std::vector<int>> hbucket(n);
-  std::vector<geom::IntervalSet> blocked(n);
-  for (int g = 0; g < n; ++g) blocked[g] = im.blocked_static[im.c_begin + g];
+  std::vector<geom::IntervalSet> blocked = im.blocked_static;
   im.bucket_pieces(pieces, nullptr, hbucket, blocked);
 
   std::vector<SlackColumn>& columns = im.slack.columns_;
@@ -443,22 +527,20 @@ GlobalSlackScan::RescanResult GlobalSlackScan::rescan(
     const std::vector<geom::Rect>& changed_real) {
   Impl& im = *impl_;
   const int n = im.num_xcols();
-  const double b = im.rules.buffer_um;
   RescanResult res;
 
   std::vector<char> mark(n, 0);
   for (const Rect& r0 : changed_real) {
     const Rect r = im.xf(r0);
-    int c0, c1;
-    im.grid.overlapping(r.xlo - b, r.xhi + b, c0, c1);
-    for (int c = std::max(c0, im.c_begin); c <= std::min(c1, im.c_end); ++c)
-      mark[c - im.c_begin] = 1;
+    int g0, g1;
+    im.reach(r.xlo, r.xhi, g0, g1);
+    for (int g = g0; g <= g1; ++g) mark[g] = 1;
   }
 
   std::vector<std::vector<int>> hbucket(n);
   std::vector<geom::IntervalSet> blocked(n);
   for (int g = 0; g < n; ++g)
-    if (mark[g]) blocked[g] = im.blocked_static[im.c_begin + g];
+    if (mark[g]) blocked[g] = im.blocked_static[g];
   im.bucket_pieces(pieces, &mark, hbucket, blocked);
 
   // Scan the marked x-columns into fresh storage and lay out the new
@@ -614,86 +696,24 @@ SlackColumns extract_slack_columns(const layout::Layout& layout,
                              << " slack columns");
     return out;
   }
-  // Vertical-preference layers are scanned in a transposed frame where the
-  // routing direction is horizontal; only geometry is swapped -- tile part
-  // indices are mapped back to the real dissection at the end.
-  const bool transposed = layout.layer(layer).preferred_direction ==
-                          layout::Orientation::kVertical;
-  auto xf = [&](const Rect& r) {
-    return transposed ? Rect{r.ylo, r.xlo, r.yhi, r.xhi} : r;
-  };
-  const Rect die = xf(layout.die());
-  const grid::Dissection scan_dis =
-      transposed ? grid::Dissection(die, dissection.window_um(),
-                                    dissection.r())
-                 : dissection;
-  // Real flat tile index for a scan-frame flat index.
-  auto real_flat = [&](int scan_flat) {
-    if (!transposed) return scan_flat;
-    const grid::TileIndex t = scan_dis.tile_unflat(scan_flat);
-    return dissection.tile_flat(grid::TileIndex{t.iy, t.ix});
-  };
-
-  const ColumnGrid grid(die, rules);
-  const double b = rules.buffer_um;
-
-  // Partition pieces on the layer: routing-direction pieces are the active
-  // lines; cross-direction pieces only block. Rects live in the scan frame.
-  const Orientation routing_dir =
-      transposed ? Orientation::kVertical : Orientation::kHorizontal;
-  std::vector<std::pair<int, Rect>> hpieces;
-  std::vector<Rect> vpieces;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (pieces[i].layer != layer) continue;
-    if (pieces[i].orientation == routing_dir)
-      hpieces.emplace_back(static_cast<int>(i), xf(pieces[i].rect()));
-    else
-      vpieces.push_back(xf(pieces[i].rect()));
-  }
-  // Tie-break equal scan positions by (net, index) so the processing order
-  // is invariant under piece renumbering (see GlobalSlackScan::piece_before).
-  std::sort(hpieces.begin(), hpieces.end(),
-            [&](const auto& a, const auto& b2) {
-              if (a.second.ylo != b2.second.ylo)
-                return a.second.ylo < b2.second.ylo;
-              if (pieces[a.first].net != pieces[b2.first].net)
-                return pieces[a.first].net < pieces[b2.first].net;
-              return a.first < b2.first;
-            });
-
-  // Per-column blockage intervals (buffer-inflated in both directions):
-  // wrong-direction wires and explicit fill blockages both pierce gaps.
-  std::vector<geom::IntervalSet> blocked(grid.count);
-  auto block_rect = [&](const Rect& v) {
-    int c0, c1;
-    grid.overlapping(v.xlo - b, v.xhi + b, c0, c1);
-    for (int c = c0; c <= c1; ++c) blocked[c].insert(v.ylo - b, v.yhi + b);
-  };
-  for (const Rect& v : vpieces) block_rect(v);
-  for (const Rect& v : layout.blockages_on_layer(layer)) block_rect(xf(v));
-
+  // Modes I/II scan each tile on its own, bounded by its edges, in the
+  // frame the mode-III scanner uses; each column is one part of its tile.
+  const ScanFrame f(layout, dissection, layer, rules);
+  std::vector<geom::IntervalSet> blocked = f.blocked_static;
+  const std::vector<ScanFrame::Line> lines = f.lines(pieces, nullptr, blocked);
   std::vector<SlackColumn> columns;
   std::vector<std::vector<TileColumnPart>> tile_parts(dissection.num_tiles());
-
-  // Modes I/II: independent scan per tile; each column is one part.
-  for (int scan_flat = 0; scan_flat < scan_dis.num_tiles(); ++scan_flat) {
-    const Rect tile = scan_dis.tile_rect(scan_dis.tile_unflat(scan_flat));
+  for (int scan_flat = 0; scan_flat < f.scan_dis.num_tiles(); ++scan_flat) {
     const std::size_t before = columns.size();
-    // Clip the piece set to those overlapping the tile (x-inflated so a
-    // line just outside the tile in x does not bound columns -- per the
-    // paper, only lines *intersecting* the tile are scanned).
-    std::vector<std::pair<int, Rect>> local;
-    for (const auto& [idx, rect] : hpieces)
-      if (geom::overlaps_strictly(rect, tile)) local.emplace_back(idx, rect);
-    scan_region(tile, grid, local, blocked, rules, mode,
-                BoundKind::kTileEdge, columns);
+    f.scan_region(f.scan_dis.tile_rect(f.scan_dis.tile_unflat(scan_flat)),
+                  lines, blocked, mode, columns);
     for (std::size_t ci = before; ci < columns.size(); ++ci)
-      tile_parts[real_flat(scan_flat)].push_back(TileColumnPart{
+      tile_parts[f.real_flat(scan_flat)].push_back(TileColumnPart{
           static_cast<int>(ci), 0, columns[ci].capacity});
   }
 
   PIL_INFO(to_string(mode) << ": " << columns.size() << " slack columns");
-  return SlackColumns(std::move(columns), std::move(tile_parts), transposed);
+  return SlackColumns(std::move(columns), std::move(tile_parts), f.transposed);
 }
 
 }  // namespace pil::fill

@@ -30,9 +30,7 @@ class GlobalState {
     for (std::size_t i = 0; i < instances.size(); ++i) {
       for (const InstanceColumn& c : instances[i].cols) {
         if (!c.two_sided || !col_table_[c.column].empty()) continue;
-        col_rf_[c.column] = ctx.objective == Objective::kWeighted
-                                ? c.res_weighted
-                                : c.res_nonweighted;
+        col_rf_[c.column] = res_factor(c, ctx.objective);
         col_table_[c.column] =
             column_cost_table(ctx, cols[c.column].gap_um,
                               cols[c.column].capacity);

@@ -8,14 +8,6 @@
 
 namespace pil::pilfill {
 
-namespace {
-
-double res_factor(const InstanceColumn& c, Objective obj) {
-  return obj == Objective::kWeighted ? c.res_weighted : c.res_nonweighted;
-}
-
-}  // namespace
-
 BudgetedResult solve_budgeted(const std::vector<TileInstance>& instances,
                               const SolverContext& ctx,
                               const BudgetedConfig& config, int num_nets) {
@@ -57,41 +49,28 @@ BudgetedResult solve_budgeted(const std::vector<TileInstance>& instances,
   auto cmp = [](const Entry& a, const Entry& b) { return a.cost > b.cost; };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
 
-  // Marginal delay cost and capacitance increment of the n-th feature
-  // (1-based) in a column.
-  auto marginal = [&](const TileInstance& inst, int k, int n,
-                      double& dcap) -> double {
-    const InstanceColumn& c = inst.cols[k];
-    if (!c.two_sided) {
-      dcap = 0.0;
-      return 0.0;
-    }
-    const auto& lut = ctx.lut->table(c.d, c.num_sites);
-    dcap = (lut[n] - lut[n - 1]) * ctx.switch_factor;
-    return dcap * res_factor(c, ctx.objective);
+  // Queue the delay cost of the n-th feature (1-based) in a column.
+  auto push = [&](int i, int k, int n) {
+    const InstanceColumn& c = instances[i].cols[k];
+    heap.push(Entry{marginal_cap_ff(ctx, c, n) * res_factor(c, ctx.objective),
+                    i, k});
   };
-
   for (std::size_t i = 0; i < instances.size(); ++i) {
     if (todo[i] <= 0) continue;
-    for (std::size_t k = 0; k < instances[i].cols.size(); ++k) {
-      if (instances[i].cols[k].num_sites == 0) continue;
-      double dcap;
-      const double cost = marginal(instances[i], static_cast<int>(k), 1, dcap);
-      heap.push(Entry{cost, static_cast<int>(i), static_cast<int>(k)});
-    }
+    for (std::size_t k = 0; k < instances[i].cols.size(); ++k)
+      if (instances[i].cols[k].num_sites > 0)
+        push(static_cast<int>(i), static_cast<int>(k), 1);
   }
 
   while (!heap.empty()) {
     const Entry e = heap.top();
     heap.pop();
     if (todo[e.inst] <= 0) continue;  // tile already satisfied
-    const TileInstance& inst = instances[e.inst];
-    const InstanceColumn& c = inst.cols[e.col];
+    const InstanceColumn& c = instances[e.inst].cols[e.col];
     int& count = result.counts[e.inst][e.col];
     PIL_ASSERT(count < c.num_sites, "column overflow in budgeted heap");
 
-    double dcap;
-    marginal(inst, e.col, count + 1, dcap);
+    const double dcap = marginal_cap_ff(ctx, c, count + 1);
     // Budgets are hard: the increment must fit both facing nets (a column
     // between two pieces of the SAME net charges it twice). Marginals only
     // grow with the count, and budgets only shrink, so a blocked column can
@@ -109,11 +88,8 @@ BudgetedResult solve_budgeted(const std::vector<TileInstance>& instances,
       result.net_cap_used_ff[c.below_net] += dcap;
       result.net_cap_used_ff[c.above_net] += dcap;
     }
-    if (count < c.num_sites && todo[e.inst] > 0) {
-      double next_dcap;
-      const double cost = marginal(inst, e.col, count + 1, next_dcap);
-      heap.push(Entry{cost, e.inst, e.col});
-    }
+    if (count < c.num_sites && todo[e.inst] > 0)
+      push(e.inst, e.col, count + 1);
   }
 
   result.shortfall = total_required - result.placed;

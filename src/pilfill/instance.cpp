@@ -2,11 +2,6 @@
 
 namespace pil::pilfill {
 
-double piece_res_at_x(const rctree::WirePiece& piece, double x) {
-  // Horizontal pieces: distance along the line from the upstream endpoint.
-  return piece.upstream_res + piece.res_per_um * std::fabs(x - piece.up.x);
-}
-
 TileInstance build_tile_instance(int tile_flat, int required,
                                  const fill::SlackColumns& slack,
                                  const std::vector<rctree::WirePiece>& pieces,
@@ -36,8 +31,8 @@ TileInstance build_tile_instance(int tile_flat, int required,
       const rctree::WirePiece& above = pieces[col.above_piece];
       ic.below_net = below.net;
       ic.above_net = above.net;
-      const double rb = below.res_at(slack.column_cross_point(col, below));
-      const double ra = above.res_at(slack.column_cross_point(col, above));
+      const double rb = slack.line_res_at(col, below);
+      const double ra = slack.line_res_at(col, above);
       ic.res_nonweighted = rb + ra;
       ic.res_weighted = crit(below.net) * below.downstream_sinks * rb +
                         crit(above.net) * above.downstream_sinks * ra;

@@ -1,57 +1,9 @@
 #include "pil/pilfill/mvdc.hpp"
 
-#include <queue>
-
 #include "flow_common.hpp"
 #include "pil/util/log.hpp"
 
 namespace pil::pilfill {
-
-namespace {
-
-/// Timing-aware site pool of one tile: columns with counts and a heap of
-/// next-feature delay marginals (exact LUT model, so marginals are
-/// nondecreasing per column and the heap peek is the tile's true cheapest).
-struct TilePool {
-  TileInstance inst;
-  std::vector<int> counts;
-  // (marginal delay ps, column); one live entry per column.
-  std::priority_queue<std::pair<double, int>,
-                      std::vector<std::pair<double, int>>, std::greater<>>
-      heap;
-
-  double marginal_ps(const SolverContext& ctx, int k, int n) const {
-    const InstanceColumn& c = inst.cols[k];
-    if (!c.two_sided) return 0.0;
-    const auto& lut = ctx.lut->table(c.d, c.num_sites);
-    const double rf = ctx.objective == Objective::kWeighted
-                          ? c.res_weighted
-                          : c.res_nonweighted;
-    return (lut[n] - lut[n - 1]) * ctx.switch_factor * rf * 1e-3;
-  }
-
-  void init(const SolverContext& ctx) {
-    counts.assign(inst.cols.size(), 0);
-    for (std::size_t k = 0; k < inst.cols.size(); ++k)
-      if (inst.cols[k].num_sites > 0)
-        heap.emplace(marginal_ps(ctx, static_cast<int>(k), 1),
-                     static_cast<int>(k));
-  }
-
-  double cheapest_ps() const { return heap.top().first; }
-
-  /// Take the cheapest site; returns its delay cost (ps).
-  double take(const SolverContext& ctx) {
-    const auto [cost, k] = heap.top();
-    heap.pop();
-    counts[k] += 1;
-    if (counts[k] < inst.cols[k].num_sites)
-      heap.emplace(marginal_ps(ctx, k, counts[k] + 1), k);
-    return cost;
-  }
-};
-
-}  // namespace
 
 MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc) {
   const FlowConfig& flow = session.config();
@@ -65,16 +17,21 @@ MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc) {
   cap::ColumnCapLut lut(model, flow.rules.feature_um);
   const SolverContext ctx = flow_detail::make_context(flow, model, lut);
 
-  // One site pool per tile; a tile's capacity is its pool's site count.
+  // One instance and cheapest-site queue per tile; a tile's capacity is
+  // its queue's site count. The queues point into the finished instances.
   const int num_tiles = session.tiles_total();
-  std::vector<TilePool> pools(num_tiles);
+  std::vector<TileInstance> instances;
   std::vector<int> capacity(num_tiles);
   for (int t = 0; t < num_tiles; ++t) {
-    pools[t].inst = build_tile_instance(t, 0, slack, session.pieces(),
-                                        flow.net_criticality);
-    pools[t].init(ctx);
+    instances.push_back(build_tile_instance(t, 0, slack, session.pieces(),
+                                            flow.net_criticality));
     capacity[t] = slack.tile_capacity(t);
   }
+  std::vector<CheapestSites> sites;
+  sites.reserve(num_tiles);
+  for (const TileInstance& inst : instances) sites.emplace_back(inst, ctx);
+  // ohm * fF = 1e-3 ps.
+  auto cheapest_ps = [&](int t) { return sites[t].cheapest() * 1e-3; };
 
   // The top-up loop raises the lowest window; MVDC fills it through the
   // cheapest marginal among its candidate tiles, and stops once raising the
@@ -85,16 +42,16 @@ MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc) {
       [&](const std::vector<int>& candidates) {
         int best = 0;
         for (int i = 1; i < static_cast<int>(candidates.size()); ++i)
-          if (pools[candidates[i]].cheapest_ps() <
-              pools[candidates[best]].cheapest_ps())
+          if (cheapest_ps(candidates[i]) < cheapest_ps(candidates[best]))
             best = i;
-        TilePool& pool = pools[candidates[best]];
-        if (result.delay_spent_ps + pool.cheapest_ps() >
+        const int t = candidates[best];
+        if (result.delay_spent_ps + cheapest_ps(t) >
             mvdc.delay_budget_ps + 1e-15) {
           result.budget_exhausted = true;
           return -1;
         }
-        result.delay_spent_ps += pool.take(ctx);
+        result.delay_spent_ps += cheapest_ps(t);
+        sites[t].take();
         return best;
       });
   result.lower_target_used = target.lower_target_used;
@@ -102,9 +59,9 @@ MvdcResult run_mvdc_fill(const FillSession& session, const MvdcConfig& mvdc) {
   result.placed = target.total_features;
 
   // Materialize the placement and score it exactly.
-  for (const TilePool& pool : pools)
-    flow_detail::append_rects(pool.inst, pool.counts, slack, flow.rules,
-                              result.features);
+  for (int t = 0; t < num_tiles; ++t)
+    flow_detail::append_rects(instances[t], sites[t].counts(), slack,
+                              flow.rules, result.features);
   result.impact = session.evaluator().evaluate_rects(result.features);
   result.density_after = session.density_with(result.features).stats();
   PIL_INFO("MVDC: placed " << result.placed << ", delay spent "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <queue>
 
 #include "pil/obs/journal.hpp"
 #include "pil/util/fault.hpp"
@@ -12,10 +11,6 @@
 namespace pil::pilfill {
 
 namespace {
-
-double res_factor(const InstanceColumn& c, Objective obj) {
-  return obj == Objective::kWeighted ? c.res_weighted : c.res_nonweighted;
-}
 
 TileSolveResult make_result(const TileInstance& inst) {
   TileSolveResult r;
@@ -73,6 +68,35 @@ std::vector<double> column_cost_table(const SolverContext& ctx, double d_um,
              ctx.switch_factor;
   }
   return t;
+}
+
+double marginal_cap_ff(const SolverContext& ctx, const InstanceColumn& c,
+                       int n) {
+  if (!c.two_sided) return 0.0;
+  const std::vector<double>& lut = ctx.lut->table(c.d, c.num_sites);
+  return (lut[n] - lut[n - 1]) * ctx.switch_factor;
+}
+
+CheapestSites::CheapestSites(const TileInstance& inst,
+                             const SolverContext& ctx)
+    : inst_(&inst), ctx_(&ctx), counts_(inst.cols.size(), 0) {
+  PIL_REQUIRE(ctx.lut != nullptr, "site marginals need a capacitance LUT");
+  for (std::size_t k = 0; k < inst.cols.size(); ++k)
+    if (inst.cols[k].num_sites > 0) push_next(static_cast<int>(k));
+}
+
+void CheapestSites::push_next(int k) {
+  const InstanceColumn& c = inst_->cols[k];
+  heap_.emplace(marginal_cap_ff(*ctx_, c, counts_[k] + 1) *
+                    res_factor(c, ctx_->objective),
+                k);
+}
+
+void CheapestSites::take() {
+  const int k = heap_.top().second;
+  heap_.pop();
+  counts_[k] += 1;
+  if (counts_[k] < inst_->cols[k].num_sites) push_next(k);
 }
 
 const char* to_string(Method m) {
@@ -291,33 +315,17 @@ TileSolveResult solve_tile_convex(const TileInstance& inst,
   PIL_REQUIRE(ctx.lut != nullptr, "convex allocation needs a capacitance LUT");
   PIL_REQUIRE(ctx.style == cap::FillStyle::kFloating,
               "marginal-cost allocation requires the convex floating model");
-  TileSolveResult r = make_result(inst);
-
   // Marginal cost of the (n+1)-th feature in column k is
   // cost_k(n+1) - cost_k(n), nondecreasing in n (the plate model is convex
   // in the feature count), so repeatedly taking the globally cheapest
   // marginal is exact.
-  using Entry = std::pair<double, int>;  // (marginal cost, column)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  auto marginal = [&](std::size_t k, int n_next) {
-    const InstanceColumn& c = inst.cols[k];
-    if (!c.two_sided) return 0.0;
-    const auto& lut = ctx.lut->table(c.d, c.num_sites);
-    return (lut[n_next] - lut[n_next - 1]) * ctx.switch_factor *
-           res_factor(c, ctx.objective);
-  };
-  for (std::size_t k = 0; k < inst.cols.size(); ++k)
-    if (inst.cols[k].num_sites > 0)
-      heap.emplace(marginal(k, 1), static_cast<int>(k));
-
+  CheapestSites sites(inst, ctx);
   for (int todo = budget(inst); todo > 0; --todo) {
-    PIL_ASSERT(!heap.empty(), "capacity accounting mismatch");
-    const auto [cost, k] = heap.top();
-    heap.pop();
-    r.counts[k] += 1;
-    if (r.counts[k] < inst.cols[k].num_sites)
-      heap.emplace(marginal(k, r.counts[k] + 1), k);
+    PIL_ASSERT(!sites.empty(), "capacity accounting mismatch");
+    sites.take();
   }
+  TileSolveResult r;
+  r.counts = sites.counts();
   finish(inst, r);
   return r;
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "paper_shape.hpp"
 #include "pil/pil.hpp"
 
@@ -157,60 +160,86 @@ TEST(Flow, RunsOnT1Coarse) {
 }
 
 TEST(Flow, VerticalLayerViaTranspositionIsExactlyEquivalent) {
-  // The entire flow is direction-agnostic: running it on the transposed
-  // layout (whose layer routes vertically) must produce identical counts
-  // and identical delay metrics, with every feature's footprint being the
-  // transpose of the original's.
+  // The entire flow is direction-agnostic: on the transposed layout (whose
+  // layer routes vertically) every deterministic method places the exact
+  // transpose of its fill and scores it bit for bit the same, at every
+  // dissection and objective. Normal draws its sites from per-tile RNG
+  // streams keyed by the real tile id, in each frame's column order, so
+  // its delay is a separate random draw; only its per-tile counts agree.
   const Layout l = layout::make_testcase_t2();
   const Layout lt = layout::transposed(l);
-  FlowConfig config;
-  config.window_um = 32;
-  config.r = 4;
-  const std::vector<Method> methods = {Method::kNormal, Method::kIlp2,
-                                       Method::kGreedy};
-  const FlowResult a = run_pil_fill_flow(l, config, methods);
-  // Pin the per-tile requirements to the original run's (transposed into
-  // the new tile frame) -- the MC targeter's random tie-breaking is not
-  // itself transposition-invariant.
-  const grid::Dissection dis(l.die(), config.window_um, config.r);
-  const grid::Dissection dis_t(lt.die(), config.window_um, config.r);
-  FlowConfig config_t = config;
-  config_t.required_per_tile.assign(dis_t.num_tiles(), 0);
-  for (int flat = 0; flat < dis.num_tiles(); ++flat) {
-    const grid::TileIndex t = dis.tile_unflat(flat);
-    config_t.required_per_tile[dis_t.tile_flat({t.iy, t.ix})] =
-        a.target.features_per_tile[flat];
-  }
-  const FlowResult b = run_pil_fill_flow(lt, config_t, methods);
-
-  EXPECT_EQ(a.total_capacity, b.total_capacity);
-  EXPECT_EQ(a.target.total_features, b.target.total_features);
-  ASSERT_EQ(a.methods.size(), b.methods.size());
-  for (std::size_t i = 0; i < a.methods.size(); ++i) {
-    EXPECT_EQ(a.methods[i].placed, b.methods[i].placed);
-    // Placements may differ by per-tile ties and RNG iteration order (both
-    // frame-dependent), so metrics agree to a small relative tolerance,
-    // not bit-exactly.
-    EXPECT_NEAR(a.methods[i].impact.delay_ps, b.methods[i].impact.delay_ps,
-                0.03 * a.methods[i].impact.delay_ps);
-    EXPECT_NEAR(a.methods[i].impact.weighted_delay_ps,
-                b.methods[i].impact.weighted_delay_ps,
-                0.03 * a.methods[i].impact.weighted_delay_ps);
-    EXPECT_EQ(a.methods[i].impact.unmapped, 0);
-    EXPECT_EQ(b.methods[i].impact.unmapped, 0);
-  }
-  // Geometry: every feature of the vertical-layer run, transposed back,
-  // must respect the buffer distance to the original layout's wires.
+  auto transposed_sorted = [](const std::vector<geom::Rect>& rects,
+                              bool transpose) {
+    std::vector<std::array<double, 4>> out;
+    for (const geom::Rect& r : rects)
+      out.push_back(transpose ? std::array{r.ylo, r.xlo, r.yhi, r.xhi}
+                              : std::array{r.xlo, r.ylo, r.xhi, r.yhi});
+    std::sort(out.begin(), out.end());
+    return out;
+  };
   std::vector<geom::Rect> wires;
   for (const auto& seg : l.segments()) wires.push_back(seg.rect());
-  const auto& fb = b.methods[1].placement.features;  // ILP-II
-  ASSERT_FALSE(fb.empty());
-  for (std::size_t i = 0; i < fb.size(); i += 11) {
-    const geom::Rect back{fb[i].ylo, fb[i].xlo, fb[i].yhi, fb[i].xhi};
-    EXPECT_TRUE(l.die().contains(back));
-    const geom::Rect guard = back.inflated(0.5 - 1e-9);
-    for (const auto& w : wires)
-      ASSERT_FALSE(geom::overlaps_strictly(guard, w));
+  for (const double window : {32.0, 20.0}) {
+    for (const int r : {2, 4, 8}) {
+      for (const Objective obj :
+           {Objective::kNonWeighted, Objective::kWeighted}) {
+        SCOPED_TRACE("W=" + std::to_string(window) + " r=" +
+                     std::to_string(r) + " weighted=" +
+                     std::to_string(obj == Objective::kWeighted));
+        FlowConfig config;
+        config.window_um = window;
+        config.r = r;
+        config.objective = obj;
+        const FlowResult a = run_pil_fill_flow(l, config, kAllMethods);
+        // Pin the per-tile requirements to the original run's (transposed
+        // into the new tile frame) -- the MC targeter's random tie-breaking
+        // is not itself transposition-invariant.
+        const grid::Dissection dis(l.die(), window, r);
+        const grid::Dissection dis_t(lt.die(), window, r);
+        std::vector<int> flat_t(dis.num_tiles());
+        FlowConfig config_t = config;
+        config_t.required_per_tile.assign(dis_t.num_tiles(), 0);
+        for (int flat = 0; flat < dis.num_tiles(); ++flat) {
+          const grid::TileIndex t = dis.tile_unflat(flat);
+          flat_t[flat] = dis_t.tile_flat({t.iy, t.ix});
+          config_t.required_per_tile[flat_t[flat]] =
+              a.target.features_per_tile[flat];
+        }
+        const FlowResult b = run_pil_fill_flow(lt, config_t, kAllMethods);
+
+        EXPECT_EQ(a.total_capacity, b.total_capacity);
+        ASSERT_EQ(a.methods.size(), b.methods.size());
+        for (std::size_t i = 0; i < a.methods.size(); ++i) {
+          const MethodResult& ma = a.methods[i];
+          const MethodResult& mb = b.methods[i];
+          SCOPED_TRACE(to_string(ma.method));
+          EXPECT_EQ(ma.impact.unmapped, 0);
+          EXPECT_EQ(mb.impact.unmapped, 0);
+          std::vector<int> per_tile(dis_t.num_tiles(), 0);
+          for (int flat = 0; flat < dis.num_tiles(); ++flat)
+            per_tile[flat_t[flat]] = ma.placement.features_per_tile[flat];
+          EXPECT_EQ(mb.placement.features_per_tile, per_tile);
+          if (ma.method == Method::kNormal) continue;
+          EXPECT_EQ(transposed_sorted(mb.placement.features, true),
+                    transposed_sorted(ma.placement.features, false));
+          EXPECT_EQ(ma.impact.delay_ps, mb.impact.delay_ps);
+          EXPECT_EQ(ma.impact.weighted_delay_ps, mb.impact.weighted_delay_ps);
+          EXPECT_EQ(ma.impact.exact_sink_delay_ps,
+                    mb.impact.exact_sink_delay_ps);
+        }
+        // Geometry: every feature of the vertical-layer run, transposed
+        // back, must respect the buffer distance to the original wires.
+        const auto& fb = find(b, Method::kIlp2).placement.features;
+        ASSERT_FALSE(fb.empty());
+        for (std::size_t i = 0; i < fb.size(); i += 11) {
+          const geom::Rect back{fb[i].ylo, fb[i].xlo, fb[i].yhi, fb[i].xhi};
+          EXPECT_TRUE(l.die().contains(back));
+          const geom::Rect guard = back.inflated(0.5 - 1e-9);
+          for (const auto& w : wires)
+            ASSERT_FALSE(geom::overlaps_strictly(guard, w));
+        }
+      }
+    }
   }
 }
 
