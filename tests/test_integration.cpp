@@ -663,5 +663,95 @@ TEST(Solvers, TileSearchIsPinned) {
   }
 }
 
+/// FNV-1a of `v`'s bytes (a double's bits), chained onto `h`.
+template <typename T>
+std::uint64_t fold(std::uint64_t h, const T& v) {
+  return fnv1a64(
+      std::string_view(reinterpret_cast<const char*>(&v), sizeof v), h);
+}
+
+/// SlackColumn-I and -II, pinned per table row on T2 and on the vertical m4
+/// layer of a 96 um two-layer layout: one hash of every tile instance's
+/// columns in order (site column, span_lo bits, sites, facing nets), one of
+/// every method's placement rectangles in order and the bits of its delays,
+/// both modes and both objectives folded in. A mode-I/II tile lists its
+/// columns in the order Fig. 7's per-tile sweep closes them, and a solver's
+/// ties and Normal's site draws follow that order, so listing them any
+/// other way moves both hashes.
+TEST(SlackModes, PerTileOrderAndPlacementsArePinned) {
+  layout::SyntheticLayoutConfig branch;
+  branch.die_um = 96;
+  branch.num_nets = 30;
+  branch.seed = 9;
+  branch.separate_branch_layer = true;
+  const Layout branch_layout = layout::generate_synthetic_layout(branch);
+  const std::vector<std::pair<Layout, layout::LayerId>> inputs = {
+      {layout::make_testcase_t2(), 0},
+      {branch_layout, branch_layout.find_layer("m4")}};
+  ASSERT_EQ(inputs[1].second, 1);
+  ASSERT_EQ(branch_layout.layer(1).preferred_direction,
+            layout::Orientation::kVertical);
+  struct Row {
+    int input;
+    double window;
+    int r;
+    std::uint64_t cols, fill;
+  };
+  const Row rows[] = {
+      {0, 32, 2, 0x83b01ffe7057e773ull, 0x6777efa07357eebfull},
+      {0, 32, 4, 0x2f67095d750f4d03ull, 0x7d6f8b7ec2caec09ull},
+      {0, 32, 8, 0x8a98927c3dd54cefull, 0x116dd74868d5b1dfull},
+      {0, 20, 2, 0x9da87887789858fbull, 0xe8e8f3e8a03bea40ull},
+      {0, 20, 4, 0x8ffde0b8d1b4aae7ull, 0xd5ef85fe516ac9beull},
+      {0, 20, 8, 0x046910029a5999e7ull, 0x5807f604bb2afdacull},
+      {1, 32, 2, 0x31ddeb9631a33f63ull, 0xb21231bd50b0127bull},
+      {1, 32, 4, 0xaff6678202588363ull, 0xac1586e226468ba3ull},
+      {1, 32, 8, 0xdb193746b7896f23ull, 0x62f4c26f78bfabf3ull},
+      {1, 20, 2, 0x756cc45b82a3715bull, 0xebd56a82cf3be19bull},
+      {1, 20, 4, 0x459e001199bee1e3ull, 0x0e6375d1d5cd11b3ull},
+      {1, 20, 8, 0xb7d827cb755ecdcbull, 0x813e7e9a4fc8bbe3ull}};
+  for (const Row& row : rows) {
+    const auto& [l, layer] = inputs[row.input];
+    std::uint64_t cols = kFnv1a64Offset, fill = kFnv1a64Offset;
+    for (const fill::SlackMode mode : {fill::SlackMode::kI,
+                                       fill::SlackMode::kII}) {
+      for (const Objective obj : paper_shape::kObjectives) {
+        FlowConfig config;
+        config.window_um = row.window;
+        config.r = row.r;
+        config.objective = obj;
+        config.solver_mode = mode;
+        config.layer = layer;
+        FillSession session(l, config);
+        const FlowResult res = session.solve(kAllMethods);
+        const fill::SlackColumns& slack = session.solver_slack();
+        for (const TileInstance& inst : session.instances_snapshot()) {
+          cols = fold(cols, inst.tile_flat);
+          for (const InstanceColumn& ic : inst.cols) {
+            const fill::SlackColumn& col = slack.columns()[ic.column];
+            cols = fold(cols, col.col_index);
+            cols = fold(cols, col.span_lo);
+            cols = fold(cols, ic.num_sites);
+            cols = fold(cols, ic.below_net);
+            cols = fold(cols, ic.above_net);
+          }
+        }
+        for (const MethodResult& mr : res.methods) {
+          for (const geom::Rect& rect : mr.placement.features)
+            for (const double v : {rect.xlo, rect.ylo, rect.xhi, rect.yhi})
+              fill = fold(fill, v);
+          fill = fold(fill, mr.impact.delay_ps);
+          fill = fold(fill, mr.impact.weighted_delay_ps);
+        }
+      }
+    }
+    const std::string where = "input " + std::to_string(row.input) + " W=" +
+                              std::to_string(static_cast<int>(row.window)) +
+                              " r=" + std::to_string(row.r);
+    EXPECT_EQ(cols, row.cols) << where << " columns: 0x" << std::hex << cols;
+    EXPECT_EQ(fill, row.fill) << where << " fill: 0x" << std::hex << fill;
+  }
+}
+
 }  // namespace
 }  // namespace pil::pilfill
