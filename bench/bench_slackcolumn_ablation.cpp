@@ -31,19 +31,13 @@ int main() {
       config.window_um = 32;
       config.r = r;
       config.solver_mode = mode;
-      const pilfill::FlowResult res =
-          pilfill::run_pil_fill_flow(chip, config, {Method::kIlp2});
+      pilfill::FillSession session(chip, config);
+      const pilfill::FlowResult res = session.solve({Method::kIlp2});
       const auto& mr = res.methods[0];
 
-      // Capacity as this definition sees it.
-      const grid::Dissection dis(chip.die(), config.window_um, config.r);
-      const auto trees = rctree::build_all_trees(chip);
-      const auto pieces = fill::flatten_pieces(trees);
-      const auto slack = fill::extract_slack_columns(
-          chip, dis, pieces, 0, config.rules, mode);
-
+      // Capacity as this definition sees it: the solver's columns.
       table.add_row({"32/" + std::to_string(r), to_string(mode),
-                     std::to_string(slack.total_capacity()),
+                     std::to_string(session.solver_slack().total_capacity()),
                      std::to_string(res.target.total_features),
                      std::to_string(mr.placed), std::to_string(mr.shortfall),
                      format_double(mr.impact.delay_ps, 3),

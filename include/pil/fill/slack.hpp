@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "pil/fill/rules.hpp"
@@ -81,17 +82,25 @@ struct TileColumnPart {
 /// always refer to the real dissection.
 class SlackColumns {
  public:
-  SlackColumns(std::vector<SlackColumn> columns,
-               std::vector<std::vector<TileColumnPart>> tile_parts,
-               bool transposed = false);
-
   const std::vector<SlackColumn>& columns() const { return columns_; }
+  /// One tile's parts, in ascending column index.
   const std::vector<TileColumnPart>& tile_parts(int tile_flat) const;
   int num_tiles() const { return static_cast<int>(tile_parts_.size()); }
 
   /// True when column coordinates are in the transposed (x/y-swapped) frame
   /// because the layer routes vertically.
   bool transposed() const { return transposed_; }
+  /// The column definition the columns were extracted under.
+  SlackMode mode() const { return mode_; }
+
+  /// A column's place in the order Fig. 7's per-tile sweep (modes I/II)
+  /// closes the columns of its tile: the line that closes it from above
+  /// (scan-frame ylo, net, piece index; a tile-edge top closes last), then
+  /// its site column, then its span_lo. Unique within a tile. `pieces` is
+  /// the array the columns' piece indices refer into.
+  using SweepKey = std::tuple<double, int, int, int, double>;
+  SweepKey sweep_key(const SlackColumn& col,
+                     const std::vector<rctree::WirePiece>& pieces) const;
 
   /// Real-space footprint of site `i` of a column.
   geom::Rect site_rect(const SlackColumn& col, int site,
@@ -131,9 +140,12 @@ class SlackColumns {
  private:
   friend class GlobalSlackScan;  // builds and updates its columns in place
 
+  SlackColumns(int num_tiles, bool transposed, SlackMode mode);
+
   std::vector<SlackColumn> columns_;
   std::vector<std::vector<TileColumnPart>> tile_parts_;
   bool transposed_ = false;
+  SlackMode mode_ = SlackMode::kIII;
   long long total_capacity_ = 0;
 };
 
@@ -146,15 +158,18 @@ SlackColumns extract_slack_columns(const layout::Layout& layout,
                                    layout::LayerId layer,
                                    const FillRules& rules, SlackMode mode);
 
-/// Incremental SlackColumn-III scanner. The mode-III scan decomposes
-/// exactly per x-site-column: the state machine that walks up one column
-/// depends only on the pieces whose (buffer-inflated) footprint overlaps
-/// that column. The scanner owns one SlackColumns, which build() fills and
-/// rescan() updates in place: it re-scans just the x-columns overlapping a
-/// set of changed rectangles, rewrites their columns and the part lists of
-/// the tiles they touch, and leaves the result value-identical to a
-/// from-scratch extraction of the same layout (extract_slack_columns mode
-/// kIII builds a scanner and takes its columns, so there is one code path).
+/// The incremental slack-column scanner (Fig. 7), for all three
+/// definitions. The scan decomposes exactly per x-site-column: one state
+/// machine walks up each site column, seeing only the pieces whose
+/// (buffer-inflated) footprint overlaps it -- across the die in mode III,
+/// whose columns split across the tile rows they cross, and once per tile
+/// in modes I/II, over the lines crossing the tile (a site column that
+/// straddles a tile edge has none). The scanner owns one SlackColumns,
+/// which build() fills and rescan() updates in place: it re-scans just the
+/// x-columns overlapping a set of changed rectangles, rewrites their
+/// columns and the part lists of the tiles they touch, and leaves the
+/// result value-identical to a from-scratch extraction of the same layout
+/// (extract_slack_columns builds a scanner and takes its columns).
 ///
 /// Column order is canonical: ascending x column, then ascending span
 /// within the column -- independent of piece insertion order, which is what
@@ -166,7 +181,7 @@ class GlobalSlackScan {
  public:
   GlobalSlackScan(const layout::Layout& layout,
                   const grid::Dissection& dissection, layout::LayerId layer,
-                  const FillRules& rules);
+                  const FillRules& rules, SlackMode mode);
   ~GlobalSlackScan();
   GlobalSlackScan(GlobalSlackScan&&) noexcept;
   GlobalSlackScan& operator=(GlobalSlackScan&&) noexcept;

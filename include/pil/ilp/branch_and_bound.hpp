@@ -15,12 +15,11 @@
 
 namespace pil::ilp {
 
+/// A value within 1e-6 of an integer counts as integral, and a node whose
+/// bound comes within 1e-9 of the incumbent is pruned (branch_and_bound.cpp).
 struct IlpOptions {
   lp::SimplexOptions lp;
-  double int_tol = 1e-6;     ///< |x - round(x)| below this counts as integral
   int max_nodes = 200000;    ///< search-node budget
-  /// Stop when bound and incumbent agree to this absolute gap.
-  double abs_gap = 1e-9;
   /// Optional wall-clock budget, checked before every node; also forwarded
   /// to the per-node LP solves unless `lp.deadline` is already set. Not
   /// owned; must outlive the solve. Null = unlimited.
@@ -42,7 +41,7 @@ struct IlpSolution {
   IlpStatus status = IlpStatus::kError;
   /// Incumbent objective, evaluated at the pre-rounding LP vertex.
   double objective = 0.0;
-  std::vector<double> x;   ///< integral on integer vars (within int_tol)
+  std::vector<double> x;   ///< integral on integer vars (within 1e-6)
   int nodes_explored = 0;
   // Search statistics (observability; never fed back into the search).
   int lp_solves = 0;            ///< LP relaxations solved (= nodes not pruned early)

@@ -39,11 +39,10 @@ enum class SolveStatus {
 
 const char* to_string(SolveStatus s);
 
+/// The pivot (1e-9) and feasibility (1e-7) tolerances and the x_B refresh
+/// interval (64 pivots) are constants in simplex.cpp.
 struct SimplexOptions {
   int max_iterations = 200000;
-  double tol = 1e-9;            ///< reduced-cost / pivot tolerance
-  double feas_tol = 1e-7;       ///< feasibility tolerance
-  int refactor_interval = 64;   ///< recompute x_B from scratch this often
   int degenerate_switch = 40;   ///< consecutive degenerate pivots before Bland
   /// Optional wall-clock budget, polled every 64 pivots; null = unlimited.
   /// Not owned; must outlive the solve.

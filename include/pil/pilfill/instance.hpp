@@ -47,6 +47,7 @@ struct TileInstance {
 };
 
 /// Build the instance for `tile_flat` with fill requirement `required`.
+/// A mode-I/II tile lists its columns in SlackColumns::sweep_key order.
 /// `net_criticality` (optional, indexed by NetId) scales each line's
 /// contribution to the *weighted* objective: W_l becomes
 /// criticality(net) * downstream_sinks -- the hook for slack-driven weights

@@ -17,10 +17,10 @@
 ///   1. per-tile RNG streams: a tile's solve depends only on its instance
 ///      and (config.seed, method, tile id) -- never on which other tiles
 ///      are solved, or on threads;
-///   2. the mode-III slack scan decomposes exactly per x-site-column with a
-///      canonical output order (fill::GlobalSlackScan), so re-scanning the
-///      columns an edit overlaps and rewriting them in place leaves the
-///      columns value-identical to full extraction;
+///   2. the slack scan decomposes exactly per x-site-column with a
+///      canonical output order (fill::GlobalSlackScan, in every mode), so
+///      re-scanning the columns an edit overlaps and rewriting them in
+///      place leaves the columns value-identical to full extraction;
 ///   3. density accumulation is re-run per affected tile in original
 ///      layout order (grid::DensityMap::recompute_tiles), sidestepping
 ///      floating-point non-associativity;
@@ -45,12 +45,14 @@
 ///     post-edit piece of the edited net is re-scanned. This includes
 ///     pieces far from the edit: an edit changes upstream resistance /
 ///     sink weights of the whole net, so every column the net bounds gets
-///     fresh resistance factors. The scanner rewrites those columns and
-///     the part lists of the tiles they touch in its one copy (which
-///     global_slack() is); later columns move once, in place.
-///   * instances: rebuilt for tiles touched by re-scanned columns or
-///     requirement changes; a rebuilt instance that is solver-equivalent
-///     to its predecessor keeps its cached per-method solve results.
+///     fresh resistance factors. Each scanner (the mode-III one behind
+///     global_slack(), and under solver_mode I or II a second one behind
+///     solver_slack()) rewrites those columns and the part lists of the
+///     tiles they touch in its one copy; later columns move once, in place.
+///   * instances: rebuilt, in every mode, for tiles touched by the solver
+///     columns' re-scanned x-columns or by requirement changes; a rebuilt
+///     instance that is solver-equivalent to its predecessor keeps its
+///     cached per-method solve results.
 ///   * density_after: each method keeps the tile areas of its last
 ///     placement and a mask of stale tiles. The edit marks the tiles whose
 ///     wire area it recomputed, and the reach of every removed instance
@@ -212,6 +214,8 @@ class FillSession {
   /// edit updates in place, so the reference is valid -- and current --
   /// for the session's life.
   const fill::SlackColumns& global_slack() const;
+  /// The columns the tile instances index: global_slack() under
+  /// SlackColumn-III, else a second scanner's, likewise kept current.
   const fill::SlackColumns& solver_slack() const;
   const std::vector<rctree::RcTree>& trees() const;  ///< one per net
   const std::vector<rctree::WirePiece>& pieces() const;

@@ -13,6 +13,9 @@ namespace pil::ilp {
 
 namespace {
 
+constexpr double kIntTol = 1e-6;  ///< |x - round(x)| below this is integral
+constexpr double kAbsGap = 1e-9;  ///< prune when bound is this near incumbent
+
 struct Node {
   double bound = -lp::kInf;  ///< parent LP objective (lower bound on subtree)
   int depth = 0;             ///< branch decisions on the path to this node
@@ -30,9 +33,9 @@ struct NodeOrder {
 
 /// Most-fractional integer variable; -1 if all integral.
 int pick_branch_var(const std::vector<double>& x,
-                    const std::vector<bool>& integer, double int_tol) {
+                    const std::vector<bool>& integer) {
   int best = -1;
-  double best_frac_dist = int_tol;
+  double best_frac_dist = kIntTol;
   for (std::size_t j = 0; j < x.size(); ++j) {
     if (!integer[j]) continue;
     const double f = x[j] - std::floor(x[j]);
@@ -112,7 +115,7 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
                           static_cast<std::uint64_t>(explored), incumbent);
     const std::shared_ptr<Node> node = open.top();
     open.pop();
-    if (node->bound >= incumbent - options.abs_gap) continue;  // pruned
+    if (node->bound >= incumbent - kAbsGap) continue;  // pruned
     ++explored;
     best.max_depth = std::max(best.max_depth, node->depth);
 
@@ -159,9 +162,9 @@ IlpSolution solve_ilp(const lp::LpProblem& problem,
       best.nodes_explored = explored;
       return best;
     }
-    if (rel.objective >= incumbent - options.abs_gap) continue;
+    if (rel.objective >= incumbent - kAbsGap) continue;
 
-    const int bv = pick_branch_var(rel.x, integer, options.int_tol);
+    const int bv = pick_branch_var(rel.x, integer);
     if (bv < 0) {
       // Integral: new incumbent.
       ++best.incumbent_updates;

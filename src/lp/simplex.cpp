@@ -12,6 +12,10 @@ namespace pil::lp {
 
 namespace {
 
+constexpr double kTol = 1e-9;          ///< reduced-cost / pivot tolerance
+constexpr double kFeasTol = 1e-7;      ///< feasibility tolerance
+constexpr int kRefactorInterval = 64;  ///< recompute x_B this often
+
 /// Bounded-variable simplex working state. Column layout:
 ///   [0, n)        structural variables
 ///   [n, n+m)      slack variables (one per row; bounds encode the sense)
@@ -49,7 +53,7 @@ class Simplex {
       }
       PIL_ASSERT(s1 != SolveStatus::kUnbounded,
                  "phase-1 objective is bounded below by zero");
-      if (phase_objective() > opt_.feas_tol) {
+      if (phase_objective() > kFeasTol) {
         sol.status = SolveStatus::kInfeasible;
         sol.bound_flips = bound_flips_;
         return sol;
@@ -168,8 +172,8 @@ class Simplex {
     num_artificials_ = 0;
     for (int i = 0; i < m_; ++i) {
       const int sj = n_ + i;
-      if (resid[i] >= lo_[sj] - opt_.feas_tol &&
-          resid[i] <= hi_[sj] + opt_.feas_tol) {
+      if (resid[i] >= lo_[sj] - kFeasTol &&
+          resid[i] <= hi_[sj] + kFeasTol) {
         basis_[i] = sj;
         binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
       } else {
@@ -283,7 +287,7 @@ class Simplex {
   /// and the contiguous loop takes them.
   void update_binv(int leave, const std::vector<double>& w) {
     const double piv = w[leave];
-    PIL_ASSERT(std::fabs(piv) > opt_.tol * 1e-3, "vanishing simplex pivot");
+    PIL_ASSERT(std::fabs(piv) > kTol * 1e-3, "vanishing simplex pivot");
     double* prow = &binv_[static_cast<std::size_t>(leave) * m_];
     pivot_nz_.clear();
     if (row_len_[leave] < 0) {
@@ -375,7 +379,7 @@ class Simplex {
       // tol, Bland the first one above it. The entering column moves
       // against its reduced cost.
       int q = -1;
-      double best = opt_.tol;
+      double best = kTol;
       double dq = 0.0;
       for (int j = 0; j < total_; ++j) {
         double d = cost_[j];
@@ -407,11 +411,11 @@ class Simplex {
         const int bj = basis_[i];
         double t;
         double to;
-        if (wi > opt_.tol) {  // basic value decreases toward its lower bound
+        if (wi > kTol) {  // basic value decreases toward its lower bound
           if (!std::isfinite(lo_[bj])) continue;
           t = (xb_[i] - lo_[bj]) / wi;
           to = lo_[bj];
-        } else if (wi < -opt_.tol) {  // increases toward its upper bound
+        } else if (wi < -kTol) {  // increases toward its upper bound
           if (!std::isfinite(hi_[bj])) continue;
           t = (hi_[bj] - xb_[i]) / (-wi);
           to = hi_[bj];
@@ -419,12 +423,12 @@ class Simplex {
           continue;
         }
         if (t < 0) t = 0;  // numerical guard for slightly out-of-bound basics
-        if (t < tmax - opt_.tol) {
+        if (t < tmax - kTol) {
           // Strictly tighter than anything seen (including the bound flip).
           tmax = t;
           leave = i;
           leave_to = to;
-        } else if (leave >= 0 && t <= tmax + opt_.tol) {
+        } else if (leave >= 0 && t <= tmax + kTol) {
           // Tie among blocking basics: Bland takes the lowest column index
           // (termination guarantee); otherwise prefer the larger pivot
           // element for numerical stability.
@@ -441,7 +445,7 @@ class Simplex {
         result = SolveStatus::kUnbounded;
         break;
       }
-      degenerate_run = (tmax <= opt_.tol) ? degenerate_run + 1 : 0;
+      degenerate_run = (tmax <= kTol) ? degenerate_run + 1 : 0;
 
       if (leave < 0) {
         // Bound flip: entering runs to its opposite bound.
@@ -467,7 +471,7 @@ class Simplex {
       basis_[leave] = q;
       update_binv(leave, w);
 
-      if ((iter + 1) % opt_.refactor_interval == 0) recompute_xb();
+      if ((iter + 1) % kRefactorInterval == 0) recompute_xb();
     }
     iter_accum += iter;
     bound_flips_ += flips;

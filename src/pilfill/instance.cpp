@@ -1,5 +1,7 @@
 #include "pil/pilfill/instance.hpp"
 
+#include <algorithm>
+
 namespace pil::pilfill {
 
 TileInstance build_tile_instance(int tile_flat, int required,
@@ -41,6 +43,18 @@ TileInstance build_tile_instance(int tile_flat, int required,
                      below.offpath_res_sum + above.offpath_res_sum;
     }
     inst.cols.push_back(ic);
+  }
+  // A mode-I/II tile lists its columns as Fig. 7's per-tile sweep closes
+  // them; solver tie-breaks and Normal's site draws follow this order.
+  if (slack.mode() != fill::SlackMode::kIII) {
+    std::vector<std::pair<fill::SlackColumns::SweepKey, int>> order;
+    for (std::size_t k = 0; k < inst.cols.size(); ++k)
+      order.emplace_back(
+          slack.sweep_key(slack.columns()[inst.cols[k].column], pieces), k);
+    std::sort(order.begin(), order.end());  // keys are unique
+    const std::vector<InstanceColumn> cols = std::move(inst.cols);
+    inst.cols.clear();
+    for (const auto& [key, k] : order) inst.cols.push_back(cols[k]);
   }
   return inst;
 }

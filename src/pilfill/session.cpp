@@ -144,7 +144,7 @@ struct FillSession::Impl {
   /// Owns the mode-III columns (global_slack()); rescans update them in
   /// place.
   std::optional<fill::GlobalSlackScan> scan;
-  std::optional<SlackColumns> alt;  ///< solver columns when mode != kIII
+  std::optional<fill::GlobalSlackScan> alt;  ///< solver's, when mode != III
   density::FillTargetResult target;
   std::map<int, TileInstance> instances;  ///< tile_flat -> instance (req > 0)
   std::optional<cap::CouplingModel> model;
@@ -176,7 +176,9 @@ struct FillSession::Impl {
   std::uint32_t journal_session_id = 0;  ///< correlation id for flight dumps
 
   const SlackColumns& global() const { return scan->columns(); }
-  const SlackColumns& solver_slack() const { return alt ? *alt : global(); }
+  const SlackColumns& solver_slack() const {
+    return alt ? alt->columns() : global();
+  }
 
   /// Per-tile fill requirements from the current density map and capacity
   /// inventory -- the same computation for prep and re-targeting after an
@@ -250,12 +252,14 @@ struct FillSession::Impl {
     }
     {
       obs::Stage stage("fill.slack_scan", &stages.slack_extraction);
-      scan.emplace(layout, *dissection, config.layer, config.rules);
+      scan.emplace(layout, *dissection, config.layer, config.rules,
+                   SlackMode::kIII);
       scan->build(pieces);
-      if (config.solver_mode != SlackMode::kIII)
-        alt = fill::extract_slack_columns(layout, *dissection, pieces,
-                                          config.layer, config.rules,
-                                          config.solver_mode);
+      if (config.solver_mode != SlackMode::kIII) {
+        alt.emplace(layout, *dissection, config.layer, config.rules,
+                    config.solver_mode);
+        alt->build(pieces);
+      }
     }
     {
       obs::Stage stage("density.targeting", &stages.targeting);
@@ -460,8 +464,8 @@ struct FillSession::Impl {
         obs::Stage stage("pilfill.evaluate", &mr.eval_seconds,
                          to_string(method));
         if (alt) {
-          // Modes I/II: instance columns index the per-tile extraction, so
-          // the placement is binned back into the global columns.
+          // Modes I/II: instance columns are the solver's, not the
+          // evaluator's, so the placement is binned into the global ones.
           mr.impact = evaluator->evaluate_rects(mr.placement.features);
         } else {
           // Mode III: instance columns are global columns; sum the cached
@@ -654,7 +658,8 @@ struct FillSession::Impl {
                    pieces.begin() + old_net_end);
     for (std::size_t n = net + 1; n < piece_offsets.size(); ++n)
       piece_offsets[n] += delta;
-    if (delta != 0) scan->shift_piece_indices(old_net_end, delta);
+    scan->shift_piece_indices(old_net_end, delta);
+    if (alt) alt->shift_piece_indices(old_net_end, delta);
 
     // Post-edit footprints of the net, plus the drawn rects for safety.
     for (int p = piece_offsets[net]; p < piece_offsets[net + 1]; ++p)
@@ -680,30 +685,23 @@ struct FillSession::Impl {
     for (auto& [m, da] : density_after)
       for (const int t : density_tiles) da.stale[t] = 1;
 
-    // -- 6. Re-scan the slack columns the edit can see. -------------------
-    const fill::GlobalSlackScan::RescanResult rr =
-        scan->rescan(pieces, changed);
+    // -- 6. Re-scan the slack columns the edit can see; the solver's
+    //       columns decide which instances to rebuild. -------------------
+    fill::GlobalSlackScan::RescanResult rr = scan->rescan(pieces, changed);
+    if (alt) rr = alt->rescan(pieces, changed);
     std::set<int> candidates(rr.touched_tiles.begin(),
                              rr.touched_tiles.end());
 
-    if (!alt) {
-      // Untouched tiles keep their instances; only the stored flat column
-      // indices shift with the rescanned groups.
-      for (auto& [tile, inst] : instances) {
-        if (candidates.count(tile)) continue;  // rebuilt below
-        for (InstanceColumn& ic : inst.cols) {
-          PIL_ASSERT(rr.column_remap[ic.column] >= 0,
-                     "untouched tile references a rescanned column");
-          ic.column = rr.column_remap[ic.column];
-        }
+    // Untouched tiles keep their instances; only the stored flat column
+    // indices shift with the rescanned groups.
+    for (auto& [tile, inst] : instances) {
+      if (candidates.count(tile)) continue;  // rebuilt below
+      for (InstanceColumn& ic : inst.cols) {
+        PIL_ASSERT(rr.column_remap[ic.column] >= 0,
+                   "untouched tile references a rescanned column");
+        ic.column = rr.column_remap[ic.column];
       }
     }
-    if (alt)
-      // Modes I/II have no incremental scanner; re-extract and rebuild all
-      // instances (cached solves still survive via solver-equivalence).
-      alt = fill::extract_slack_columns(layout, *dissection, pieces,
-                                        config.layer, config.rules,
-                                        config.solver_mode);
 
     // -- 7. Re-target: requirement changes dirty tiles whose geometry the
     //       edit never touched (window-overlap propagation). --------------
@@ -715,18 +713,12 @@ struct FillSession::Impl {
       candidates.insert(t);
       ++retargeted;
     }
-    if (alt) {
-      for (const auto& [tile, inst] : instances) candidates.insert(tile);
-      for (int t = 0; t < dissection->num_tiles(); ++t)
-        if (target.features_per_tile[t] > 0) candidates.insert(t);
-    }
 
     // -- 8. Rebuild candidate instances; drop cached solves only when the
     //       solver inputs actually changed. Density goes stale around a
     //       removed instance and around a kept one whose sites moved (its
     //       cached counts now place other rectangles); solve() marks the
-    //       tiles it re-solves. Modes I/II re-extract every tile's columns,
-    //       so there every tile goes stale. ------------------------------
+    //       tiles it re-solves. ----------------------------------------
     int dirty = 0;
     for (const int t : candidates) {
       const int required = target.features_per_tile[t];
@@ -756,9 +748,6 @@ struct FillSession::Impl {
         for (auto& [m, da] : density_after) mark_reach(da.stale, t);
       }
     }
-    if (alt)
-      for (auto& [m, da] : density_after)
-        std::fill(da.stale.begin(), da.stale.end(), 1);
 
     ++stats.edits;
     stats.columns_rescanned += rr.xcols_rescanned;

@@ -29,6 +29,16 @@ Layout small_layout() {
   return layout::generate_synthetic_layout(cfg);
 }
 
+/// A 96 um two-layer layout whose m4 routes vertically (a transposed scan).
+Layout branch_layout() {
+  layout::SyntheticLayoutConfig cfg;
+  cfg.die_um = 96;
+  cfg.num_nets = 30;
+  cfg.seed = 9;
+  cfg.separate_branch_layer = true;
+  return layout::generate_synthetic_layout(cfg);
+}
+
 FlowConfig small_config(int threads = 1) {
   FlowConfig config;
   config.window_um = 32;
@@ -171,12 +181,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadsAndMetrics, SessionProperty,
                                             ::testing::Bool()));
 
 TEST(Session, VerticalLayerEditsMatchFreshFlow) {
-  layout::SyntheticLayoutConfig cfg;
-  cfg.die_um = 96;
-  cfg.num_nets = 30;
-  cfg.seed = 9;
-  cfg.separate_branch_layer = true;
-  const Layout l = layout::generate_synthetic_layout(cfg);
+  const Layout l = branch_layout();
   FlowConfig config = small_config(2);
   config.layer = l.find_layer("m4");
   ASSERT_NE(config.layer, layout::kInvalidLayer);
@@ -184,9 +189,21 @@ TEST(Session, VerticalLayerEditsMatchFreshFlow) {
 }
 
 TEST(Session, SolverModeTwoEditsMatchFreshFlow) {
-  FlowConfig config = small_config(1);
-  config.solver_mode = fill::SlackMode::kII;
-  check_edit_equivalence(small_layout(), config, {Method::kGreedy}, 6, 41);
+  // Modes I/II rescan their own columns on each edit: the session keeps a
+  // second scanner for them, and its rescan decides which instances to
+  // rebuild. Both modes, on a horizontal and a vertical layer.
+  const Layout branch = branch_layout();
+  for (const fill::SlackMode mode : {fill::SlackMode::kII,
+                                     fill::SlackMode::kI}) {
+    SCOPED_TRACE(fill::to_string(mode));
+    FlowConfig config = small_config(1);
+    config.solver_mode = mode;
+    check_edit_equivalence(small_layout(), config,
+                           {Method::kGreedy, Method::kNormal}, 6, 41);
+    config.layer = branch.find_layer("m4");
+    check_edit_equivalence(branch, config, {Method::kGreedy, Method::kNormal},
+                           6, 41);
+  }
 }
 
 TEST(Session, PinnedRequirementsSkipRetargeting) {
@@ -440,12 +457,14 @@ void expect_same_columns(const fill::SlackColumns& got,
   }
   EXPECT_EQ(got.total_capacity(), want.total_capacity()) << where;
   EXPECT_EQ(got.transposed(), want.transposed()) << where;
+  EXPECT_EQ(got.mode(), want.mode()) << where;
 }
 
 void check_columns_follow_edits(const Layout& l, const FlowConfig& config,
                                 int num_edits, std::uint64_t seed) {
   FillSession session(l, config);
   const fill::SlackColumns& held = session.global_slack();
+  const fill::SlackColumns& solver = session.solver_slack();
   EditScript script(session.layout(), config.layer, seed);
   ASSERT_TRUE(script.can_add());
   for (int step = 0; step < num_edits; ++step) {
@@ -453,32 +472,43 @@ void check_columns_follow_edits(const Layout& l, const FlowConfig& config,
     const EditStats es = session.apply_edit(edit);
     if (edit.kind == WireEdit::Kind::kAddSegment) script.stub_added(es.segment);
     ASSERT_EQ(&held, &session.global_slack());
-    const fill::SlackColumns full = fill::extract_slack_columns(
-        session.layout(), session.dissection(),
-        fill::flatten_pieces(rctree::build_all_trees(session.layout())),
-        config.layer, config.rules, fill::SlackMode::kIII);
-    expect_same_columns(held, full, "edit " + std::to_string(step));
+    ASSERT_EQ(&solver, &session.solver_slack());
+    const std::vector<rctree::WirePiece> pieces =
+        fill::flatten_pieces(rctree::build_all_trees(session.layout()));
+    const std::string where = "edit " + std::to_string(step);
+    expect_same_columns(
+        held,
+        fill::extract_slack_columns(session.layout(), session.dissection(),
+                                    pieces, config.layer, config.rules,
+                                    fill::SlackMode::kIII),
+        where);
+    expect_same_columns(
+        solver,
+        fill::extract_slack_columns(session.layout(), session.dissection(),
+                                    pieces, config.layer, config.rules,
+                                    config.solver_mode),
+        where + ", solver columns");
   }
 }
 
 TEST(Session, SlackColumnsMatchFullExtraction) {
-  // The session's mode-III columns are the scanner's one copy, rewritten in
-  // place by each rescan: the reference taken before the first edit stays
-  // global_slack(), and after every edit it equals a full extraction of the
-  // edited layout -- every column field bitwise, every tile part, the
-  // capacity.
-  check_columns_follow_edits(small_layout(), small_config(1), 20, 29);
-
-  layout::SyntheticLayoutConfig cfg;
-  cfg.die_um = 96;
-  cfg.num_nets = 30;
-  cfg.seed = 9;
-  cfg.separate_branch_layer = true;
-  const Layout branch = layout::generate_synthetic_layout(cfg);
-  FlowConfig config = small_config(1);
-  config.layer = branch.find_layer("m4");
-  ASSERT_NE(config.layer, layout::kInvalidLayer);
-  check_columns_follow_edits(branch, config, 8, 31);
+  // The session's columns are its scanners' own copies, rewritten in place
+  // by each rescan: the references taken before the first edit stay
+  // global_slack() and solver_slack(), and after every edit each equals a
+  // full extraction of the edited layout in its mode -- every column field
+  // bitwise, every tile part, the capacity. Every mode, on a horizontal
+  // and a vertical layer.
+  const Layout branch = branch_layout();
+  for (const fill::SlackMode mode :
+       {fill::SlackMode::kIII, fill::SlackMode::kI, fill::SlackMode::kII}) {
+    SCOPED_TRACE(fill::to_string(mode));
+    FlowConfig config = small_config(1);
+    config.solver_mode = mode;
+    check_columns_follow_edits(small_layout(), config, 20, 29);
+    config.layer = branch.find_layer("m4");
+    ASSERT_NE(config.layer, layout::kInvalidLayer);
+    check_columns_follow_edits(branch, config, 8, 31);
+  }
 }
 
 TEST(Session, RescanReportsEveryTileWhoseSitesMoved) {
@@ -487,73 +517,82 @@ TEST(Session, RescanReportsEveryTileWhoseSitesMoved) {
   // rescan's contract: a tile outside sites_changed covers, part by part,
   // the same site rectangles as before. Random moves of single pieces,
   // across and along their direction, checked against the columns held
-  // before each rescan and against a full extraction after it.
+  // before each rescan and against a full extraction after it, under the
+  // mode-III and the mode-II scanner.
   const Layout l = small_layout();
   const FlowConfig config = small_config(1);
   const grid::Dissection dis(l.die(), config.window_um, config.r);
-  std::vector<rctree::WirePiece> pieces =
-      fill::flatten_pieces(rctree::build_all_trees(l));
-  std::vector<std::size_t> on_layer;
-  for (std::size_t i = 0; i < pieces.size(); ++i)
-    if (pieces[i].layer == config.layer) on_layer.push_back(i);
-  fill::GlobalSlackScan scan(l, dis, config.layer, config.rules);
-  scan.build(pieces);
-  std::mt19937_64 rng(7);
-  int kept = 0, moved = 0;
-  for (int step = 0; step < 40; ++step) {
-    const fill::SlackColumns before = scan.columns();
-    rctree::WirePiece& p = pieces[on_layer[rng() % on_layer.size()]];
-    const geom::Rect old_rect = p.rect();
-    const double d =
-        std::uniform_real_distribution<double>(-0.8, 0.8)(rng);
-    const bool across = rng() % 2 == 0;
-    if ((p.orientation == layout::Orientation::kHorizontal) == across) {
-      p.up.y += d;
-      p.down.y += d;
-    } else {
-      p.up.x += d;
-      p.down.x += d;
-    }
-    const fill::GlobalSlackScan::RescanResult rr =
-        scan.rescan(pieces, {old_rect, p.rect()});
-    const std::string where = "move " + std::to_string(step);
-    expect_same_columns(scan.columns(),
-                        fill::extract_slack_columns(l, dis, pieces,
-                                                    config.layer, config.rules,
-                                                    fill::SlackMode::kIII),
-                        where);
-    const fill::SlackColumns& after = scan.columns();
-    for (int t = 0; t < after.num_tiles(); ++t) {
-      if (std::binary_search(rr.sites_changed.begin(), rr.sites_changed.end(),
-                             t)) {
-        ++moved;
-        continue;
+  for (const fill::SlackMode mode : {fill::SlackMode::kIII,
+                                     fill::SlackMode::kII}) {
+    SCOPED_TRACE(fill::to_string(mode));
+    std::vector<rctree::WirePiece> pieces =
+        fill::flatten_pieces(rctree::build_all_trees(l));
+    std::vector<std::size_t> on_layer;
+    for (std::size_t i = 0; i < pieces.size(); ++i)
+      if (pieces[i].layer == config.layer) on_layer.push_back(i);
+    fill::GlobalSlackScan scan(l, dis, config.layer, config.rules, mode);
+    scan.build(pieces);
+    std::mt19937_64 rng(7);
+    int kept = 0, moved = 0;
+    for (int step = 0; step < 40; ++step) {
+      const fill::SlackColumns before = scan.columns();
+      rctree::WirePiece& p = pieces[on_layer[rng() % on_layer.size()]];
+      const geom::Rect old_rect = p.rect();
+      const double d =
+          std::uniform_real_distribution<double>(-0.8, 0.8)(rng);
+      const bool across = rng() % 2 == 0;
+      if ((p.orientation == layout::Orientation::kHorizontal) == across) {
+        p.up.y += d;
+        p.down.y += d;
+      } else {
+        p.up.x += d;
+        p.down.x += d;
       }
-      if (std::binary_search(rr.touched_tiles.begin(), rr.touched_tiles.end(),
-                             t))
-        ++kept;
-      const auto& old_parts = before.tile_parts(t);
-      const auto& new_parts = after.tile_parts(t);
-      ASSERT_EQ(old_parts.size(), new_parts.size()) << where << ", tile " << t;
-      for (std::size_t k = 0; k < old_parts.size(); ++k) {
-        ASSERT_EQ(old_parts[k].first_site, new_parts[k].first_site) << where;
-        ASSERT_EQ(old_parts[k].num_sites, new_parts[k].num_sites) << where;
-        const fill::SlackColumn& a = before.columns()[old_parts[k].column];
-        const fill::SlackColumn& b = after.columns()[new_parts[k].column];
-        for (int i = 0; i < old_parts[k].num_sites; ++i) {
-          const int site = old_parts[k].first_site + i;
-          const geom::Rect ra = before.site_rect(a, site, config.rules);
-          const geom::Rect rb = after.site_rect(b, site, config.rules);
-          EXPECT_TRUE(same_bits(ra.xlo, rb.xlo) && same_bits(ra.ylo, rb.ylo) &&
-                      same_bits(ra.xhi, rb.xhi) && same_bits(ra.yhi, rb.yhi))
-              << where << ", tile " << t << " part " << k << " site " << site;
+      const fill::GlobalSlackScan::RescanResult rr =
+          scan.rescan(pieces, {old_rect, p.rect()});
+      const std::string where = "move " + std::to_string(step);
+      expect_same_columns(
+          scan.columns(),
+          fill::extract_slack_columns(l, dis, pieces, config.layer,
+                                      config.rules, mode),
+          where);
+      const fill::SlackColumns& after = scan.columns();
+      for (int t = 0; t < after.num_tiles(); ++t) {
+        if (std::binary_search(rr.sites_changed.begin(),
+                               rr.sites_changed.end(), t)) {
+          ++moved;
+          continue;
+        }
+        if (std::binary_search(rr.touched_tiles.begin(),
+                               rr.touched_tiles.end(), t))
+          ++kept;
+        const auto& old_parts = before.tile_parts(t);
+        const auto& new_parts = after.tile_parts(t);
+        ASSERT_EQ(old_parts.size(), new_parts.size())
+            << where << ", tile " << t;
+        for (std::size_t k = 0; k < old_parts.size(); ++k) {
+          ASSERT_EQ(old_parts[k].first_site, new_parts[k].first_site)
+              << where;
+          ASSERT_EQ(old_parts[k].num_sites, new_parts[k].num_sites) << where;
+          const fill::SlackColumn& a = before.columns()[old_parts[k].column];
+          const fill::SlackColumn& b = after.columns()[new_parts[k].column];
+          for (int i = 0; i < old_parts[k].num_sites; ++i) {
+            const int site = old_parts[k].first_site + i;
+            const geom::Rect ra = before.site_rect(a, site, config.rules);
+            const geom::Rect rb = after.site_rect(b, site, config.rules);
+            EXPECT_TRUE(
+                same_bits(ra.xlo, rb.xlo) && same_bits(ra.ylo, rb.ylo) &&
+                same_bits(ra.xhi, rb.xhi) && same_bits(ra.yhi, rb.yhi))
+                << where << ", tile " << t << " part " << k << " site "
+                << site;
+          }
         }
       }
     }
+    // Both outcomes occur, so the check above discriminates.
+    EXPECT_GT(kept, 0);
+    EXPECT_GT(moved, 0);
   }
-  // Both outcomes occur, so the check above discriminates.
-  EXPECT_GT(kept, 0);
-  EXPECT_GT(moved, 0);
 }
 
 TEST(Session, KeptInstanceWhoseSitesMovedRefreshesDensity) {
